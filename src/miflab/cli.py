@@ -103,77 +103,49 @@ def cmd_order(args) -> int:
     return EXIT_OK
 
 
+def _check_family(args, identity: str, G, pairs, constants) -> int:
+    """Decide `identity` for every (a, b) in pairs; stop at the first failure.
+
+    constants(a, b) lists the constants that follow x in the left-normed word.
+    """
+    checks = 0
+    payload = {"identity": identity, "group": G.name}
+    for a_el, b_el in pairs:
+        word = mw.left_normed([mw.variable(G)] + [mw.constant(G, c) for c in constants(a_el, b_el)])
+        verdict = identity_lab.is_mixed_identity(word, G)
+        checks += verdict.substitutions_checked
+        if not verdict.holds:
+            payload["counterexample"] = verdict.to_json_dict(G, word)
+            break
+    holds = "counterexample" not in payload
+    payload.update(verdict=holds, substitutions_checked=checks)
+    _emit(args, payload, f"{holds}")
+    return EXIT_OK
+
+
 def cmd_check(args) -> int:
     if args.id == "direct-product":
         A = identity_lab.small_group(args.A)
         B = identity_lab.small_group(args.B)
         G = identity_lab.direct_product(A, B)
         nb = B.size
-        checks = 0
-        holds = True
-        witness = None
-        for a_el in range(1, A.size):
-            for b_el in range(1, B.size):
-                ea = identity_lab.product_left(a_el, nb)
-                eb = identity_lab.product_right(b_el, nb)
-                word = mw.left_normed(
-                    [mw.variable(G), mw.constant(G, ea), mw.constant(G, eb)]
-                )
-                verdict = identity_lab.is_mixed_identity(word, G)
-                checks += verdict.substitutions_checked
-                if not verdict.holds:
-                    holds = False
-                    witness = verdict.to_json_dict(G, word)
-                    break
-            if not holds:
-                break
-        payload = {
-            "identity": "[[x,a],b]",
-            "group": G.name,
-            "verdict": holds,
-            "substitutions_checked": checks,
-        }
-        if witness:
-            payload["counterexample"] = witness
-        _emit(args, payload, f"{holds}")
-        return EXIT_OK
+        pairs = ((a, b) for a in range(1, A.size) for b in range(1, nb))
+        return _check_family(
+            args, "[[x,a],b]", G, pairs,
+            lambda a, b: (identity_lab.product_left(a, nb), identity_lab.product_right(b, nb)),
+        )
     if args.id == "wreath":
         base = identity_lab.small_group(args.base)
         top = identity_lab.small_group(args.top)
         # the top must be cyclic: its order is the rotation count
-        k = top.size
-        data = identity_lab.wreath_product(k, base)
+        data = identity_lab.wreath_product(top.size, base)
         G = data.group
-        holds = True
-        checks = 0
-        payload_extra = None
-        for a_el in data.first_factor:
-            if G.is_identity(a_el):
-                continue
-            for b_el in data.rest_factor:
-                if G.is_identity(b_el):
-                    continue
-                word = mw.left_normed(
-                    [mw.variable(G), mw.constant(G, a_el), mw.constant(G, a_el), mw.constant(G, b_el)]
-                )
-                verdict = identity_lab.is_mixed_identity(word, G)
-                checks += verdict.substitutions_checked
-                if not verdict.holds:
-                    holds = False
-                    payload_extra = verdict.to_json_dict(G, word)
-                    break
-            if not holds:
-                break
-        payload = {
-            "identity": "[[[x,a],a],b]",
-            "group": G.name,
-            "verdict": holds,
-            "substitutions_checked": checks,
-        }
-        if payload_extra:
-            payload["counterexample"] = payload_extra
-        _emit(args, payload, f"{holds}")
-        return EXIT_OK
+        pairs = (
+            (a, b)
+            for a in data.first_factor if not G.is_identity(a)
+            for b in data.rest_factor if not G.is_identity(b)
+        )
+        return _check_family(args, "[[[x,a],a],b]", G, pairs, lambda a, b: (a, a, b))
     if args.id == "factorial":
         G = identity_lab.small_group(args.group)
         if args.normal:

@@ -20,7 +20,7 @@ from collections import deque
 
 import numpy as np
 
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, VerificationError
 from .presentations import Presentation, invert_word
 
 Letters = tuple  # sequence of (position, sign)
@@ -69,7 +69,10 @@ class CosetTable:
                 if words[nxt] is None:
                     words[nxt] = w + ((x >> 1, -1 if x & 1 else 1),)
                     order.append(nxt)
-        assert all(w is not None for w in words)
+        if len(order) != n:
+            raise VerificationError(
+                f"coset table leaves {n - len(order)} of {n} cosets unreachable from the identity"
+            )
         return tuple(words)
 
     # -- queries ------------------------------------------------------
@@ -283,7 +286,10 @@ def enumerate_presentation(pres: Presentation, max_cosets: int = 1_000_000) -> C
             if d not in idx_of:
                 idx_of[d] = len(order)
                 order.append(d)
-    assert len(order) == live, "enumeration left unreachable live cosets"
+    if len(order) != live:
+        raise VerificationError(
+            f"enumeration left {live - len(order)} unreachable live cosets"
+        )
 
     action = []
     for x in range(ncols):

@@ -3,7 +3,11 @@
 Groups are multiplication tables on element ids 0..n-1 with optional
 labels.  A "true" verdict from `is_mixed_identity` is a proof: every
 substitution is tried, and oversized instances are refused rather than
-sampled.
+sampled.  Verdicts are batched: the word is evaluated on whole blocks of
+substitutions at once with numpy gathers on the multiplication table,
+in `itertools.product` order, so the first counterexample found is the
+lexicographically first one.  Products are refused before their table is
+allocated when the n x n int64 table would exceed `PRODUCT_TABLE_BYTES_LIMIT`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from .errors import BudgetExceeded, ParseError
 FULL_AXIOM_CHECK_LIMIT = 512
 SINGLE_VAR_LIMIT = 10_000
 ASSIGNMENT_LIMIT = 1_000_000
-PRODUCT_SIZE_LIMIT = 100_000
+PRODUCT_TABLE_BYTES_LIMIT = 128 * 2**20  # n*n int64 table of a product group
+VERDICT_BLOCK = 2**16  # substitutions evaluated per batch
 
 
 class FiniteGroup:
@@ -140,11 +145,7 @@ class FiniteGroup:
 
     def closure(self, subset) -> frozenset[int]:
         found = {self.identity}
-        queue = sorted(set(subset))
-        for g in queue:
-            if g not in found:
-                found.add(g)
-        frontier = list(found)
+        frontier = [self.identity]
         gens = sorted(set(subset))
         while frontier:
             nxt = []
@@ -323,12 +324,19 @@ def small_group(name: str) -> FiniteGroup:
 # -- products ----------------------------------------------------------------
 
 
+def _check_table_bytes(kind: str, order: int) -> None:
+    """Refuse a product whose n x n int64 table would exceed the byte cap."""
+    need = order * order * 8
+    if need > PRODUCT_TABLE_BYTES_LIMIT:
+        raise BudgetExceeded(
+            f"{kind} order {order} needs a {need}-byte table, over the "
+            f"{PRODUCT_TABLE_BYTES_LIMIT}-byte product table cap"
+        )
+
+
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (x, y) has id x*|B| + y."""
-    if a.size * b.size > PRODUCT_SIZE_LIMIT:
-        raise BudgetExceeded(
-            f"direct product order {a.size * b.size} exceeds the size cap"
-        )
+    _check_table_bytes("direct product", a.size * b.size)
     na, nb = a.size, b.size
     xa = np.repeat(np.arange(na), nb)
     yb = np.tile(np.arange(nb), na)
@@ -356,13 +364,6 @@ class WreathData:
     first_factor: tuple[int, ...]  # coordinate 0 copy of the base group
     rest_factor: tuple[int, ...]  # coordinates 1..k-1
 
-    def encode(self, coords, shift: int) -> int:
-        nb = self.base_group.size
-        acc = 0
-        for c in coords:
-            acc = acc * nb + c
-        return acc * self.top_order + (shift % self.top_order)
-
 
 def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
     """base wr C_k with the cyclic top rotating coordinates.
@@ -375,17 +376,7 @@ def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
         raise ValueError("top order must be positive")
     nb = base.size
     total = (nb**k) * k
-    if total > PRODUCT_SIZE_LIMIT:
-        raise BudgetExceeded(f"wreath product order {total} exceeds the size cap")
-
-    def decode(idx):
-        shift_part = idx % k
-        rest = idx // k
-        coords = []
-        for _ in range(k):
-            coords.append(rest % nb)
-            rest //= nb
-        return tuple(reversed(coords)), shift_part
+    _check_table_bytes("wreath product", total)
 
     def encode(coords, s):
         acc = 0
@@ -393,35 +384,40 @@ def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
             acc = acc * nb + c
         return acc * k + (s % k)
 
+    # element id = (b_0 ... b_{k-1} read in base nb) * k + s
+    ids = np.arange(total)
+    shift = ids % k
+    coord = np.empty((total, k), dtype=np.int64)
+    rem = ids // k
+    for c in reversed(range(k)):
+        coord[:, c] = rem % nb
+        rem //= nb
+    # coordinate c of f * g is f[c] * g[(c - s_f) % k]
     table = np.zeros((total, total), dtype=np.int64)
-    decoded = [decode(i) for i in range(total)]
-    for i, (f, s) in enumerate(decoded):
-        for j, (g, u) in enumerate(decoded):
-            combined = tuple(
-                base.mul(f[c], g[(c - s) % k]) for c in range(k)
-            )
-            table[i, j] = encode(combined, s + u)
+    for c in range(k):
+        table *= nb
+        table += base.table[coord[:, c][:, None], coord.T[(c - shift) % k]]
+    table *= k
+    table += (shift[:, None] + shift[None, :]) % k
     labels = [
-        "(" + ",".join(base.labels[c] for c in f) + f";{s})" for f, s in decoded
+        "(" + ",".join(base.labels[b] for b in f) + f";{s})"
+        for f, s in zip(coord.tolist(), shift.tolist())
     ]
     group = FiniteGroup(table, labels, name=f"{base.name}wrC{k}")
 
     id_b = base.identity
-    base_ids = tuple(
-        i for i, (f, s) in enumerate(decoded) if s == 0
-    )
     first = tuple(
         encode((b,) + (id_b,) * (k - 1), 0) for b in range(nb)
     )
     rest = tuple(
-        encode((id_b,) + coords, 0)
-        for coords in product(range(nb), repeat=k - 1)
+        encode((id_b,) + others, 0)
+        for others in product(range(nb), repeat=k - 1)
     ) if k > 1 else (group.identity,)
     return WreathData(
         group=group,
         top_order=k,
         base_group=base,
-        base=base_ids,
+        base=tuple(range(0, total, k)),  # shift 0
         first_factor=first,
         rest_factor=rest,
     )
@@ -471,13 +467,43 @@ def is_mixed_identity(word: "mw.MixedWord", group: FiniteGroup) -> MixedIdentity
         val = word.constant_value()
         holds = group.is_identity(val)
         return MixedIdentityVerdict(holds, None if holds else {}, 1)
-    checked = 0
-    for combo in product(range(n), repeat=nvars):
-        assignment = dict(zip(ids, combo))
-        checked += 1
-        if not group.is_identity(mw.evaluate(word, assignment)):
-            return MixedIdentityVerdict(False, assignment, checked)
-    return MixedIdentityVerdict(True, None, checked)
+    table = group.table
+    powers = {
+        s[2]: _power_map(group, s[2]) for s in word.syllables if s[0] == mw.VAR
+    }
+    total = n**nvars
+    # substitution k assigns ids[p] the base-n digit of k at place nvars-1-p
+    place = {vid: n ** (nvars - 1 - p) for p, vid in enumerate(ids)}
+    for start in range(0, total, VERDICT_BLOCK):
+        flat = np.arange(start, min(start + VERDICT_BLOCK, total))
+        digits = {vid: flat // place[vid] % n for vid in ids}
+        acc = np.full(flat.shape, group.identity)
+        for s in word.syllables:
+            if s[0] == mw.CONST:
+                acc = table[acc, s[1]]
+            else:
+                acc = table[acc, powers[s[2]][digits[s[1]]]]
+        bad = np.flatnonzero(acc != group.identity)
+        if bad.size:
+            first = int(bad[0])
+            assignment = {vid: int(digits[vid][first]) for vid in ids}
+            return MixedIdentityVerdict(False, assignment, start + first + 1)
+    return MixedIdentityVerdict(True, None, total)
+
+
+def _power_map(group: FiniteGroup, e: int) -> np.ndarray:
+    """x -> x^e for every element x, by repeated squaring on whole vectors."""
+    table = group.table
+    cur = group.inverse_table if e < 0 else np.arange(group.size)
+    acc = np.full(group.size, group.identity)
+    k = abs(e)
+    while k:
+        if k & 1:
+            acc = table[acc, cur]
+        k >>= 1
+        if k:
+            cur = table[cur, cur]
+    return acc
 
 
 def factorial_identity_check(group: FiniteGroup, normal_subset, g: int) -> bool:

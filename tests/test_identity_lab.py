@@ -1,5 +1,9 @@
 """Finite-group lab: catalog, products, exhaustive identity verdicts."""
 
+import random
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -12,16 +16,47 @@ from miflab.parser import parse_mixed_word
 # -- independent oracle: a hand-rolled exhaustive loop -------------------------
 
 
-def oracle_holds(word, group):
+def scalar_verdict(word, group):
+    """(holds, first counterexample, substitutions checked), one evaluate at a time."""
     ids = word.variable_ids
     if not ids:
-        return group.is_identity(word.constant_value())
-    from itertools import product
-
+        holds = group.is_identity(word.constant_value())
+        return holds, None if holds else {}, 1
+    checked = 0
     for combo in product(range(group.size), repeat=len(ids)):
-        if not group.is_identity(mw.evaluate(word, dict(zip(ids, combo)))):
-            return False
-    return True
+        checked += 1
+        assignment = dict(zip(ids, combo))
+        if not group.is_identity(mw.evaluate(word, assignment)):
+            return False, assignment, checked
+    return True, None, checked
+
+
+def oracle_holds(word, group):
+    return scalar_verdict(word, group)[0]
+
+
+def scalar_wreath_table(k, base):
+    """base wr C_k filled entry by entry: ((f, s) (g, u))_c = f_c g_{(c-s) % k}."""
+    nb = base.size
+    total = nb**k * k
+
+    def decode(i):
+        coords = []
+        rest = i // k
+        for _ in range(k):
+            coords.append(rest % nb)
+            rest //= nb
+        return coords[::-1], i % k
+
+    table = np.zeros((total, total), dtype=np.int64)
+    decoded = [decode(i) for i in range(total)]
+    for i, (f, s) in enumerate(decoded):
+        for j, (g, u) in enumerate(decoded):
+            acc = 0
+            for c in range(k):
+                acc = acc * nb + base.mul(f[c], g[(c - s) % k])
+            table[i, j] = acc * k + (s + u) % k
+    return table
 
 
 def comm_word(group, *constants):
@@ -65,6 +100,12 @@ def test_wreath_orders():
     assert il.wreath_product(2, il.cyclic(2)).group.size == 8
     assert il.wreath_product(2, il.cyclic(3)).group.size == 18
     assert il.wreath_product(3, il.cyclic(2)).group.size == 24
+
+
+@pytest.mark.parametrize("k, base", [(2, "C2"), (3, "C2"), (2, "S3"), (2, "C3")])
+def test_wreath_table_matches_scalar_fill(k, base):
+    B = small_group(base)
+    assert np.array_equal(il.wreath_product(k, B).group.table, scalar_wreath_table(k, B))
 
 
 def test_wreath_base_decomposition():
@@ -154,6 +195,67 @@ def test_center_identity_property():
             assert il.is_mixed_identity(comm_word(G, z), G).holds
 
 
+def test_batch_verdicts_match_scalar_loop_on_random_words():
+    rng = random.Random(2024)
+    groups = [small_group(name) for name in ("C5", "V4", "S3", "D4", "C2xC3")]
+    exponents = [1, -1, 2, -2, 3, -3, 7, 24, -24]
+
+    def random_word(G, nvars, length):
+        syllables = []
+        for _ in range(length):
+            if nvars and rng.random() < 0.6:
+                syllables.append(mw.var_syllable(rng.randint(1, nvars), rng.choice(exponents)))
+            else:
+                syllables.append(mw.const_syllable(rng.randrange(G.size)))
+        return mw.reduce(G, syllables)
+
+    for trial in range(300):
+        G = rng.choice(groups)
+        nvars = rng.randint(0, 3)
+        if rng.random() < 0.3:
+            word = random_word(G, nvars, rng.randint(1, 7))
+        else:
+            # left-normed commutators hold or fail far more often past the first substitution
+            word = mw.left_normed([random_word(G, nvars, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))])
+        verdict = il.is_mixed_identity(word, G)
+        holds, counterexample, checked = scalar_verdict(word, G)
+        assert verdict.holds == holds, (trial, word)
+        assert verdict.counterexample == counterexample, (trial, word)
+        assert verdict.substitutions_checked == checked, (trial, word)
+        if counterexample:
+            assert all(type(v) is int for v in verdict.counterexample.values())
+
+
+def test_batch_verdict_counterexample_beyond_first_block():
+    G = small_group("S3xC10")  # (a, b) has id 10 a + b; S3 ids: 1 = (23), 2 = (12)
+    A = G.element_by_label("((23),e)")
+    Z = G.element_by_label("(e,g1)")  # central
+    word = parse_mixed_word("[x,A][x2,Z][x3,Z]", G, constants={"A": A, "Z": Z})
+    assert all(G.is_identity(mw.evaluate(mw.commutator(mw.variable(G), mw.constant(G, Z)), {1: x}))
+               for x in G.elements())
+    # so the value depends on x alone; x = 20 = ((12), e) is the first not commuting with A
+    for x in range(20):
+        assert G.is_identity(mw.evaluate(word, {1: x, 2: 0, 3: 0}))
+    first_bad = 20 * G.size**2
+    assert first_bad >= il.VERDICT_BLOCK
+    verdict = il.is_mixed_identity(word, G)
+    assert not verdict.holds
+    assert verdict.counterexample == {1: 20, 2: 0, 3: 0}
+    assert verdict.substitutions_checked == first_bad + 1
+
+
+def test_batch_verdict_holds_across_blocks():
+    C41 = small_group("C41")
+    assert C41.size**3 > il.VERDICT_BLOCK
+    verdict = il.is_mixed_identity(mw.left_normed([mw.variable(C41, v) for v in (1, 2, 3)]), C41)
+    assert verdict.holds and verdict.counterexample is None
+    assert verdict.substitutions_checked == C41.size**3
+    # a large exponent on a variable: x^41 = 1 on C41, x^24 is not
+    assert il.is_mixed_identity(mw.variable(C41, 1, 41), C41).holds
+    verdict = il.is_mixed_identity(mw.variable(C41, 1, 24), C41)
+    assert verdict.counterexample == {1: 1} and verdict.substitutions_checked == 2
+
+
 def test_verdicts_match_oracle_on_small_words():
     S3 = small_group("S3")
     consts = S3.constants()
@@ -220,6 +322,19 @@ def test_budget_guards():
     word = mw.reduce(G, [mw.var_syllable(1, 1), mw.var_syllable(2, 1)])
     with pytest.raises(BudgetExceeded):
         il.is_mixed_identity(word, G)
+
+
+def test_product_table_byte_cap_refuses_before_allocating():
+    S5 = small_group("S5")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=str(il.PRODUCT_TABLE_BYTES_LIMIT)) as err:
+            il.direct_product(S5, S5)  # order 14400: a 1,658,880,000-byte table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(14400 * 14400 * 8) in str(err.value)
+    assert peak < 2**20
 
 
 def test_subgroup_enumeration_small():

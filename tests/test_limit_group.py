@@ -1,11 +1,12 @@
 """Arithmetic in A and G: normal forms, orders, oracles, the finite-radical harness."""
 
+import json
 import math
 import random
 
 import pytest
 
-from miflab import CapacityExceeded, INFINITE, instance, shift
+from miflab import CapacityExceeded, INFINITE, LimitGroup, MiflabError, instance, shift
 from miflab.limit_group import AWord
 
 
@@ -248,6 +249,17 @@ def test_disk_cache_round_trip(tmp_path):
     t2 = G2.table_for_width(2)
     assert t2.words == t1.words
     assert all((a == b).all() for a, b in zip(t2.action, t1.action))
+
+
+def test_corrupt_disk_cache_is_a_miflab_error(tmp_path):
+    LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    # every column fixes every coset, so only the identity coset is reachable
+    data["action"] = [list(range(data["coset_count"])) for _ in data["action"]]
+    path.write_text(json.dumps(data))
+    with pytest.raises(MiflabError, match="unreachable"):
+        LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
 
 
 def test_pow_and_conjugate(default_group):
