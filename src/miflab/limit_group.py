@@ -18,11 +18,12 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 import threading
 from dataclasses import dataclass
 
 from .coset_enum import CosetTable, enumerate_presentation
-from .errors import CapacityExceeded
+from .errors import CapacityExceeded, VerificationError
 from .presentations import (
     CSequence,
     Window,
@@ -375,19 +376,30 @@ class LimitGroup:
         path = self._cache_path(width)
         if not path or not os.path.exists(path):
             return None
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:  # undecodable text or malformed JSON
+            raise VerificationError(f"corrupt coset table cache file {path}: {exc}") from exc
         return CosetTable.from_json_dict(pres, data)
 
     def _store_cached(self, width: int, table: CosetTable) -> None:
+        """Write the table through a private temp file, so concurrent
+        writers never share a partial file."""
         path = self._cache_path(width)
         if not path:
             return
         os.makedirs(self.cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(table.to_json_dict(), fh)
-        os.replace(tmp, path)
+        fd, tmp = tempfile.mkstemp(
+            dir=self.cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp"
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(table.to_json_dict(), fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- word-level engine -------------------------------------------------
 
@@ -478,25 +490,6 @@ class LimitGroup:
         ids_h = {big.trace_word(self._letters_for_table(w, -N)) for w in h_words}
         ids_shift = {big.trace_word(self._letters_for_table(w, -N)) for w in shifted}
         return ids_h & ids_shift == {big.identity_coset}
-
-
-# -- module-level forms of the operations (thin wrappers) -----------------
-
-
-def multiply(g: GElement, h: GElement) -> GElement:
-    return g * h
-
-
-def is_trivial(g: GElement) -> bool:
-    return g.is_trivial()
-
-
-def order(g: GElement):
-    return g.order()
-
-
-def abelianize(g: GElement) -> AbelianImage:
-    return g.abelianize()
 
 
 # -- instance registry ------------------------------------------------------

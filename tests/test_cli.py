@@ -111,6 +111,18 @@ def test_exit_code_capacity():
     assert json.loads(err)["error"] == "capacity"
 
 
+def test_exit_code_corrupt_cache(tmp_path):
+    args = ("order", "--p", "2", "--c", "1,2", "--window", "0..1", "--cache-dir", str(tmp_path))
+    assert run_cli(*args)[:2] == (0, "4\n")
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    data["action"][0][1] = 99
+    path.write_text(json.dumps(data))
+    code, _, err = run_cli(*args)
+    assert code == 3
+    assert json.loads(err)["error"] == "verification"
+
+
 def test_exit_code_parse_error():
     code, _, err = run_cli("search", "--word", "[x")
     assert code == 4

@@ -1,9 +1,16 @@
 """Coset enumeration: orders against independent oracles, soundness, normal forms."""
 
+import dataclasses
+import functools
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from miflab import CapacityExceeded, Window, build_window_presentation, enumerate_presentation
-from miflab.coset_enum import CosetTable
+from miflab.coset_enum import CosetTable, EnumStats, scan_relators
+from miflab.presentations import invert_word
 
 
 # -- independent oracles ----------------------------------------------------------
@@ -183,6 +190,34 @@ def test_shortlex_words_bfs_layering():
         assert len(word) == dist[coset]
 
 
+def _reference_words(action):
+    """Shortlex words by a plain queue BFS over the columns, in column order."""
+    cols = [col.tolist() for col in action]
+    words = [None] * len(cols[0])
+    words[0] = ()
+    queue = [0]
+    for cur in queue:
+        for x, col in enumerate(cols):
+            nxt = col[cur]
+            if words[nxt] is None:
+                words[nxt] = words[cur] + ((x >> 1, -1 if x & 1 else 1),)
+                queue.append(nxt)
+    return tuple(words)
+
+
+@pytest.mark.parametrize("p,c,w", [(2, "1,2", 3), (3, "2", 2), (2, "n", 3)])
+def test_words_match_reference_bfs_also_after_relabelling(p, c, w):
+    pres = build_window_presentation(p, c, Window(0, w))
+    table = enumerate_presentation(pres)
+    assert table.words == _reference_words(table.action)
+    rng = np.random.default_rng(w)
+    for _ in range(3):
+        perm = rng.permutation(table.coset_count)  # coset c becomes perm[c]
+        inv = np.argsort(perm)
+        relabelled = [perm[col[inv]] for col in table.action]
+        assert CosetTable(pres, relabelled).words == _reference_words(relabelled)
+
+
 def test_normal_form_idempotent_and_separating():
     table = _tiny_table(2, "1,2", 0, 2)
     u = ((0, 1), (2, 1), (0, 1))
@@ -229,5 +264,125 @@ def test_json_round_trip():
     table = enumerate_presentation(pres)
     clone = CosetTable.from_json_dict(pres, table.to_json_dict())
     assert clone.coset_count == table.coset_count
+    # counters describe an enumeration; a loaded table had none
+    assert table.stats is not None and clone.stats is None
     assert clone.words == table.words
     assert all((a == b).all() for a, b in zip(clone.action, table.action))
+
+
+# -- relator reduction and canonical tables ---------------------------------------------
+
+# SHA-256 of the canonical action columns (little-endian int64, column order)
+# of B([0, w]) for every window of the benchmark's `tables` grid.
+PINNED_DIGESTS = {
+    (2, "n", 0): "af8a44699e0fe2cbe8fcb03e513ef95500dcd533abce01646342d7d2d5dbc5d4",
+    (2, "n", 1): "c34ff6ef01f8b799ffb754d1b77d6e5b0a5d4b30ede04c94764b3478427861bb",
+    (2, "n", 2): "f61bb9bc65e8316cfc9d3d495d8380510c6d52ef39befd2f284622c27ba801bb",
+    (2, "n", 3): "cc92a7a7b70e15e55113a945c3b2ced01e7b585946505c97e5a6360bf3ee14a6",
+    (2, "1,2", 0): "af8a44699e0fe2cbe8fcb03e513ef95500dcd533abce01646342d7d2d5dbc5d4",
+    (2, "1,2", 1): "c34ff6ef01f8b799ffb754d1b77d6e5b0a5d4b30ede04c94764b3478427861bb",
+    (2, "1,2", 2): "f61bb9bc65e8316cfc9d3d495d8380510c6d52ef39befd2f284622c27ba801bb",
+    (2, "1,2", 3): "327871386d0ecfe67ec4250eb5e22cc8d779e53adecbdc0014b490a6c401936e",
+    (2, "1,2", 4): "20161cf7a96959186c849f314ab64be3a56d113aa1c9bbfa013c984723754072",
+    (3, "1,2", 0): "f5879a3114447d6ed088f1e081381d0bbd661e8fcd6b345d7a5c3754ffb9b5d2",
+    (3, "1,2", 1): "6e46d183092956442d7d0ad84b375f2307e0f07c00a5579ffd44b671b502b51f",
+    (3, "1,2", 2): "43583b31906b17b97f01c33fe6f3b516f02a97c219ae1e7b767b286b90ee79ed",
+    (3, "1,2", 3): "fdca6420a67e5788e6cba88d2e3e3a23d62d13aa39ea7010087ea8296b429fba",
+    (5, "1,2", 0): "5ddd62f2450e3fde2c98aae5955f60903339ccd851aaadda672eee05d756a3c9",
+    (5, "1,2", 1): "ea488cf7916daafba84fca97217f1034e4795d5ab6a74e34c41fbc13a813d31b",
+    (5, "1,2", 2): "65db9ea91eb408ca3d480df8709c47c390fec136660c0cd1fb21171c6b1f5eab",
+    (3, "2", 0): "f5879a3114447d6ed088f1e081381d0bbd661e8fcd6b345d7a5c3754ffb9b5d2",
+    (3, "2", 1): "37b6ff9d9c47685c8b1df7cd1b566521c71028841d3198a8f00689a6bb37799a",
+    (3, "2", 2): "78ab1151a6dc3640d41fe7cdffb8b8839baf9238094d7e90d9ceb659e14c0c75",
+    (3, "2", 3): "4c7d96a4d08eca8dea306d243e83e15391fe5599a28e4fcf04e5694696297245",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_table(p, c, w):
+    return _tiny_table(p, c, 0, w)
+
+
+def _digest(table):
+    h = hashlib.sha256()
+    for col in table.action:
+        h.update(np.ascontiguousarray(col, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("p,c,w", sorted(PINNED_DIGESTS))
+def test_canonical_tables_match_pinned_digests(p, c, w):
+    assert _digest(_grid_table(p, c, w)) == PINNED_DIGESTS[(p, c, w)]
+
+
+def test_scan_relators_one_per_conjugacy_class():
+    # [[a_j,a_i],a_k] is freely conjugate to [[a_i,a_j],a_k]^-1, and so on
+    pres = build_window_presentation(3, "2", Window(0, 3))
+    assert len(pres.relators) == 52
+    assert len(scan_relators(pres)) == 28
+    table = _grid_table(3, "2", 3)
+    assert table.stats.relators_scanned == 28
+    assert table.relator_violations() == 0
+
+
+def test_relators_that_reduce_to_nothing_are_dropped():
+    pres = _handmade(1, [((0, 1), (0, -1)), ((0, 1),) * 2, ((0, -1), (0, 1), (0, 1), (0, 1))])
+    assert scan_relators(pres) == [(0, 0)]
+    table = enumerate_presentation(pres)
+    assert table.coset_count == 2
+    assert table.stats.relators_scanned == 1
+
+
+def test_enumeration_stats_are_deterministic_and_consistent():
+    pres = build_window_presentation(2, "1,2", Window(0, 3))
+    s1 = enumerate_presentation(pres).stats
+    s2 = enumerate_presentation(pres).stats
+    assert isinstance(s1, EnumStats)
+    assert s1 == s2
+    table = _grid_table(3, "2", 3)
+    s = table.stats
+    # every defined coset is either live at the end or merged away
+    assert s.coincidences == s.defined + 1 - table.coset_count
+    assert table.coset_count <= s.peak_live <= s.defined + 1
+    assert s.scans <= (s.defined + 1) * s.relators_scanned
+
+
+SMALL_PRESENTATIONS = {
+    "order-27 window": build_window_presentation(3, "2", Window(0, 1)),
+    "Klein four": build_window_presentation(2, "1", Window(0, 1)),
+}
+
+
+@st.composite
+def padded_presentation(draw):
+    """A small presentation plus rotations, inverses and unreduced
+    conjugates of its own relators, spliced in at random places."""
+    name = draw(st.sampled_from(sorted(SMALL_PRESENTATIONS)))
+    pres = SMALL_PRESENTATIONS[name]
+    ngens = pres.generator_count
+    letter = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
+    relators = list(pres.relators)
+    labels = list(pres.labels)
+    for _ in range(draw(st.integers(1, 6))):
+        which = draw(st.integers(0, len(pres.relators) - 1))
+        rel = pres.relators[which]
+        k = draw(st.integers(0, len(rel) - 1))
+        rel = rel[k:] + rel[:k]
+        if draw(st.booleans()):
+            rel = invert_word(rel)
+        conj = tuple(draw(st.lists(letter, max_size=3)))
+        at = draw(st.integers(0, len(relators)))
+        relators.insert(at, conj + rel + invert_word(conj))
+        labels.insert(at, pres.labels[which])
+    return pres, dataclasses.replace(pres, relators=tuple(relators), labels=tuple(labels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(padded_presentation())
+def test_conjugate_relators_leave_the_table_unchanged(pair):
+    pres, padded = pair
+    base = enumerate_presentation(pres)
+    table = enumerate_presentation(padded)
+    assert table.coset_count == base.coset_count
+    assert all(np.array_equal(a, b) for a, b in zip(table.action, base.action))
+    assert table.stats.relators_scanned == base.stats.relators_scanned

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 
 import pytest
@@ -260,6 +261,81 @@ def test_corrupt_disk_cache_is_a_miflab_error(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(MiflabError, match="unreachable"):
         LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+
+
+def _corrupt_width_one_table(tmp_path, edit):
+    LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _set_entry(value):
+    def edit(data):
+        data["action"][0][1] = value
+
+    return edit
+
+
+def _swap_entries(data):
+    col = data["action"][0]
+    col[0], col[1] = col[1], col[0]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_entry(-1),
+        _set_entry(99),
+        _set_entry(1.5),
+        _swap_entries,
+        lambda data: data.update(coset_count=data["coset_count"] + 1),
+        lambda data: data["action"].pop(),
+        lambda data: data["action"][2].pop(),
+        lambda data: data.pop("action"),
+    ],
+    ids=["minus-one", "out-of-range", "float", "not-inverse", "coset-count",
+         "missing-column", "short-column", "no-action"],
+)
+def test_corrupt_cache_entries_are_refused(tmp_path, edit):
+    _corrupt_width_one_table(tmp_path, edit)
+    with pytest.raises(MiflabError, match="corrupt"):
+        LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+
+
+def test_truncated_cache_file_is_refused(tmp_path):
+    LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+    (path,) = tmp_path.iterdir()
+    path.write_text(path.read_text()[:-5])
+    with pytest.raises(MiflabError, match="corrupt"):
+        LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+
+
+def test_cache_write_uses_a_private_temp_file(tmp_path):
+    G = LimitGroup(2, "1,2", cache_dir=str(tmp_path))
+    path = G._cache_path(1)
+    # a directory squatting on the old shared temp name
+    os.mkdir(path + ".tmp")
+    G.table_for_width(1)
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [os.path.basename(path), os.path.basename(path) + ".tmp"]
+    )
+    reloaded = LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+    assert reloaded.words == G.table_for_width(1).words
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    import miflab.limit_group as lg
+
+    def broken_dump(obj, fh):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(lg.json, "dump", broken_dump)
+    with pytest.raises(OSError, match="disk full"):
+        LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+    assert os.listdir(tmp_path) == []
 
 
 def test_pow_and_conjugate(default_group):
