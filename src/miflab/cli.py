@@ -179,18 +179,26 @@ def cmd_check(args) -> int:
 
 def cmd_grig(args) -> int:
     if args.grig_command == "act":
-        word = grigorchuk.reduce_word(args.word) if args.reduce else args.word
-        result = grigorchuk.act(word, args.string)
+        try:
+            word = grigorchuk.reduce_word(args.word) if args.reduce else args.word
+            result = grigorchuk.act(word, args.string)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
         _emit(args, {"word": args.word, "string": args.string, "result": result}, result)
         return EXIT_OK
     if args.grig_command == "trivial":
-        verdict = grigorchuk.is_trivial(args.word)
+        try:
+            verdict = grigorchuk.is_trivial(args.word)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
         payload = {"word": args.word, "trivial": verdict}
         if not verdict:
             payload["moved_string"] = grigorchuk.find_moved_string(args.word)
         _emit(args, payload, str(verdict))
         return EXIT_OK
     if args.grig_command == "verify-identity":
+        if args.max_len < 0:
+            raise ParseError(f"--max-len must be non-negative, got {args.max_len}")
         report = grigorchuk.verify_grig_identity(args.max_len)
         _emit(
             args,

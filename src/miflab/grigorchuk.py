@@ -22,56 +22,79 @@ cross-check.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 KLEIN = ("b", "c", "d")
 # bc = cb = d, bd = db = c, cd = dc = b; equal letters cancel
 _KLEIN_MUL = {
-    ("b", "c"): "d",
-    ("c", "b"): "d",
-    ("b", "d"): "c",
-    ("d", "b"): "c",
-    ("c", "d"): "b",
-    ("d", "c"): "b",
-    ("b", "b"): "",
-    ("c", "c"): "",
-    ("d", "d"): "",
+    "bc": "d",
+    "cb": "d",
+    "bd": "c",
+    "db": "c",
+    "cd": "b",
+    "dc": "b",
+    "bb": "",
+    "cc": "",
+    "dd": "",
 }
 _NEXT = {"b": "c", "c": "d", "d": "b"}  # the recursion letter on the 1-branch
+# a word is reduced iff no two a's and no two Klein letters are adjacent
+_NOT_REDUCED = re.compile(r"aa|[bcd][bcd]|[^abcd]")
+_WORD = re.compile(r"[abcd]*")
+_BINARY = re.compile(r"[01]*")
 ORACLE_DEPTH = 12
 
 
-def _push(out: list, ch: str) -> None:
-    while True:
-        if not out:
-            out.append(ch)
-            return
-        top = out[-1]
-        if top == "a" and ch == "a":
-            out.pop()
-            return
-        if top in KLEIN and ch in KLEIN:
-            prod = _KLEIN_MUL[(top, ch)]
-            out.pop()
-            if not prod:
-                return
-            ch = prod
-            continue
-        out.append(ch)
-        return
-
-
 def reduce_word(word: str) -> str:
-    """Reduced alternating form, action-equivalent to the input."""
+    """Reduced alternating form, action-equivalent to the input.
+
+    The stack alternates a with a Klein letter, so each letter meets only
+    the top: a product of two Klein letters lands on an a and never
+    cascades.  Already reduced words are returned as they are.
+    """
+    if not _NOT_REDUCED.search(word):
+        return word
     out: list = []
     for ch in word:
-        if ch not in ("a", "b", "c", "d"):
+        if ch == "a":
+            if out and out[-1] == "a":
+                out.pop()
+            else:
+                out.append(ch)
+        elif ch in KLEIN:
+            if out and out[-1] != "a":
+                prod = _KLEIN_MUL[out.pop() + ch]
+                if prod:
+                    out.append(prod)
+            else:
+                out.append(ch)
+        else:
             raise ValueError(f"bad Grigorchuk letter {ch!r}")
-        _push(out, ch)
     return "".join(out)
+
+
+def _mul(u: str, v: str) -> str:
+    """Reduced form of uv for reduced u and v.
+
+    In C2 * V4 reduced words cancel only at the seam: equal letters there
+    cancel in pairs, and two different Klein letters merge into the third.
+    """
+    i, j = len(u), 0
+    while i and j < len(v):
+        x, y = u[i - 1], v[j]
+        if x == y:
+            i -= 1
+            j += 1
+        elif x == "a" or y == "a":
+            break
+        else:
+            return u[: i - 1] + _KLEIN_MUL[x + y] + v[j + 1 :]
+    return u[:i] + v[j:]
 
 
 def invert(word: str) -> str:
@@ -79,8 +102,12 @@ def invert(word: str) -> str:
     return word[::-1]
 
 
+def _commutator_reduced(u: str, v: str) -> str:
+    return _mul(_mul(invert(u), invert(v)), _mul(u, v))
+
+
 def commutator(u: str, v: str) -> str:
-    return reduce_word(invert(u) + invert(v) + u + v)
+    return _commutator_reduced(reduce_word(u), reduce_word(v))
 
 
 def act_letter(ch: str, s: str) -> str:
@@ -98,6 +125,10 @@ def act_letter(ch: str, s: str) -> str:
 
 def act(word: str, s: str) -> str:
     """Apply the word to a binary string, letters acting right to left."""
+    if not _WORD.fullmatch(word):
+        raise ValueError(f"{word!r} is not a word over a, b, c, d")
+    if not _BINARY.fullmatch(s):
+        raise ValueError(f"{s!r} is not a binary string")
     for ch in reversed(word):
         s = act_letter(ch, s)
     return s
@@ -107,18 +138,34 @@ def a_count(word: str) -> int:
     return word.count("a")
 
 
-def in_first_level_stabilizer(word: str) -> bool:
-    return a_count(word) % 2 == 0
+# Under the coordinate map of the module docstring, a Klein letter x with an
+# even number of a's before it goes to (_PLAIN[x], _CONJUGATED[x]), and one
+# with an odd number (a conjugate axa) to (_CONJUGATED[x], _PLAIN[x]).  "1"
+# marks the identity until it is deleted.
+_PLAIN = str.maketrans("bcd", "aa1")
+_CONJUGATED = str.maketrans("bcd", "cdb")
 
 
-_PHI = {
-    "b": ("a", "c"),
-    "c": ("a", "d"),
-    "d": ("", "b"),
-    "aba": ("c", "a"),
-    "aca": ("d", "a"),
-    "ada": ("b", ""),
-}
+def _split_reduced(word: str) -> tuple[str, str]:
+    """split() for a reduced word with even a-count.
+
+    Consecutive Klein letters of a reduced word are one a apart, so they
+    alternate between plain and conjugated, and each coordinate interleaves
+    the two translations of the Klein letters.
+    """
+    klein = word.replace("a", "")
+    plain = klein.translate(_PLAIN)
+    conjugated = klein.translate(_CONJUGATED)
+    if word[:1] == "a":
+        plain, conjugated = conjugated, plain
+    left = list(plain)
+    left[1::2] = conjugated[1::2]
+    right = list(conjugated)
+    right[1::2] = plain[1::2]
+    return (
+        reduce_word("".join(left).replace("1", "")),
+        reduce_word("".join(right).replace("1", "")),
+    )
 
 
 def split(word: str) -> tuple[str, str]:
@@ -131,17 +178,7 @@ def split(word: str) -> tuple[str, str]:
     word = reduce_word(word)
     if a_count(word) % 2:
         raise ValueError(f"{word!r} has odd a-count; not in the stabilizer")
-    left_parts = []
-    right_parts = []
-    conjugated = False
-    for ch in word:
-        if ch == "a":
-            conjugated = not conjugated
-            continue
-        l, r = _PHI["a" + ch + "a"] if conjugated else _PHI[ch]
-        left_parts.append(l)
-        right_parts.append(r)
-    return reduce_word("".join(left_parts)), reduce_word("".join(right_parts))
+    return _split_reduced(word)
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +187,7 @@ def _is_trivial_reduced(word: str) -> bool:
         return True
     if a_count(word) % 2:
         return False
-    left, right = split(word)
+    left, right = _split_reduced(word)
     return _is_trivial_reduced(left) and _is_trivial_reduced(right)
 
 
@@ -169,26 +206,36 @@ def level_permutations(depth: int) -> dict[str, np.ndarray]:
     Strings are indexed by their integer value with the first character as
     the most significant bit.
     """
-    if depth == 0:
-        zero = np.zeros(1, dtype=np.int64)
-        return {ch: zero.copy() for ch in "abcd"}
-    prev = level_permutations(depth - 1)
-    half = 1 << (depth - 1)
-    idx = np.arange(1 << depth, dtype=np.int64)
-    perms = {"a": idx ^ half}
-    for ch, (low_ch, high_ch) in (("b", ("a", "c")), ("c", ("a", "d")), ("d", (None, "b"))):
-        low = prev[low_ch] if low_ch else np.arange(half, dtype=np.int64)
-        high = prev[high_ch]
-        perms[ch] = np.concatenate([low, high + half])
+    perms = {ch: np.zeros(1, dtype=np.int64) for ch in "abcd"}
+    # level d from level d - 1; shallower levels are not kept
+    for d in range(1, depth + 1):
+        prev = perms
+        half = 1 << (d - 1)
+        perms = {"a": np.arange(1 << d, dtype=np.int64) ^ half}
+        for ch, (low_ch, high_ch) in (("b", ("a", "c")), ("c", ("a", "d")), ("d", (None, "b"))):
+            low = prev[low_ch] if low_ch else np.arange(half, dtype=np.int64)
+            perms[ch] = np.concatenate([low, prev[high_ch] + half])
     return perms
 
 
-def word_permutation(word: str, depth: int) -> np.ndarray:
-    # fold left: P_{w0...wk} = P_{w0} o ... o P_{wk} with (P o Q)[i] = P[Q[i]]
+@lru_cache(maxsize=None)
+def _pair_permutations(depth: int) -> dict[str, np.ndarray]:
+    """P_x o P_y for every two-letter word xy, from level_permutations."""
     perms = level_permutations(depth)
+    return {x + y: perms[x][perms[y]] for x in "abcd" for y in "abcd"}
+
+
+def word_permutation(word: str, depth: int) -> np.ndarray:
+    # fold left: P_{w0...wk} = P_{w0} o ... o P_{wk} with (P o Q)[i] = P[Q[i]],
+    # two letters per gather
+    if not _WORD.fullmatch(word):
+        raise ValueError(f"{word!r} is not a word over a, b, c, d")
+    pairs = _pair_permutations(depth)
     acc = np.arange(1 << depth, dtype=np.int64)
-    for ch in word:
-        acc = acc[perms[ch]]
+    for i in range(0, len(word) - 1, 2):
+        acc = acc[pairs[word[i : i + 2]]]
+    if len(word) % 2:
+        acc = acc[level_permutations(depth)[word[-1]]]
     return acc
 
 
@@ -200,12 +247,19 @@ def acts_trivially_to_depth(word: str, depth: int = ORACLE_DEPTH) -> bool:
 
 
 def find_moved_string(word: str, max_depth: int = ORACLE_DEPTH) -> str | None:
-    """Shortest string moved by the word, searching level by level."""
+    """Shortest string moved by the word, or None if it fixes level max_depth.
+
+    The action preserves prefixes, so a string of length d is moved iff the
+    level-max_depth strings that extend it are moved in their first d
+    letters; one permutation at max_depth answers every shorter level.
+    """
+    perm = word_permutation(word, max_depth)
+    idx = np.arange(1 << max_depth, dtype=np.int64)
     for depth in range(1, max_depth + 1):
-        perm = word_permutation(word, depth)
-        moved = np.nonzero(perm != np.arange(1 << depth, dtype=np.int64))[0]
+        shift = max_depth - depth
+        moved = np.flatnonzero((perm >> shift) != (idx >> shift))
         if moved.size:
-            return format(int(moved[0]), f"0{depth}b")
+            return format(int(moved[0]) >> shift, f"0{depth}b")
     return None
 
 
@@ -215,26 +269,16 @@ def find_moved_string(word: str, max_depth: int = ORACLE_DEPTH) -> str | None:
 def reduced_words(max_len: int):
     """All reduced words of length <= max_len, in shortlex order.
 
-    Reduced words alternate a-letters and Klein letters, so they are
-    generated directly in alternating form (the identity included).
+    Reduced words alternate a-letters and Klein letters, so a word of each
+    length is a pattern, starting with a or with a Klein letter, filled with
+    Klein letters in lexicographic order; no shorter word is kept.
     """
     yield ""
-    frontier = [""]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            last = w[-1] if w else None
-            if last == "a":
-                choices = KLEIN
-            elif last is None:
-                choices = ("a",) + KLEIN
-            else:
-                choices = ("a",)
-            for ch in choices:
-                nw = w + ch
-                nxt.append(nw)
-                yield nw
-        frontier = nxt
+    for n in range(1, max_len + 1):
+        for first, other in (("a", "%s"), ("%s", "a")):  # a sorts before b, c, d
+            pattern = "".join(other if i % 2 else first for i in range(n))
+            for klein in product(KLEIN, repeat=pattern.count("%s")):
+                yield pattern % klein
 
 
 @dataclass
@@ -259,10 +303,10 @@ class IdentityReport:
 
 def grig_identity_word(g: str) -> str:
     """The witness word [[[[g, b], d], d], ada], reduced."""
-    w = commutator(g, "b")
-    w = commutator(w, "d")
-    w = commutator(w, "d")
-    return commutator(w, "ada")
+    w = _commutator_reduced(reduce_word(g), "b")
+    w = _commutator_reduced(w, "d")
+    w = _commutator_reduced(w, "d")
+    return _commutator_reduced(w, "ada")
 
 
 def verify_grig_identity(max_len: int) -> IdentityReport:

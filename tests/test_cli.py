@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args):
     proc = subprocess.run(
@@ -72,6 +74,32 @@ def test_grig_subcommands():
     assert code == 0
     data = json.loads(out)
     assert data["violations"] == [] and data["words_checked"] == 41
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("grig", "act", "--word", "xb", "--string", "01"),
+        ("grig", "act", "--word", "ab", "--string", "012"),
+        ("grig", "act", "--word", "abx", "--string", "01", "--reduce"),
+        ("grig", "trivial", "--word", "abx"),
+        ("grig", "verify-identity", "--max-len", "-1"),
+    ],
+    ids=["act-word", "act-string", "act-reduce", "trivial", "verify-identity"],
+)
+def test_grig_bad_input_is_a_parse_error(args):
+    code, out, err = run_cli(*args)
+    assert code == 4 and out == ""
+    assert json.loads(err)["error"] == "parse"
+
+
+def test_python_dash_m_miflab():
+    proc = subprocess.run(
+        [sys.executable, "-m", "miflab", "grig", "trivial", "--word", "adadadad"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout == "True\n"
 
 
 def test_search():

@@ -1,8 +1,11 @@
 """Grigorchuk engine: action table, splitting, the word problem, the identity."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from miflab import grigorchuk as gg
 
@@ -205,3 +208,215 @@ def test_identity_word_shape():
     inner = gg.commutator("a", "b")
     manual = gg.commutator(gg.commutator(gg.commutator(inner, "d"), "d"), "ada")
     assert manual == w
+
+
+# -- the solver against the letter-by-letter reference ----------------------------
+#
+# The stack reducer, commutator and splitting below re-reduce every piece from
+# scratch; the engine works on reduced words and reduces only at seams.  Both
+# must return exactly the same strings.
+
+_REF_KLEIN_MUL = {
+    ("b", "c"): "d", ("c", "b"): "d", ("b", "d"): "c",
+    ("d", "b"): "c", ("c", "d"): "b", ("d", "c"): "b",
+    ("b", "b"): "", ("c", "c"): "", ("d", "d"): "",
+}
+_REF_PHI = {
+    "b": ("a", "c"), "c": ("a", "d"), "d": ("", "b"),
+    "aba": ("c", "a"), "aca": ("d", "a"), "ada": ("b", ""),
+}
+
+
+def _ref_push(out, ch):
+    while True:
+        if not out:
+            out.append(ch)
+            return
+        top = out[-1]
+        if top == "a" and ch == "a":
+            out.pop()
+            return
+        if top in gg.KLEIN and ch in gg.KLEIN:
+            prod = _REF_KLEIN_MUL[(top, ch)]
+            out.pop()
+            if not prod:
+                return
+            ch = prod
+            continue
+        out.append(ch)
+        return
+
+
+def ref_reduce(word):
+    out = []
+    for ch in word:
+        if ch not in ("a", "b", "c", "d"):
+            raise ValueError(f"bad Grigorchuk letter {ch!r}")
+        _ref_push(out, ch)
+    return "".join(out)
+
+
+def ref_commutator(u, v):
+    return ref_reduce(u[::-1] + v[::-1] + u + v)
+
+
+def ref_split(word):
+    word = ref_reduce(word)
+    if word.count("a") % 2:
+        raise ValueError(f"{word!r} has odd a-count; not in the stabilizer")
+    left_parts, right_parts = [], []
+    conjugated = False
+    for ch in word:
+        if ch == "a":
+            conjugated = not conjugated
+            continue
+        l, r = _REF_PHI["a" + ch + "a"] if conjugated else _REF_PHI[ch]
+        left_parts.append(l)
+        right_parts.append(r)
+    return ref_reduce("".join(left_parts)), ref_reduce("".join(right_parts))
+
+
+def ref_identity_word(g):
+    w = ref_commutator(g, "b")
+    w = ref_commutator(w, "d")
+    w = ref_commutator(w, "d")
+    return ref_commutator(w, "ada")
+
+
+# unreduced words, with long runs of one letter to force cascades
+words = st.text(alphabet="abcd", max_size=40) | st.lists(
+    st.tuples(st.sampled_from("abcd"), st.integers(1, 4)), max_size=10
+).map(lambda runs: "".join(ch * k for ch, k in runs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(words)
+def test_reduce_matches_reference(w):
+    assert gg.reduce_word(w) == ref_reduce(w)
+    assert gg.reduce_word(ref_reduce(w)) == ref_reduce(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words, words, st.integers(0, 40))
+def test_mul_matches_reference(u, v, k):
+    u, v = ref_reduce(u), ref_reduce(v)
+    assert gg._mul(u, v) == ref_reduce(u + v)
+    # v starting with the inverse of a suffix of u cancels deep into the seam
+    v = ref_reduce(u[::-1][:k] + v)
+    assert gg._mul(u, v) == ref_reduce(u + v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words, words)
+def test_commutator_matches_reference(u, v):
+    assert gg.commutator(u, v) == ref_commutator(u, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words)
+def test_split_matches_reference(w):
+    if ref_reduce(w).count("a") % 2:
+        with pytest.raises(ValueError):
+            gg.split(w)
+    else:
+        assert gg.split(w) == ref_split(w)
+
+
+def test_reference_properties_cover_the_empty_word():
+    assert gg.reduce_word("") == ref_reduce("") == ""
+    assert gg._mul("", "") == ""
+    assert gg._mul("ab", "") == gg._mul("", "ab") == "ab"
+    assert gg.commutator("", "") == ref_commutator("", "") == ""
+    assert gg.split("") == ref_split("") == ("", "")
+
+
+def test_bad_letters_are_rejected():
+    for word in ["x", "abx", "ab cd", "aA"]:
+        with pytest.raises(ValueError):
+            gg.reduce_word(word)
+        with pytest.raises(ValueError):
+            gg.is_trivial(word)
+        with pytest.raises(ValueError):
+            gg.act(word, "01")
+        with pytest.raises(ValueError):
+            gg.find_moved_string(word)
+    for s in ["2", "012", "0 1"]:
+        with pytest.raises(ValueError):
+            gg.act("ab", s)
+
+
+def test_reduced_words_are_every_reduced_word_in_shortlex_order():
+    words = list(gg.reduced_words(7))
+    assert words == sorted(words, key=lambda w: (len(w), w))
+    every = ["".join(t) for n in range(8) for t in itertools.product("abcd", repeat=n)]
+    assert set(words) == {w for w in every if ref_reduce(w) == w}
+    assert len(words) == len(set(words))
+
+
+def test_identity_word_matches_reference():
+    count = 0
+    for g in gg.reduced_words(10):
+        count += 1
+        assert gg.grig_identity_word(g) == ref_identity_word(g)
+    assert count == 1211
+    # unreduced input is reduced first
+    assert gg.grig_identity_word("abba") == ref_identity_word("abba")
+
+
+def test_identity_holds_on_all_words_of_length_14():
+    report = gg.verify_grig_identity(14)
+    assert report.words_checked == 10_931
+    assert report.violations == []
+
+
+# -- the oracle against letter-by-letter references ----------------------------------
+
+
+def ref_word_permutation(word, depth):
+    perms = gg.level_permutations(depth)
+    acc = np.arange(1 << depth, dtype=np.int64)
+    for ch in word:
+        acc = acc[perms[ch]]
+    return acc
+
+
+def ref_find_moved_string(word, max_depth):
+    for depth in range(1, max_depth + 1):
+        perm = ref_word_permutation(word, depth)
+        moved = np.nonzero(perm != np.arange(1 << depth, dtype=np.int64))[0]
+        if moved.size:
+            return format(int(moved[0]), f"0{depth}b")
+    return None
+
+
+def _oracle_words(rng, count):
+    # random words, conjugated relators (trivial), and [[[g, b], d], d], whose
+    # first moved string, if any, lies at depth 4 or 6
+    relators = ["adadadad", "acacacacacacacac", "bcd"]
+    for _ in range(count):
+        w = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 17)))
+        kind = rng.randrange(3)
+        if kind == 1:
+            w = w + rng.choice(relators) + w[::-1]
+        elif kind == 2:
+            w = ref_commutator(ref_commutator(ref_commutator(w, "b"), "d"), "d")
+        yield w
+
+
+def test_word_permutation_matches_reference():
+    rng = random.Random(8)
+    for w in _oracle_words(rng, 300):
+        depth = rng.randint(0, 12)
+        assert np.array_equal(gg.word_permutation(w, depth), ref_word_permutation(w, depth))
+
+
+def test_find_moved_string_matches_level_by_level_reference():
+    rng = random.Random(9)
+    found = set()
+    for w in _oracle_words(rng, 300):
+        depth = rng.choice([0, 1, 3, 5, 8, 12, 12, 12])
+        s = gg.find_moved_string(w, depth)
+        assert s == ref_find_moved_string(w, depth)
+        found.add(None if s is None else len(s))
+    # the words reach shallow and deep moved strings, and fixed ones
+    assert None in found and max(d for d in found if d is not None) >= 6
