@@ -84,7 +84,7 @@ class DriveResult:
     certificates: list
     complete: bool
     reason: str | None
-    witness_set: list  # the recorded w_i(g_i) values, all nontrivial
+    witness_set: list  # the recorded w_i(g_i) values, re-checked nontrivial after the run
 
 
 @dataclass
@@ -211,9 +211,13 @@ def find_witness(word: "mw.MixedWord", bounds: SearchBounds) -> FindResult:
 def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> DriveResult:
     """Certificate log for the first `count` enumerated words.
 
-    The witness set F collects every recorded w_i(g_i); after every step
-    all members must still be nontrivial (witness-set persistence).  On
-    CapacityExceeded the partial log is returned flagged incomplete.
+    The witness set F collects every recorded w_i(g_i).  Once the search
+    stops (also on CapacityExceeded, when the partial log is returned
+    flagged incomplete) every member is rebuilt without its cached
+    canonical form and re-canonicalised through the window table; a
+    member that has become trivial raises VerificationError (witness-set
+    persistence).  The check is one pass over F, so each word costs one
+    search plus one re-canonicalisation.
     """
     bounds = bounds or SearchBounds()
     certificates = []
@@ -249,14 +253,14 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
                         result.candidates_tried,
                     )
                 )
-            for member in witness_set:
-                if member.is_trivial():
-                    raise VerificationError(
-                        "witness-set persistence violated: a recorded value became trivial"
-                    )
     except CapacityExceeded as exc:
         complete = False
         reason = str(exc)
+    for member in witness_set:
+        if GElement(group, member.a, member.beta).is_trivial():
+            raise VerificationError(
+                "witness-set persistence violated: a recorded value became trivial"
+            )
     return DriveResult(certificates, complete, reason, witness_set)
 
 

@@ -142,43 +142,7 @@ def reduce(group, syllables) -> MixedWord:
                 if exp == 0:
                     continue
             stack.append((VAR, vid, exp))
-    # dropped syllables can expose new like neighbours; iterate to a fixed point
-    while True:
-        merged = _one_pass(group, stack)
-        if merged is None:
-            return MixedWord(group, stack)
-        stack = merged
-
-
-def _one_pass(group, syllables):
-    """One merge pass; None when the sequence is already reduced."""
-    changed = False
-    out: list = []
-    for s in syllables:
-        if out:
-            top = out[-1]
-            if s[0] == CONST and top[0] == CONST:
-                el = group.mul(top[1], s[1])
-                out.pop()
-                changed = True
-                if not group.is_identity(el):
-                    out.append((CONST, el))
-                continue
-            if s[0] == VAR and top[0] == VAR and top[1] == s[1]:
-                exp = top[2] + s[2]
-                out.pop()
-                changed = True
-                if exp:
-                    out.append((VAR, s[1], exp))
-                continue
-        if s[0] == CONST and group.is_identity(s[1]):
-            changed = True
-            continue
-        if s[0] == VAR and s[2] == 0:
-            changed = True
-            continue
-        out.append(s)
-    return out if changed else None
+    return MixedWord(group, stack)
 
 
 def variable(group, vid: int = 1, exp: int = 1) -> MixedWord:

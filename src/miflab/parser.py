@@ -63,12 +63,12 @@ class _Parser:
         return tok
 
     def parse_word(self, stop=()) -> "mw.MixedWord":
-        acc = mw.MixedWord(self.group, ())
+        syllables = []
         while True:
-            kind, val = self.peek()
+            kind, _ = self.peek()
             if kind is None or kind in stop:
-                return acc
-            acc = acc.concat(self.parse_item())
+                return mw.reduce(self.group, syllables)
+            syllables.extend(self.parse_item().syllables)
 
     def parse_item(self) -> "mw.MixedWord":
         atom = self.parse_atom()

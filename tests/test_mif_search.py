@@ -1,11 +1,13 @@
 """Witness search: enumeration order, canonical-first witnesses, certificates."""
 
+import hashlib
 import json
 
 import pytest
 
-from miflab import parse_mixed_word
+from miflab import CapacityExceeded, LimitGroup, VerificationError, parse_mixed_word
 from miflab import mif_search as ms
+from miflab.limit_group import AWord, GElement
 
 
 def test_enumeration_starts_with_x(default_group):
@@ -126,3 +128,76 @@ def test_candidate_order_prefix(default_group):
         if len(got) == 8:
             break
     assert got[:6] == ["1", "a0", "t", "t^-1", "a0 t", "a0 t^-1"]
+
+
+# -- cost and persistence of the driver -------------------------------------------
+
+DRIVE_500_SHA256 = "f0658417566b28b2b949da729d4e7423d9b15e2377bd76fa0f96f1c91cbfe5d8"
+
+
+def test_drive_500_certificate_log_is_pinned(default_group):
+    lines = ms.certificates_to_lines(ms.drive(default_group, 500), default_group)
+    assert hashlib.sha256(lines.encode()).hexdigest() == DRIVE_500_SHA256
+
+
+def test_drive_work_is_linear_in_the_word_count(monkeypatch):
+    """One search plus one re-check per word needs ~11 k GElement.is_trivial
+    calls; re-testing every recorded value after every word needs ~335 k."""
+    calls = [0]
+    original = GElement.is_trivial
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(GElement, "is_trivial", counted)
+    result = ms.drive(LimitGroup(2, "n"), 800)
+    assert result.complete and len(result.certificates) == 800
+    assert calls[0] < 30_000
+
+
+def _patch_search(monkeypatch, words_searched, stop_with=None, forget=True):
+    """After `words_searched` searches, the next search raises `stop_with`
+    (if given) and, with `forget`, every recorded value canonicalises to the
+    empty word from then on."""
+    recorded = []
+    searched = [0]
+    search = ms.find_witness
+    canonical = LimitGroup.canonical_aword
+
+    def find_witness(word, bounds):
+        if searched[0] == words_searched and stop_with is not None:
+            raise stop_with
+        result = search(word, bounds)
+        searched[0] += 1
+        if result.value is not None:
+            recorded.append(result.value.a)
+        return result
+
+    def canonical_aword(self, word):
+        if forget and searched[0] == words_searched and any(word is a for a in recorded):
+            return AWord(self.p, ())
+        return canonical(self, word)
+
+    monkeypatch.setattr(ms, "find_witness", find_witness)
+    monkeypatch.setattr(LimitGroup, "canonical_aword", canonical_aword)
+
+
+def test_persistence_check_can_fail(monkeypatch):
+    # every recorded value already carries its canonical form, so a check
+    # through the cache would pass here
+    _patch_search(monkeypatch, 20)
+    with pytest.raises(VerificationError, match="witness-set persistence violated"):
+        ms.drive(LimitGroup(2, "n"), 20)
+
+
+def test_persistence_check_runs_on_the_partial_path(monkeypatch):
+    stop = CapacityExceeded("window too wide")
+    _patch_search(monkeypatch, 7, stop_with=stop, forget=False)
+    result = ms.drive(LimitGroup(2, "n"), 20)
+    assert not result.complete and result.reason == "window too wide"
+    assert len(result.certificates) == len(result.witness_set) == 7
+    monkeypatch.undo()
+    _patch_search(monkeypatch, 7, stop_with=stop)
+    with pytest.raises(VerificationError, match="witness-set persistence violated"):
+        ms.drive(LimitGroup(2, "n"), 20)

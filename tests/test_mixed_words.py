@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from miflab import evaluate, iota_embed, parse_mixed_word, sub_commutator
+from miflab import evaluate, instance, iota_embed, parse_mixed_word, sub_commutator
 from miflab import mixed_words as mw
 
 
@@ -150,6 +150,57 @@ def test_variable_only_reduction_matches_free_group(default_group, items):
         assert s[2] != 0
     for s1, s2 in zip(syl, syl[1:]):
         assert s1[1] != s2[1]
+
+
+# Syllable specs as plain data: ("c", A-letters, beta) or ("v", id, exponent).
+# Constants include the identity (no letters, beta 0, or a0 a0 at p = 2) and
+# variables include zero exponents; a "run" piece is followed by its inverse.
+_CONST_SPEC = st.tuples(
+    st.just("c"), st.lists(st.tuples(st.integers(-1, 1), st.just(1)), max_size=3), st.integers(-1, 1)
+)
+_VAR_SPEC = st.tuples(st.just("v"), st.integers(1, 2), st.integers(-2, 2))
+_SPEC = st.one_of(_CONST_SPEC, _VAR_SPEC)
+_PIECE = st.one_of(
+    st.tuples(st.just("single"), _SPEC.map(lambda spec: [spec])),
+    st.tuples(st.just("run"), st.lists(_SPEC, min_size=1, max_size=3)),
+)
+
+
+def _build(G, specs):
+    return [
+        mw.const_syllable(G.element(spec[1], spec[2])) if spec[0] == "c" else mw.var_syllable(spec[1], spec[2])
+        for spec in specs
+    ]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(2, "n"), (2, "1")]),
+    st.lists(_PIECE, max_size=6),
+    st.tuples(_CONST_SPEC, _CONST_SPEC),
+)
+def test_reduce_invariants(instance_key, pieces, assignment):
+    """One stack pass leaves a fully reduced word with the same value."""
+    G = instance(*instance_key)
+    raw = []
+    for kind, specs in pieces:
+        syllables = _build(G, specs)
+        raw.extend(syllables)
+        if kind == "run":
+            raw.extend(mw.MixedWord(G, syllables).inverse().syllables)
+    w = mw.reduce(G, raw)
+    syl = w.syllables
+    for s in syl:
+        if s[0] == mw.CONST:
+            assert not G.is_identity(s[1])
+        else:
+            assert s[2] != 0
+    for s1, s2 in zip(syl, syl[1:]):
+        assert not (s1[0] == mw.CONST and s2[0] == mw.CONST)
+        assert not (s1[0] == mw.VAR and s2[0] == mw.VAR and s1[1] == s2[1])
+    assert mw.reduce(G, syl).syllables == syl
+    sigma = {vid: G.element(letters, beta) for vid, (_, letters, beta) in zip((1, 2), assignment)}
+    assert evaluate(w, sigma) == _evaluate_raw(G, raw, sigma)
 
 
 def test_alternation_invariant(default_group):

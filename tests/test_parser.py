@@ -1,8 +1,11 @@
 """The shared word grammar."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from miflab import ParseError, parse_element, parse_mixed_word, small_group
+from miflab import CapacityExceeded, ParseError, instance, parse_element, parse_mixed_word, small_group
+from miflab import mixed_words as mw
+from miflab.parser import _Parser
 
 
 def test_generators_and_powers(default_group):
@@ -60,3 +63,80 @@ def test_parse_errors(default_group):
         parse_mixed_word("(99)", S3, constants=S3.constants())
     with pytest.raises(ParseError):
         parse_element("x a0", G)
+
+
+# -- single reduce per word against the item-by-item fold -------------------------
+
+
+class _FoldParser(_Parser):
+    """Reference: reduce the accumulated word again after every item."""
+
+    def parse_word(self, stop=()):
+        acc = mw.MixedWord(self.group, ())
+        while True:
+            kind, _ = self.peek()
+            if kind is None or kind in stop:
+                return acc
+            acc = acc.concat(self.parse_item())
+
+
+def _outcome(parse):
+    try:
+        return ("word", parse().structural_key())
+    except (ParseError, CapacityExceeded) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _fold_parse(text, group, constants):
+    parser = _FoldParser(text, group, constants)
+    word = parser.parse_word()
+    if parser.pos != len(parser.tokens):
+        raise ParseError(f"trailing input in {text!r}")
+    return word
+
+
+def _texts(atoms):
+    """Words over `atoms` with powers and nested commutators; some texts get
+    a stray token spliced in so that both parsers must fail alike."""
+    item = st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.lists(
+            st.lists(inner, min_size=1, max_size=2).map(" ".join), min_size=2, max_size=3
+        ).map(lambda parts: "[" + ", ".join(parts) + "]"),
+        max_leaves=6,
+    )
+    powered = st.tuples(item, st.sampled_from(["", "", "^2", "^-1", "^0", "^3"])).map("".join)
+    text = st.lists(powered, max_size=5).map(" ".join)
+    noise = st.sampled_from(["", "", "", "]", ",", "^", "[", "q7", "x0", "a0", "(99)", ")"])
+    return st.tuples(text, noise, st.integers(0, 200)).map(_splice)
+
+
+def _splice(args):
+    text, noise, at = args
+    at %= len(text) + 1
+    return text[:at] + noise + text[at:]
+
+
+_S3 = small_group("S3")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_texts(["a0", "a1", "a-1", "t", "x", "x2", "1"]))
+def test_single_reduce_matches_item_fold_limit_group(text):
+    # t shifts supports; the width cap refuses wide constants before building
+    # a table (width 4 of c_n = n would pass 10^6 cosets).  The fold reduces
+    # after every item, so it may meet such a constant before a later syntax
+    # error; those texts say nothing about parsing and are skipped.
+    G = instance(2, "n", max_window_width=3)
+    expected = _outcome(lambda: _fold_parse(text, G, None))
+    assume(expected[0] != "CapacityExceeded")
+    assert _outcome(lambda: parse_mixed_word(text, G)) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_texts(["(12)", "(123)", "(13)", "e", "x", "x2", "1"]))
+def test_single_reduce_matches_item_fold_finite_group(text):
+    consts = _S3.constants()
+    assert _outcome(lambda: parse_mixed_word(text, _S3, consts)) == _outcome(
+        lambda: _fold_parse(text, _S3, consts)
+    )
