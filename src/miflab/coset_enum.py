@@ -4,8 +4,8 @@ HLT-style relator scanning with immediate coincidence handling: dead
 cosets go through a union-find and are processed from a FIFO queue.  Row
 filling is deterministic (lowest live coset first, columns in fixed
 order), and the finished table is compressed and renumbered by a
-breadth-first sweep in letter order, so the numbering and the stored
-shortlex words are independent of the enumeration history.
+breadth-first sweep in letter order, so the numbering and the shortlex
+words are independent of the enumeration history.
 
 Scanning costs (cosets) x (total relator length), so every relator is
 cyclically reduced first and only one relator of each class up to cyclic
@@ -17,9 +17,10 @@ scan step is a single index operation.
 
 The completed table is the regular representation of the presented
 group: cosets are group elements, and tracing a word from the identity
-coset multiplies by that word.  Column order is
-a_0 < a_0^-1 < a_1 < a_1^-1 < ... (column 2*pos for a generator, 2*pos+1
-for its inverse).
+coset multiplies by that word.  Column order is a_0 < a_0^-1 < a_1 <
+a_1^-1 < ... (column 2*pos for a generator, 2*pos+1 for its inverse).
+The table is kept once, as an int32 array; the shortlex word of a coset
+is read off the parent chain of the breadth-first sweep on demand.
 """
 
 from __future__ import annotations
@@ -57,50 +58,52 @@ class EnumStats:
 class CosetTable:
     """Complete coset action of a window-group presentation.
 
-    `stats` holds the counters of the enumeration that built the table,
-    and is None for a table loaded from disk.
+    `action[x][c]` (one int32 array) is the image of coset c under column
+    x.  `parent[c]` and `via[c]` are the coset and column from which the
+    sweep in column order first reached c; `word(c)` and `words()` derive
+    shortlex words from them.  `stats` holds the counters of the
+    enumeration that built the table, and is None for one loaded from disk.
     """
 
-    def __init__(
-        self,
-        presentation: Presentation,
-        action: list[np.ndarray],
-        stats: EnumStats | None = None,
-    ):
+    def __init__(self, presentation: Presentation, action, stats: EnumStats | None = None):
         self.presentation = presentation
-        self.action = action
+        self.action = np.asarray(action, dtype=np.int32)
         self.stats = stats
-        self.coset_count = int(action[0].shape[0]) if action else 1
+        self.coset_count = n = self.action.shape[1]
         self.identity_coset = 0
-        self._action_lists = [col.tolist() for col in action]
-        self.words = self._derive_words()
-
-    # -- canonical shortlex words ------------------------------------
-
-    def _derive_words(self) -> tuple[Letters, ...]:
-        """Shortlex word for every coset, by BFS in column order.
-
-        The canonical numbering makes coset ids ascend in shortlex order,
-        so words[c] is found on first visit.
-        """
-        n = self.coset_count
-        ncols = len(self.action)
         order, parent, via = _bfs(self.action, n, 0)
         if len(order) != n:
             raise VerificationError(
                 f"coset table leaves {n - len(order)} of {n} cosets unreachable from the identity"
             )
-        letters = [(x >> 1, -1 if x & 1 else 1) for x in range(ncols)]
-        words: list = [None] * n
-        words[0] = ()
-        for c, p, x in zip(order[1:], parent[1:], via[1:]):
-            words[c] = words[p] + (letters[x],)
-        return tuple(words)
+        self.parent, self.via = np.empty((2, n), dtype=np.int32)
+        self.parent[order], self.via[order] = parent, via
+        # zero-copy views: indexing one yields a Python int
+        self._rows = [memoryview(row) for row in self.action]
+        self._parent = memoryview(self.parent)
+        self._via = memoryview(self.via)
+
+    # -- canonical shortlex words ------------------------------------
+
+    def word(self, coset: int) -> Letters:
+        """Shortlex word of `coset`: its parent chain, read backwards."""
+        parent, via = self._parent, self._via
+        out = []
+        while coset != self.identity_coset:
+            x = via[coset]
+            out.append((x >> 1, -1 if x & 1 else 1))
+            coset = parent[coset]
+        out.reverse()
+        return tuple(out)
+
+    def words(self) -> tuple[Letters, ...]:
+        """Shortlex word of every coset, in coset order (built on each call)."""
+        return tuple(map(self.word, range(self.coset_count)))
 
     # -- queries ------------------------------------------------------
 
     def trace(self, coset: int, letters) -> int:
-        cols = self._action_lists
+        cols = self._rows
         for pos, s in letters:
             coset = cols[column(pos, s)][coset]
         return coset
@@ -113,13 +116,13 @@ class CosetTable:
         return self.trace(self.trace_word(u), v)
 
     def normal_form(self, letters) -> Letters:
-        return self.words[self.trace_word(letters)]
+        return self.word(self.trace_word(letters))
 
     def element_order(self, letters) -> int:
         """Least k >= 1 with u^k at the identity coset."""
         c = self.identity_coset
         k = 0
-        cols = self._action_lists
+        cols = self._rows
         word = letters_to_columns(letters)
         while True:
             for x in word:
@@ -157,7 +160,7 @@ class CosetTable:
     def to_json_dict(self) -> dict:
         return {
             "coset_count": self.coset_count,
-            "action": [col.tolist() for col in self.action],
+            "action": self.action.tolist(),
         }
 
     @classmethod
@@ -181,7 +184,7 @@ class CosetTable:
             raise corrupt(f"coset_count {n!r} is not a positive integer")
         if not isinstance(cols, list) or len(cols) != ncols:
             raise corrupt(f"expected {ncols} columns")
-        action = []
+        action = np.empty((ncols, n), dtype=np.int32)
         for x, col in enumerate(cols):
             try:
                 arr = np.asarray(col)
@@ -193,7 +196,7 @@ class CosetTable:
                 raise corrupt(f"column {x} holds non-integer entries")
             if arr.min() < 0 or arr.max() >= n:
                 raise corrupt(f"column {x} has an entry outside [0, {n})")
-            action.append(arr.astype(np.int64, copy=False))
+            action[x] = arr
         idx = np.arange(n)
         for x in range(0, ncols, 2):
             if not np.array_equal(action[x + 1][action[x]], idx):
@@ -201,9 +204,9 @@ class CosetTable:
         return cls(presentation, action)
 
 
-def _bfs(columns, n: int, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Breadth-first sweep from `root` over points 0..n-1, where
-    columns[x][c] is the image of c under column x.
+def _bfs(columns: np.ndarray, n: int, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breadth-first sweep from `root` over points 0..n-1, where the
+    (columns, points) array `columns` maps c to columns[x][c] under column x.
 
     Returns the points reached, in order of first discovery by
     (discoverer's place in that order, column), and for each the point and
@@ -218,7 +221,7 @@ def _bfs(columns, n: int, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     reached, parents, via = [level], [np.array([-1])], [np.array([-1])]
     while ncols:  # without columns only the root is reached
         # candidates in order of (discoverer, column)
-        found = np.stack([col[level] for col in columns], axis=1).ravel()
+        found = columns[:, level].T.ravel()
         fresh = np.flatnonzero(~seen[found])
         if not fresh.size:
             break
@@ -343,13 +346,13 @@ def enumerate_presentation(pres: Presentation, max_cosets: int = 1_000_000) -> C
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    # the working table is freed before the CosetTable derives its words
+    # the working table is freed before the CosetTable sweeps its action
     action, stats = _enumerate(pres, max_cosets)
     return CosetTable(pres, action, stats)
 
 
-def _enumerate(pres: Presentation, max_cosets: int) -> tuple[list[np.ndarray], EnumStats]:
-    """HLT enumeration; the canonical action columns and the work counters."""
+def _enumerate(pres: Presentation, max_cosets: int) -> tuple[np.ndarray, EnumStats]:
+    """HLT enumeration; the canonical int32 action array and the work counters."""
     ncols = 2 * pres.generator_count
     rels = scan_relators(pres)
 
@@ -438,13 +441,13 @@ def _enumerate(pres: Presentation, max_cosets: int) -> tuple[list[np.ndarray], E
 
     # every union-find parent precedes its child, so pointer jumping
     # reaches the representatives in a few passes
-    reps = np.asarray(uf, dtype=np.int64)
+    reps = np.asarray(uf, dtype=np.int32)
     while True:
         up = reps[reps]
         if np.array_equal(up, reps):
             break
         reps = up
-    image = np.empty((ncols, len(uf)), dtype=np.int64)
+    image = np.empty((ncols, len(uf)), dtype=np.int32)
     for x, col in enumerate(cols):
         image[x] = reps[col]
         col.clear()  # free each working column once copied: lowers peak memory
@@ -455,9 +458,9 @@ def _enumerate(pres: Presentation, max_cosets: int) -> tuple[list[np.ndarray], E
         raise VerificationError(
             f"enumeration left {live - len(order)} unreachable live cosets"
         )
-    new = np.empty(len(uf), dtype=np.int64)
+    new = np.empty(len(uf), dtype=np.int32)
     new[order] = np.arange(live)
-    action = [new[row[order]] for row in image]
+    action = new[image[:, order]]
     defined = len(uf) - 2  # neither the sink nor the identity coset
     stats = EnumStats(
         relators_scanned=len(rels),

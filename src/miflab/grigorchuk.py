@@ -48,6 +48,8 @@ _NOT_REDUCED = re.compile(r"aa|[bcd][bcd]|[^abcd]")
 _WORD = re.compile(r"[abcd]*")
 _BINARY = re.compile(r"[01]*")
 ORACLE_DEPTH = 12
+# words the solver remembers (verify_grig_identity(16) decides 13,121)
+SOLVER_CACHE_SIZE = 2**14
 
 
 def reduce_word(word: str) -> str:
@@ -181,7 +183,7 @@ def split(word: str) -> tuple[str, str]:
     return _split_reduced(word)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SOLVER_CACHE_SIZE)
 def _is_trivial_reduced(word: str) -> bool:
     if not word:
         return True

@@ -410,6 +410,11 @@ class LimitGroup:
             out.extend(((i - lo, 1),) * e)
         return tuple(out)
 
+    def aword_from_table(self, letters, lo: int) -> AWord:
+        """Translate table letters relative to window start lo into an AWord
+        (the inverse of `_letters_for_table`)."""
+        return AWord(self.p, tuple((pos + lo, 1 if s > 0 else self.p - 1) for pos, s in letters))
+
     def canonical_aword(self, word: AWord) -> AWord:
         """Shortlex normal form in the window group of the word's support.
 
@@ -420,11 +425,7 @@ class LimitGroup:
             return word
         lo, hi = word.support
         table = self.table_for_width(hi - lo)
-        coset = table.trace_word(self._letters_for_table(word, lo))
-        letters = tuple(
-            (pos + lo, 1 if s > 0 else self.p - 1) for pos, s in table.words[coset]
-        )
-        return AWord(self.p, letters)
+        return self.aword_from_table(table.normal_form(self._letters_for_table(word, lo)), lo)
 
     def aword_order(self, word: AWord) -> int:
         if word.is_empty():
@@ -439,35 +440,24 @@ class LimitGroup:
         Deterministic BFS closure over the window's coset table.
         """
         table = self.table_for_width(hi - lo)
-        gen_cosets = []
+        steps = []  # table letters of each generator and of its inverse
         for g in gens:
             if not isinstance(g, AWord):
                 g = self.aword(g)
             sup = g.support
             if sup is not None and (sup[0] < lo or sup[1] > hi):
                 raise ValueError(f"generator {render_aword(g)} not supported in [{lo}, {hi}]")
-            c = table.trace_word(self._letters_for_table(g, lo))
-            gen_cosets.append(c)
-            gen_cosets.append(table.trace_word(self._letters_for_table(g.inverse(), lo)))
-        found = {0}
-        queue = [0]
-        qi = 0
-        cols = table
-        while qi < len(queue):
-            cur = queue[qi]
-            qi += 1
-            for g in gen_cosets:
-                nxt = cols.trace(cur, cols.words[g])
+            steps.append(self._letters_for_table(g, lo))
+            steps.append(self._letters_for_table(g.inverse(), lo))
+        found = {table.identity_coset}
+        queue = [table.identity_coset]
+        for cur in queue:
+            for letters in steps:
+                nxt = table.trace(cur, letters)
                 if nxt not in found:
                     found.add(nxt)
                     queue.append(nxt)
-        out = []
-        for c in sorted(found):
-            letters = tuple(
-                (pos + lo, 1 if s > 0 else self.p - 1) for pos, s in table.words[c]
-            )
-            out.append(AWord(self.p, letters))
-        return out
+        return [self.aword_from_table(table.word(c), lo) for c in sorted(found)]
 
     def conjugate_subgroup_meet_trivial(self, gens, N: int) -> bool:
         """Check H ∩ (shift of H by 2N+1) = {1} for H = <gens> <= B([-N, N]).

@@ -18,7 +18,7 @@ from itertools import product
 
 from . import mixed_words as mw
 from .errors import CapacityExceeded, VerificationError
-from .limit_group import AWord, GElement, LimitGroup, instance
+from .limit_group import GElement, LimitGroup, instance
 from .parser import parse_element, parse_mixed_word
 
 TRIVIAL_IN_FREE_PRODUCT = "TrivialInFreeProduct"
@@ -157,12 +157,8 @@ def candidate_elements(group: LimitGroup, bounds: SearchBounds):
     for radius in range(bounds.max_support_radius + 1):
         table = group.table_for_window(-radius, radius)
         words = []
-        for coset in range(table.coset_count):
-            letters = tuple(
-                (pos - radius, 1 if s > 0 else group.p - 1)
-                for pos, s in table.words[coset]
-            )
-            word = AWord(group.p, letters)
+        for letters in table.words():
+            word = group.aword_from_table(letters, -radius)
             if radius > 0:
                 sup = word.support
                 if sup is None or (sup[0] > -radius and sup[1] < radius):

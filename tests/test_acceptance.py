@@ -145,10 +145,10 @@ def test_criterion_05_finite_radical_property():
         table = G.table_for_window(-N, N)
         # the window group as a multiplication-table group, for subgroup search
         n = table.coset_count
-        mul = [[table.trace(a, table.words[b]) for b in range(n)] for a in range(n)]
+        mul = [[table.trace(a, table.word(b)) for b in range(n)] for a in range(n)]
         fg = il.FiniteGroup(mul, name=f"B[-{N},{N}]")
         words = {
-            c: AWord(G.p, tuple((pos - N, 1 if s > 0 else G.p - 1) for pos, s in table.words[c]))
+            c: AWord(G.p, tuple((pos - N, 1 if s > 0 else G.p - 1) for pos, s in table.word(c)))
             for c in range(n)
         }
         for subgroup in fg.all_subgroups():

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,14 +144,14 @@ def test_determinism_two_runs():
     t1 = enumerate_presentation(pres)
     t2 = enumerate_presentation(pres)
     assert all((a == b).all() for a, b in zip(t1.action, t2.action))
-    assert t1.words == t2.words
+    assert t1.words() == t2.words()
 
 
 @pytest.mark.parametrize("p,c,lo,hi", [(2, "1,2", 0, 2), (3, "2", 0, 1), (2, "n", 0, 2)])
 def test_p_group_property_exhaustive(p, c, lo, hi):
     table = _tiny_table(p, c, lo, hi)
     for coset in range(table.coset_count):
-        order = table.element_order(table.words[coset])
+        order = table.element_order(table.word(coset))
         while order % p == 0:
             order //= p
         assert order == 1
@@ -166,13 +167,13 @@ def test_order_monotonicity_under_retraction():
 def test_shortlex_words_bfs_layering():
     table = _tiny_table(2, "1,2", 0, 2)
     # stored words trace back to their own coset
-    for coset, word in enumerate(table.words):
+    for coset, word in enumerate(table.words()):
         assert table.trace_word(word) == coset
     # coset numbering ascends in shortlex order of the canonical words
     def rank(word):
         return (len(word), tuple(2 * pos + (0 if s > 0 else 1) for pos, s in word))
 
-    ranks = [rank(w) for w in table.words]
+    ranks = [rank(w) for w in table.words()]
     assert ranks == sorted(ranks)
     # independent BFS distances agree with stored word lengths
     dist = {0: 0}
@@ -186,7 +187,7 @@ def test_shortlex_words_bfs_layering():
                     dist[d] = dist[c] + 1
                     nxt.append(d)
         frontier = nxt
-    for coset, word in enumerate(table.words):
+    for coset, word in enumerate(table.words()):
         assert len(word) == dist[coset]
 
 
@@ -209,13 +210,13 @@ def _reference_words(action):
 def test_words_match_reference_bfs_also_after_relabelling(p, c, w):
     pres = build_window_presentation(p, c, Window(0, w))
     table = enumerate_presentation(pres)
-    assert table.words == _reference_words(table.action)
+    assert table.words() == _reference_words(table.action)
     rng = np.random.default_rng(w)
     for _ in range(3):
         perm = rng.permutation(table.coset_count)  # coset c becomes perm[c]
         inv = np.argsort(perm)
         relabelled = [perm[col[inv]] for col in table.action]
-        assert CosetTable(pres, relabelled).words == _reference_words(relabelled)
+        assert CosetTable(pres, relabelled).words() == _reference_words(relabelled)
 
 
 def test_normal_form_idempotent_and_separating():
@@ -266,8 +267,28 @@ def test_json_round_trip():
     assert clone.coset_count == table.coset_count
     # counters describe an enumeration; a loaded table had none
     assert table.stats is not None and clone.stats is None
-    assert clone.words == table.words
+    assert clone.words() == table.words()
     assert all((a == b).all() for a, b in zip(clone.action, table.action))
+
+
+def test_table_keeps_one_copy():
+    pres = build_window_presentation(2, "1,2", Window(0, 4))
+    columns = [col.astype(np.int64) for col in enumerate_presentation(pres).action]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = CosetTable(pres, columns)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.coset_count == 2048
+    # ten int32 columns plus the parent and via arrays come to 48 bytes a
+    # coset; a second copy of the action or stored words would exceed 100
+    assert retained / table.coset_count < 100
+    # scalar queries hand out Python ints, never numpy scalars
+    word = table.word(table.coset_count - 1)
+    assert all(type(pos) is int and type(s) is int for pos, s in word)
+    assert type(table.trace_word(word)) is int
 
 
 # -- relator reduction and canonical tables ---------------------------------------------

@@ -369,6 +369,16 @@ def test_identity_holds_on_all_words_of_length_14():
     assert report.violations == []
 
 
+def test_solver_cache_is_bounded():
+    info = gg._is_trivial_reduced.cache_info()
+    assert info.maxsize == gg.SOLVER_CACHE_SIZE
+    # the bound keeps every word verify_grig_identity(16) decides
+    assert gg.SOLVER_CACHE_SIZE >= 13_121
+    report = gg.verify_grig_identity(10)
+    assert report.violations == []
+    assert gg._is_trivial_reduced.cache_info().currsize <= gg.SOLVER_CACHE_SIZE
+
+
 # -- the oracle against letter-by-letter references ----------------------------------
 
 

@@ -1,5 +1,6 @@
 """Arithmetic in A and G: normal forms, orders, oracles, the finite-radical harness."""
 
+import hashlib
 import json
 import math
 import os
@@ -150,7 +151,7 @@ def test_retraction_consistency_sampled(c12_group):
         big = G.table_for_window(-1, 3)
         coset = big.trace_word(G._letters_for_table(word, -1))
         canon_big = AWord(
-            G.p, tuple((pos - 1, 1 if s > 0 else G.p - 1) for pos, s in big.words[coset])
+            G.p, tuple((pos - 1, 1 if s > 0 else G.p - 1) for pos, s in big.word(coset))
         )
         assert canon_small == canon_big
         assert canon_small.is_empty() == canon_big.is_empty()
@@ -248,8 +249,17 @@ def test_disk_cache_round_trip(tmp_path):
     # a fresh instance with the same cache dir loads the identical table
     G2 = instance(2, "1,2", cache_dir=str(tmp_path), max_cosets=999_999)
     t2 = G2.table_for_width(2)
-    assert t2.words == t1.words
+    assert t2.words() == t1.words()
     assert all((a == b).all() for a, b in zip(t2.action, t1.action))
+
+
+def test_cache_file_bytes_are_pinned(tmp_path):
+    # the in-memory dtype of the action must not leak into the cache format
+    LimitGroup(3, "2", cache_dir=str(tmp_path)).table_for_width(2)
+    (path,) = tmp_path.iterdir()
+    assert path.name == "table-f3ff325b56110335b0130ec2.json"
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "7b36d95854e7ee623b77a305e9dd2b131bff4ffd8078c1d6603ca387fcd82ac3"
 
 
 def test_corrupt_disk_cache_is_a_miflab_error(tmp_path):
@@ -322,7 +332,7 @@ def test_cache_write_uses_a_private_temp_file(tmp_path):
         [os.path.basename(path), os.path.basename(path) + ".tmp"]
     )
     reloaded = LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
-    assert reloaded.words == G.table_for_width(1).words
+    assert reloaded.words() == G.table_for_width(1).words()
 
 
 def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
