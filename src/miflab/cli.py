@@ -67,11 +67,15 @@ class InstanceConfig:
         )
 
 
+def _add_cap_flags(sub):
+    sub.add_argument("--max-cosets", type=int, default=1_000_000, dest="max_cosets")
+    sub.add_argument("--max-window-width", type=int, default=6, dest="max_window_width")
+
+
 def _add_instance_flags(sub):
     sub.add_argument("--p", type=int, default=2, help="prime p (default 2)")
     sub.add_argument("--c", default="n", help="class-bound sequence: 'n' or '1,2,2'")
-    sub.add_argument("--max-cosets", type=int, default=1_000_000, dest="max_cosets")
-    sub.add_argument("--max-window-width", type=int, default=6, dest="max_window_width")
+    _add_cap_flags(sub)
     sub.add_argument("--cache-dir", default=None, dest="cache_dir",
                      help="table cache directory (default: $MIFLAB_CACHE)")
     sub.add_argument("--max-support-radius", type=int, default=3, dest="max_support_radius")
@@ -245,7 +249,9 @@ def cmd_drive(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.certificates, "r", encoding="utf-8") as fh:
-        report = mif_search.verify_certificates(fh.read())
+        report = mif_search.verify_certificates(
+            fh.read(), max_cosets=args.max_cosets, max_window_width=args.max_window_width
+        )
     payload = {
         "checked": report.checked,
         "witnesses_ok": report.witnesses_ok,
@@ -336,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="re-check a certificate file")
     sp.add_argument("certificates")
+    _add_cap_flags(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("selftest", help="sampled invariant checks")

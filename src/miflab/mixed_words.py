@@ -26,6 +26,12 @@ def var_syllable(vid: int, exp: int = 1):
     return (VAR, vid, exp)
 
 
+def syllable_key(group, s):
+    """Hashable identity of one syllable: constants by their canonical
+    element key, variable syllables as they are."""
+    return (CONST, group.element_key(s[1])) if s[0] == CONST else s
+
+
 class MixedWord:
     """A reduced alternating word over group constants and variables.
 
@@ -96,13 +102,7 @@ class MixedWord:
         return " ".join(parts) if parts else "1"
 
     def structural_key(self):
-        key = []
-        for s in self.syllables:
-            if s[0] == CONST:
-                key.append((CONST, self.group.element_key(s[1])))
-            else:
-                key.append(s)
-        return tuple(key)
+        return tuple(syllable_key(self.group, s) for s in self.syllables)
 
     def __eq__(self, other):
         return (
@@ -118,30 +118,42 @@ class MixedWord:
         return f"MixedWord({self.render()!r})"
 
 
-def reduce(group, syllables) -> MixedWord:
-    """Unique reduced form: merge adjacent like syllables, drop trivial ones.
+def push(group, stack: list, s) -> None:
+    """Append syllable s to the reduced syllable list `stack`, merging it
+    with the last syllable or cancelling both at the seam, so the list
+    stays reduced.  Only the end of the list changes: for a nontrivial s
+    its length grows by one (appended), stays (merged into a new last
+    syllable) or shrinks by one (cancelled).
 
-    Merging is confluent, so a single left-to-right stack pass suffices.
     Constant triviality is decided by the ambient context (for limit
     groups that is the window engine).
     """
+    if s[0] == CONST:
+        el = s[1]
+        if stack and stack[-1][0] == CONST:
+            el = group.mul(stack.pop()[1], el)
+        if not group.is_identity(el):
+            stack.append((CONST, el))
+    else:
+        _, vid, exp = s
+        if exp == 0:
+            return
+        if stack and stack[-1][0] == VAR and stack[-1][1] == vid:
+            exp += stack.pop()[2]
+            if exp == 0:
+                return
+        stack.append((VAR, vid, exp))
+
+
+def reduce(group, syllables) -> MixedWord:
+    """Unique reduced form: merge adjacent like syllables, drop trivial ones.
+
+    Merging is confluent, so a single left-to-right pass of `push`
+    suffices.
+    """
     stack: list = []
     for s in syllables:
-        if s[0] == CONST:
-            el = s[1]
-            if stack and stack[-1][0] == CONST:
-                el = group.mul(stack.pop()[1], el)
-            if not group.is_identity(el):
-                stack.append((CONST, el))
-        else:
-            _, vid, exp = s
-            if exp == 0:
-                continue
-            if stack and stack[-1][0] == VAR and stack[-1][1] == vid:
-                exp += stack.pop()[2]
-                if exp == 0:
-                    continue
-            stack.append((VAR, vid, exp))
+        push(group, stack, s)
     return MixedWord(group, stack)
 
 

@@ -139,6 +139,38 @@ def test_exit_code_capacity():
     assert json.loads(err)["error"] == "capacity"
 
 
+def test_drive_writes_the_partial_log_at_the_capacity_wall(tmp_path):
+    from miflab import LimitGroup, mif_search
+
+    certs = tmp_path / "certs.jsonl"
+    code, out, _ = run_cli(
+        "drive", "--count", "4468", "--max-window-width", "3", "--out", str(certs)
+    )
+    assert code == 2 and out == ""
+    *rows, summary = certs.read_text().splitlines()
+    assert json.loads(summary) == {
+        "certificates": 3708,
+        "reason": "window width 4 exceeds the configured bound 3",
+        "run_complete": False,
+    }
+    group = LimitGroup(2, "n", max_window_width=3)
+    expected = mif_search.certificates_to_lines(mif_search.drive(group, 4452), group)
+    assert rows == expected.splitlines()[:-1]
+
+
+def test_verify_honours_the_caps(tmp_path):
+    certs = tmp_path / "certs.jsonl"
+    assert run_cli("drive", "--count", "240", "--out", str(certs))[0] == 0
+    assert run_cli("verify", str(certs))[0] == 0
+    # certificate 235 needs a width-2 window: that is a refusal, not a failure
+    code, out, err = run_cli("verify", "--max-window-width", "1", str(certs))
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "capacity",
+        "detail": "window width 2 exceeds the configured bound 1",
+    }
+
+
 def test_exit_code_corrupt_cache(tmp_path):
     args = ("order", "--p", "2", "--c", "1,2", "--window", "0..1", "--cache-dir", str(tmp_path))
     assert run_cli(*args)[:2] == (0, "4\n")

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+from itertools import product
 
 import pytest
 
 from miflab import CapacityExceeded, LimitGroup, VerificationError, parse_mixed_word
 from miflab import mif_search as ms
+from miflab import mixed_words as mw
 from miflab.limit_group import AWord, GElement
 
 
@@ -29,6 +31,68 @@ def test_enumeration_is_deterministic_and_duplicate_free(default_group):
     assert [w.render() for w in words1] == [w.render() for w in words2]
     keys = [w.structural_key() for w in words1]
     assert len(keys) == len(set(keys))
+
+
+def _reference_words(group, count, max_word_length=16):
+    """The enumeration by definition: reduce every letter string of every
+    length in `itertools.product` order, keeping each new nonempty word."""
+    letters = ms._alphabet(group)
+    seen = set()
+    out = []
+    for length in range(1, max_word_length + 1):
+        for combo in product(letters, repeat=length):
+            word = mw.reduce(group, combo)
+            if word.is_empty():
+                continue
+            key = word.structural_key()
+            if key in seen:
+                continue
+            seen.add(key)
+            out.append(word)
+            if len(out) == count:
+                return out
+    raise AssertionError("reference enumeration ran out of words")
+
+
+@pytest.mark.parametrize(
+    "p, c, count",
+    [(2, "n", 3000), (3, "1,2", 1500), (2, "1", 500)],
+    ids=["2-n", "3-1,2", "2-1"],
+)
+def test_seam_enumeration_matches_the_reference(p, c, count):
+    # on (3, "1,2") a0 and a0^-1 are distinct letters, so constants merge
+    # into new constants at the seam, not only cancel
+    group = LimitGroup(p, c)
+    pairs = list(ms.iter_words(group, count))
+    for word, key in pairs:
+        assert key == word.structural_key()
+    reference = _reference_words(group, count)
+    assert [w.render() for w, _ in pairs] == [w.render() for w in reference]
+    assert [k for _, k in pairs] == [w.structural_key() for w in reference]
+
+
+def test_enumeration_canonicalises_only_merged_constants(monkeypatch):
+    calls = {"canonical_aword": 0, "reduce": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(LimitGroup, "canonical_aword")
+    counting(mw, "reduce")
+    assert len(ms.enumerate_words(LimitGroup(2, "n"), 3000)) == 3000
+    assert calls["reduce"] == 0
+    assert calls["canonical_aword"] < 3000  # every string re-canonicalised: 12,352
+
+
+def test_enumeration_runs_out_within_the_length_bound(default_group):
+    with pytest.raises(CapacityExceeded, match="could not reach 100 words within length 2"):
+        ms.enumerate_words(default_group, 100, 2)
 
 
 def test_find_witness_examples(default_group):
@@ -201,3 +265,44 @@ def test_persistence_check_runs_on_the_partial_path(monkeypatch):
     _patch_search(monkeypatch, 7, stop_with=stop)
     with pytest.raises(VerificationError, match="witness-set persistence violated"):
         ms.drive(LimitGroup(2, "n"), 20)
+
+
+# -- the capacity wall ------------------------------------------------------------
+
+
+def _rows(result, group):
+    return ms.certificates_to_lines(result, group).splitlines()[:-1]
+
+
+def test_drive_keeps_the_partial_log_at_the_enumeration_wall():
+    # word 1,121 needs a constant of width 3 to be told apart from earlier words
+    narrow = LimitGroup(2, "n", max_window_width=2)
+    full = ms.drive(narrow, 1120)
+    assert full.complete
+    partial = ms.drive(narrow, 1130)
+    assert not partial.complete
+    assert partial.reason == "window width 3 exceeds the configured bound 2"
+    assert _rows(partial, narrow) == _rows(full, narrow)
+
+
+def test_drive_keeps_the_partial_log_at_the_width_3_wall():
+    # the enumeration reaches 4,452 words, but the certificate of word 3,709
+    # (value a0 a4 t^4) already needs width 4, so both runs stop there
+    narrow = LimitGroup(2, "n", max_window_width=3)
+    shorter = ms.drive(narrow, 4452)
+    result = ms.drive(narrow, 4468)
+    for run in (shorter, result):
+        assert not run.complete
+        assert run.reason == "window width 4 exceeds the configured bound 3"
+        assert len(run.certificates) == 3708
+    assert _rows(result, narrow) == _rows(shorter, narrow)
+
+
+def test_verify_raises_beyond_the_caps(default_group):
+    # certificate 235 evaluates to a0 a2 t^2, of support width 2
+    lines = ms.certificates_to_lines(ms.drive(default_group, 240), default_group)
+    assert ms.verify_certificates(lines).ok
+    with pytest.raises(CapacityExceeded, match="window width 2 exceeds the configured bound 1"):
+        ms.verify_certificates(lines, max_window_width=1)
+    with pytest.raises(CapacityExceeded, match="max_cosets=1 "):
+        ms.verify_certificates(lines, max_cosets=1)
