@@ -25,8 +25,8 @@ for left, right in [("C2", "C2"), ("S3", "C3"), ("D4", "C2")]:
     G = il.direct_product(A, B)
     w = mw.left_normed([
         mw.variable(G),
-        mw.constant(G, il.product_left(1, B.size)),
-        mw.constant(G, il.product_right(1, B.size)),
+        mw.constant(G, B.size),  # a = (1, 0): the pair (x, y) has id x*|B| + y
+        mw.constant(G, 1),       # b = (0, 1)
     ])
     v = il.is_mixed_identity(w, G)
     print(f"{left} x {right}: holds={v.holds} over {v.substitutions_checked} substitutions")

@@ -7,7 +7,7 @@ independent of it, the exact integer core executes sequentially), and
 --seed affects only the sampled selftest subcommand.
 
 Exit codes: 0 success, 2 capacity/budget exceeded, 3 verification
-failure, 4 parse error.
+failure, 4 parse error (also a missing or unwritable file).
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def cmd_check(args) -> int:
         pairs = ((a, b) for a in range(1, A.size) for b in range(1, nb))
         return _check_family(
             args, "[[x,a],b]", G, pairs,
-            lambda a, b: (identity_lab.product_left(a, nb), identity_lab.product_right(b, nb)),
+            lambda a, b: (a * nb, b),
         )
     if args.id == "wreath":
         base = identity_lab.small_group(args.base)
@@ -238,9 +238,19 @@ def cmd_search(args) -> int:
 def cmd_drive(args) -> int:
     config = InstanceConfig.from_args(args)
     group = config.group()
-    result = mif_search.drive(group, args.count, config.bounds)
+    try:
+        result = mif_search.drive(group, args.count, config.bounds)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(
+                f"drive finished with {len(result.certificates)} certificates, but the log "
+                f"was not written: cannot open {args.out!r}: {exc.strerror}"
+            ) from exc
+        with fh:
             mif_search.write_certificates(result, group, fh)
     else:
         mif_search.write_certificates(result, group, sys.stdout)
@@ -248,10 +258,14 @@ def cmd_drive(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.certificates, "r", encoding="utf-8") as fh:
-        report = mif_search.verify_certificates(
-            fh.read(), max_cosets=args.max_cosets, max_window_width=args.max_window_width
-        )
+    try:
+        with open(args.certificates, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {args.certificates!r}: {exc.strerror}") from exc
+    report = mif_search.verify_certificates(
+        text, max_cosets=args.max_cosets, max_window_width=args.max_window_width
+    )
     payload = {
         "checked": report.checked,
         "witnesses_ok": report.witnesses_ok,

@@ -8,6 +8,11 @@ substitutions at once with numpy gathers on the multiplication table,
 in `itertools.product` order, so the first counterexample found is the
 lexicographically first one.  Products are refused before their table is
 allocated when the n x n int64 table would exceed `PRODUCT_TABLE_BYTES_LIMIT`.
+
+A table passed to `FiniteGroup` is checked against the group axioms and then
+made read-only.  Direct and wreath products are built by a fixed formula from
+such checked, read-only factors, so they are groups by construction and their
+tables are not re-checked; they are read-only too.
 """
 
 from __future__ import annotations
@@ -29,12 +34,35 @@ VERDICT_BLOCK = 2**16  # substitutions evaluated per batch
 
 
 class FiniteGroup:
-    """A finite group as a full multiplication table on 0..n-1."""
+    """A finite group as a full multiplication table on 0..n-1.
+
+    The constructor copies the table and checks the group axioms: in full
+    up to order `FULL_AXIOM_CHECK_LIMIT`, on 64 sampled rows above it.
+    `table` and `inverse_table` are read-only, so a group cannot change
+    after its check.  Direct and wreath products are built
+    by a fixed formula from such groups and go through `_product`, which
+    skips the re-check.
+    """
 
     def __init__(self, table, labels=None, name: str = "group"):
-        table = np.asarray(table, dtype=np.int64)
+        table = np.array(table, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("multiplication table must be square")
+        self._setup(table, labels, name)
+        self._validate(full=self.size <= FULL_AXIOM_CHECK_LIMIT)
+
+    @classmethod
+    def _product(cls, table: np.ndarray, labels, name: str) -> "FiniteGroup":
+        """A product of checked groups: its table is a group by construction."""
+        group = cls.__new__(cls)
+        group._setup(table, labels, name)
+        return group
+
+    # -- construction checks ---------------------------------------------
+
+    def _setup(self, table: np.ndarray, labels, name: str) -> None:
+        """Own `table` read-only; find the identity and the inverse table."""
+        table.flags.writeable = False
         self.table = table
         self.size = int(table.shape[0])
         self.name = name
@@ -43,9 +71,7 @@ class FiniteGroup:
             raise ValueError("label count does not match group size")
         self.identity = self._find_identity()
         self.inverse_table = self._find_inverses()
-        self._validate(full=self.size <= FULL_AXIOM_CHECK_LIMIT)
-
-    # -- construction checks ---------------------------------------------
+        self.inverse_table.flags.writeable = False
 
     def _find_identity(self) -> int:
         n = self.size
@@ -342,15 +368,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     yb = np.tile(np.arange(nb), na)
     table = a.table[xa[:, None], xa[None, :]] * nb + b.table[yb[:, None], yb[None, :]]
     labels = [f"({a.labels[x]},{b.labels[y]})" for x, y in zip(xa, yb)]
-    return FiniteGroup(table, labels, name=f"{a.name}x{b.name}")
-
-
-def product_left(a_el: int, b_group_size: int) -> int:
-    return a_el * b_group_size
-
-
-def product_right(b_el: int, b_group_size: int) -> int:
-    return b_el
+    return FiniteGroup._product(table, labels, name=f"{a.name}x{b.name}")
 
 
 @dataclass
@@ -403,7 +421,7 @@ def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
         "(" + ",".join(base.labels[b] for b in f) + f";{s})"
         for f, s in zip(coord.tolist(), shift.tolist())
     ]
-    group = FiniteGroup(table, labels, name=f"{base.name}wrC{k}")
+    group = FiniteGroup._product(table, labels, name=f"{base.name}wrC{k}")
 
     id_b = base.identity
     first = tuple(

@@ -174,8 +174,8 @@ def test_criterion_06_canned_identities():
             for b in range(1, B.size):
                 word = mw.left_normed([
                     mw.variable(G),
-                    mw.constant(G, il.product_left(a, B.size)),
-                    mw.constant(G, il.product_right(b, B.size)),
+                    mw.constant(G, a * B.size),
+                    mw.constant(G, b),
                 ])
                 assert il.is_mixed_identity(word, G).holds
     # wreath products: [[[x, a], a], b]

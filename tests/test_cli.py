@@ -62,6 +62,33 @@ def test_check_word_with_witness():
     assert "counterexample" in data
 
 
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            ("--id", "direct-product", "--A", "C2", "--B", "S3"),
+            '{"group": "C2xS3", "identity": "[[x,a],b]", "substitutions_checked": 60, "verdict": true}\n',
+        ),
+        (
+            ("--id", "direct-product", "--A", "S3", "--B", "C3"),
+            '{"group": "S3xC3", "identity": "[[x,a],b]", "substitutions_checked": 180, "verdict": true}\n',
+        ),
+        (
+            ("--id", "wreath", "--base", "C2", "--top", "C6"),
+            '{"group": "C2wrC6", "identity": "[[[x,a],a],b]", "substitutions_checked": 11904, "verdict": true}\n',
+        ),
+        (
+            ("--word", "[x,(12)]", "--group", "S3"),
+            '{"counterexample": {"x1": "(23)"}, "group": "S3", "substitutions_checked": 2, '
+            '"verdict": false, "word": "x^-1 (12) x (12)"}\n',
+        ),
+    ],
+    ids=["C2xS3", "S3xC3", "C2wrC6", "S3-word"],
+)
+def test_check_output_is_pinned(args, expected):
+    assert run_cli("--json", "check", *args) == (0, expected, "")
+
+
 def test_grig_subcommands():
     code, out, _ = run_cli("grig", "act", "--word", "a", "--string", "010")
     assert code == 0 and out.strip() == "110"
@@ -187,6 +214,27 @@ def test_exit_code_parse_error():
     code, _, err = run_cli("search", "--word", "[x")
     assert code == 4
     assert json.loads(err)["error"] == "parse"
+
+
+def test_drive_count_below_one_is_a_parse_error():
+    code, out, err = run_cli("drive", "--count", "0")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "parse", "detail": "count must be at least 1"}
+
+
+def test_missing_or_unwritable_file_is_a_parse_error(tmp_path):
+    missing = tmp_path / "missing"
+    code, out, err = run_cli("verify", str(missing))
+    assert code == 4 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "parse" and str(missing) in data["detail"]
+
+    unwritable = missing / "certs.jsonl"
+    code, out, err = run_cli("drive", "--count", "2", "--out", str(unwritable))
+    assert code == 4 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "parse" and str(unwritable) in data["detail"]
+    assert "finished with 2 certificates, but the log was not written" in data["detail"]
 
 
 def test_selftest_seeded():

@@ -96,6 +96,59 @@ def test_group_axiom_validation_rejects_bad_table():
         il.FiniteGroup(bad)
 
 
+# -- products are groups by construction ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: small_group("S3xC2"),
+        lambda: small_group("V4"),
+        lambda: il.wreath_product(3, il.cyclic(2)).group,
+        lambda: il.wreath_product(2, il.symmetric(3)).group,
+    ],
+    ids=["S3xC2", "V4", "C2wrC3", "S3wrC2"],
+)
+def test_product_tables_pass_the_full_axiom_check(make):
+    make()._validate(full=True)
+
+
+def test_products_are_not_rechecked(monkeypatch):
+    checked = []
+    validate = il.FiniteGroup._validate
+
+    def counting(self, full):
+        checked.append(self.name)
+        validate(self, full)
+
+    monkeypatch.setattr(il.FiniteGroup, "_validate", counting)
+    S3, C2 = il.symmetric(3), il.cyclic(2)
+    assert checked == ["S3", "C2"]
+    direct = il.direct_product(S3, C2)
+    il.wreath_product(2, S3)
+    small_group("S5xS4")
+    assert checked == ["S3", "C2", "S5", "S4"]
+    il.FiniteGroup(direct.table, name="outside")
+    assert checked == ["S3", "C2", "S5", "S4", "outside"]
+
+
+def test_checked_tables_are_read_only():
+    groups = [il.cyclic(5), il.direct_product(il.cyclic(5), il.cyclic(2)), il.wreath_product(2, il.cyclic(2)).group]
+    for G in groups:
+        # the bend that test_group_axiom_validation_rejects_bad_table refuses
+        # in an outside table cannot be made after the check either
+        with pytest.raises(ValueError, match="read-only"):
+            G.table[2, 3], G.table[2, 4] = G.table[2, 4], G.table[2, 3]
+        with pytest.raises(ValueError, match="read-only"):
+            G.inverse_table[1] = G.identity
+        G._validate(full=True)
+    # the constructor checks a private copy: the caller's array stays writable
+    raw = np.array(groups[0].table)
+    G = il.FiniteGroup(raw)
+    raw[0, 0] = 1
+    assert G.table[0, 0] == 0
+
+
 def test_wreath_orders():
     assert il.wreath_product(2, il.cyclic(2)).group.size == 8
     assert il.wreath_product(2, il.cyclic(3)).group.size == 18
@@ -128,7 +181,7 @@ def test_direct_product_identity_all_pairs():
     G = il.direct_product(A, B)
     for a in range(1, A.size):
         for b in range(1, B.size):
-            word = comm_word(G, il.product_left(a, B.size), il.product_right(b, B.size))
+            word = comm_word(G, a * B.size, b)
             verdict = il.is_mixed_identity(word, G)
             assert verdict.holds
             assert verdict.substitutions_checked == G.size
