@@ -43,28 +43,43 @@ class InstanceConfig:
 
     @classmethod
     def from_args(cls, args) -> "InstanceConfig":
+        _check_caps(args)
+        try:
+            bounds = SearchBounds(
+                max_support_radius=args.max_support_radius,
+                max_beta=args.max_beta,
+                max_word_length=args.max_word_length,
+                max_candidates=args.max_candidates,
+            )
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
         return cls(
             p=args.p,
             c=args.c,
             max_cosets=args.max_cosets,
             max_window_width=args.max_window_width,
             cache_dir=args.cache_dir,
-            bounds=SearchBounds(
-                max_support_radius=args.max_support_radius,
-                max_beta=args.max_beta,
-                max_word_length=args.max_word_length,
-                max_candidates=args.max_candidates,
-            ),
+            bounds=bounds,
         )
 
     def group(self):
-        return instance(
-            self.p,
-            self.c,
-            max_cosets=self.max_cosets,
-            max_window_width=self.max_window_width,
-            cache_dir=self.cache_dir,
-        )
+        try:
+            return instance(
+                self.p,
+                self.c,
+                max_cosets=self.max_cosets,
+                max_window_width=self.max_window_width,
+                cache_dir=self.cache_dir,
+            )
+        except ValueError as exc:  # p is not a prime
+            raise ParseError(str(exc)) from exc
+
+
+def _check_caps(args) -> None:
+    if args.max_cosets < 1:
+        raise ParseError(f"--max-cosets must be at least 1, got {args.max_cosets}")
+    if args.max_window_width < 0:
+        raise ParseError(f"--max-window-width must be non-negative, got {args.max_window_width}")
 
 
 def _add_cap_flags(sub):
@@ -258,6 +273,7 @@ def cmd_drive(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_caps(args)
     try:
         with open(args.certificates, "r", encoding="utf-8") as fh:
             text = fh.read()

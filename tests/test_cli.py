@@ -222,6 +222,23 @@ def test_drive_count_below_one_is_a_parse_error():
     assert json.loads(err) == {"error": "parse", "detail": "count must be at least 1"}
 
 
+@pytest.mark.parametrize(
+    "args, detail",
+    [
+        (("order", "--window", "0..1", "--max-cosets", "-5"), "--max-cosets must be at least 1, got -5"),
+        (("order", "--window", "0..1", "--max-window-width", "-1"),
+         "--max-window-width must be non-negative, got -1"),
+        (("search", "--word", "[x,t]", "--p", "4"), "p must be prime, got 4"),
+        (("search", "--word", "[x,t]", "--max-beta", "-1"), "max_beta must be non-negative"),
+        (("verify", "--max-cosets", "0", "missing.jsonl"), "--max-cosets must be at least 1, got 0"),
+    ],
+)
+def test_bad_flag_values_are_parse_errors(args, detail):
+    code, out, err = run_cli(*args)
+    assert code == 4 and out == ""
+    assert json.loads(err) == {"error": "parse", "detail": detail}
+
+
 def test_missing_or_unwritable_file_is_a_parse_error(tmp_path):
     missing = tmp_path / "missing"
     code, out, err = run_cli("verify", str(missing))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from miflab import CapacityExceeded, Window, build_window_presentation, enumerate_presentation
-from miflab.coset_enum import CosetTable, EnumStats, scan_relators
+from miflab.coset_enum import CosetTable, EnumStats, _enumerate, scan_relators
 from miflab.presentations import invert_word
 
 
@@ -231,6 +231,15 @@ def test_capacity_exceeded():
     pres = build_window_presentation(3, "2", Window(0, 1))
     with pytest.raises(CapacityExceeded):
         enumerate_presentation(pres, max_cosets=5)
+    # B([0,1]) needs 9 cosets of B([0,0]), of order 3; the refusal there
+    # names the window asked for
+    pres = build_window_presentation(3, "2", Window(0, 3))
+    with pytest.raises(CapacityExceeded) as refused:
+        enumerate_presentation(pres, max_cosets=5)
+    assert str(refused.value) == (
+        "live coset count would exceed max_cosets=5 for window 0..3 (p=3, c=2): "
+        "1 cosets of B(0..0) (order 3) were live in B(0..1)"
+    )
 
 
 def _handmade(ngens, relators):
@@ -362,10 +371,15 @@ def test_enumeration_stats_are_deterministic_and_consistent():
     assert s1 == s2
     table = _grid_table(3, "2", 3)
     s = table.stats
+    # the counters describe the enumeration of the cosets of B([0, 2])
+    assert s.subgroup_order == 729
+    cosets = table.coset_count // s.subgroup_order
     # every defined coset is either live at the end or merged away
-    assert s.coincidences == s.defined + 1 - table.coset_count
-    assert table.coset_count <= s.peak_live <= s.defined + 1
+    assert s.coincidences == s.defined + 1 - cosets
+    assert cosets <= s.peak_live <= s.defined + 1
     assert s.scans <= (s.defined + 1) * s.relators_scanned
+    # enumerating the 59,049 elements one by one took 1,653,372 scans
+    assert s.scans < 10_000
 
 
 SMALL_PRESENTATIONS = {
@@ -407,3 +421,89 @@ def test_conjugate_relators_leave_the_table_unchanged(pair):
     assert table.coset_count == base.coset_count
     assert all(np.array_equal(a, b) for a, b in zip(table.action, base.action))
     assert table.stats.relators_scanned == base.stats.relators_scanned
+
+
+# -- lifting through the retraction a_w -> 1 ---------------------------------------------
+
+
+def _plain(pres):
+    """The action enumerated over the trivial subgroup, with no lifting."""
+    return _enumerate(pres, pres.generator_count, scan_relators(pres), 10**6)[0]
+
+
+# every window of the `tables` grid but (3, "2") w3, i.e. up to 2,187 cosets
+@pytest.mark.parametrize("p,c,w", sorted(k for k in PINNED_DIGESTS if k != (3, "2", 3)))
+def test_lifted_tables_equal_the_plain_enumeration(p, c, w):
+    table = _grid_table(p, c, w)
+    assert table.stats.subgroup_order == (_grid_table(p, c, w - 1).coset_count if w else 1)
+    assert np.array_equal(table.action, _plain(table.presentation))
+
+
+NO_RETRACTION = {
+    # deleting b from ab leaves a, which is not freely trivial
+    "C3": _handmade(2, [((0, 1),) * 3, ((1, 1),) * 3, ((0, 1), (1, 1))]),
+    # deleting b leaves a^2; B' = <a> is infinite, so B is enumerated whole
+    "C6": _handmade(2, [((1, 1), (0, 1), (0, 1)), ((1, 1),) * 3]),
+}
+
+
+def test_presentations_without_the_retraction_are_enumerated_whole():
+    for name, order in (("C3", 3), ("C6", 6)):
+        table = enumerate_presentation(NO_RETRACTION[name])
+        assert table.coset_count == order
+        assert table.stats.subgroup_order == 1
+
+
+@st.composite
+def spliced_presentation(draw):
+    """A small presentation with one more relator, a random word, spliced in."""
+    name = draw(st.sampled_from(sorted(SMALL_PRESENTATIONS) + sorted(NO_RETRACTION)))
+    pres = {**SMALL_PRESENTATIONS, **NO_RETRACTION}[name]
+    ngens = pres.generator_count
+    letter = st.tuples(st.integers(0, ngens - 1), st.sampled_from((1, -1)))
+    extra = tuple(draw(st.lists(letter, min_size=1, max_size=6)))
+    at = draw(st.integers(0, len(pres.relators)))
+    relators = pres.relators[:at] + (extra,) + pres.relators[at:]
+    labels = pres.labels[:at] + (pres.labels[0],) + pres.labels[at:]
+    return name, dataclasses.replace(pres, relators=relators, labels=labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spliced_presentation())
+def test_spliced_relators_match_the_plain_enumeration(case):
+    # a quotient of a finite group: the lift applies exactly when deleting
+    # the last generator leaves every relator that involves it freely trivial
+    name, pres = case
+    table = enumerate_presentation(pres)
+    assert np.array_equal(table.action, _plain(pres))
+    assert table.relator_violations() == 0
+    if name in NO_RETRACTION:
+        assert table.stats.subgroup_order == 1
+
+
+def test_refusal_is_bounded_before_the_working_table_grows():
+    # B([0,4]) under c_n = n: B([0,3]) has 1,024 elements and index over
+    # 20,000, so at most 976 of its cosets may be live under the default cap
+    pres = build_window_presentation(2, "n", Window(0, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded) as refused:
+            enumerate_presentation(pres)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert str(refused.value) == (
+        "live coset count would exceed max_cosets=1000000 for window 0..4 (p=2, c=n): "
+        "976 cosets of B(0..3) (order 1024) were live in B(0..4)"
+    )
+
+
+@pytest.mark.parametrize(
+    "p,c,w,order",
+    [(2, "1,2", 5, 65_536), (3, "1,2", 4, 177_147), (5, "1,2", 3, 78_125)],
+)
+def test_capacity_frontier(p, c, w, order):
+    table = _tiny_table(p, c, 0, w)
+    assert table.coset_count == order
+    assert table.relator_violations() == 0
