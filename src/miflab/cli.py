@@ -24,7 +24,7 @@ from .errors import BudgetExceeded, CapacityExceeded, MiflabError, ParseError, V
 from .limit_group import instance
 from .mif_search import SearchBounds
 from .parser import parse_mixed_word
-from .presentations import Window
+from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH, Window
 
 EXIT_OK = 0
 EXIT_CAPACITY = 2
@@ -83,8 +83,9 @@ def _check_caps(args) -> None:
 
 
 def _add_cap_flags(sub):
-    sub.add_argument("--max-cosets", type=int, default=1_000_000, dest="max_cosets")
-    sub.add_argument("--max-window-width", type=int, default=6, dest="max_window_width")
+    sub.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS, dest="max_cosets")
+    sub.add_argument("--max-window-width", type=int, default=DEFAULT_MAX_WINDOW_WIDTH,
+                     dest="max_window_width")
 
 
 def _add_instance_flags(sub):

@@ -33,8 +33,11 @@ The completed table is the regular representation of the presented
 group: cosets are group elements, and tracing a word from the identity
 coset multiplies by that word.  Column order is a_0 < a_0^-1 < a_1 <
 a_1^-1 < ... (column 2*pos for a generator, 2*pos+1 for its inverse).
-The table is kept once, as an int32 array; the shortlex word of a coset
-is read off the parent chain of the breadth-first sweep on demand.
+The table is kept once, as an int32 array, and the same array is the
+on-disk cache format.  `CosetTable` checks every action it is given,
+built or loaded: entries in range, inverse column pairs, canonical
+breadth-first numbering.  The shortlex word of a coset is read off its
+parent chain (each coset's least (preimage, column) pair) on demand.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, VerificationError
-from .presentations import Presentation
+from .presentations import DEFAULT_MAX_COSETS, Presentation
 
 Letters = tuple  # sequence of (position, sign)
 
@@ -76,27 +79,54 @@ class CosetTable:
     """Complete coset action of a window-group presentation.
 
     `action[x][c]` (one int32 array) is the image of coset c under column
-    x.  `parent[c]` and `via[c]` are the coset and column from which the
-    sweep in column order first reached c; `word(c)` and `words()` derive
-    shortlex words from them.  `stats` holds the counters of the
+    x.  The constructor, for built and loaded tables alike, refuses with
+    VerificationError an action that is not a 2-D integer array with one
+    row per column and entries in [0, n), whose columns are not inverse
+    pairs, or whose numbering is not the canonical breadth-first one.
+    `parent[c]` and `via[c]` are the least (preimage, column) pair of c,
+    where the sweep in column order first reaches it; the numbering is
+    canonical iff parent[c] < c for c >= 1 and the keys
+    parent * ncols + via strictly increase.  `word(c)` and `words()`
+    derive shortlex words from them.  `stats` holds the counters of the
     enumeration that built the table, and is None for one loaded from disk.
     """
 
     def __init__(self, presentation: Presentation, action, stats: EnumStats | None = None):
+        def corrupt(why: str) -> VerificationError:
+            return VerificationError(f"corrupt coset table: {why}")
+
+        action = np.asarray(action)
+        ncols = 2 * presentation.generator_count
+        if action.ndim != 2 or action.shape[0] != ncols or not action.shape[1]:
+            raise corrupt(f"shape {action.shape} is not ({ncols}, n) with n >= 1")
+        if action.dtype.kind not in "iu":
+            raise corrupt(f"entries of dtype {action.dtype} are not integers")
+        n = action.shape[1]
+        if action.min() < 0 or action.max() >= n:
+            raise corrupt(f"an entry lies outside [0, {n})")
         self.presentation = presentation
-        self.action = np.asarray(action, dtype=np.int32)
+        self.action = action = action.astype(np.int32, copy=False)
         self.stats = stats
-        self.coset_count = n = self.action.shape[1]
+        self.coset_count = n
         self.identity_coset = 0
-        order, parent, via = _bfs(self.action, n, 0)
-        if len(order) != n:
-            raise VerificationError(
-                f"coset table leaves {n - len(order)} of {n} cosets unreachable from the identity"
+        idx = np.arange(n, dtype=np.int32)
+        for x in range(0, ncols, 2):
+            if not np.array_equal(action[x + 1][action[x]], idx):
+                raise corrupt(f"columns {x} and {x + 1} are not inverse permutations")
+        # the least (preimage, column) key of each coset; the preimage of c
+        # under column x is its image under the partner column x ^ 1
+        key = action[1] * np.int64(ncols)
+        for x in range(1, ncols):
+            np.minimum(key, action[x ^ 1] * np.int64(ncols) + x, out=key)
+        self.parent = (key // ncols).astype(np.int32)
+        self.via = (key % ncols).astype(np.int32)
+        self.parent[0] = self.via[0] = -1
+        if np.any(self.parent[1:] >= idx[1:]) or np.any(np.diff(key[1:]) <= 0):
+            raise corrupt(
+                "cosets are unreachable from the identity or not in canonical breadth-first order"
             )
-        self.parent, self.via = np.empty((2, n), dtype=np.int32)
-        self.parent[order], self.via[order] = parent, via
         # zero-copy views: indexing one yields a Python int
-        self._rows = [memoryview(row) for row in self.action]
+        self._rows = [memoryview(row) for row in action]
         self._parent = memoryview(self.parent)
         self._via = memoryview(self.via)
 
@@ -166,76 +196,21 @@ class CosetTable:
             bad += int(np.count_nonzero(v != idx))
         return bad
 
-    def columns_are_permutations(self) -> bool:
-        idx = np.arange(self.coset_count, dtype=np.int64)
-        return all(
-            np.array_equal(np.sort(col), idx) for col in self.action
-        )
 
-    # -- serialization ------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "coset_count": self.coset_count,
-            "action": self.action.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, presentation: Presentation, data) -> "CosetTable":
-        """Rebuild a table from `to_json_dict` output, refusing corrupt data.
-
-        Checks, all O(n): one column per generator and inverse, `coset_count`
-        integer entries in each, and every column the inverse of its
-        partner (so each is a permutation).  Relators are not re-checked.
-        """
-
-        def corrupt(why: str) -> VerificationError:
-            return VerificationError(f"corrupt coset table data: {why}")
-
-        if not isinstance(data, dict) or "coset_count" not in data or "action" not in data:
-            raise corrupt("coset_count or action is missing")
-        n = data["coset_count"]
-        cols = data["action"]
-        ncols = 2 * presentation.generator_count
-        if type(n) is not int or n < 1:
-            raise corrupt(f"coset_count {n!r} is not a positive integer")
-        if not isinstance(cols, list) or len(cols) != ncols:
-            raise corrupt(f"expected {ncols} columns")
-        action = np.empty((ncols, n), dtype=np.int32)
-        for x, col in enumerate(cols):
-            try:
-                arr = np.asarray(col)
-            except ValueError:
-                raise corrupt(f"column {x} is not a flat list") from None
-            if arr.shape != (n,):
-                raise corrupt(f"column {x} has shape {arr.shape}, expected ({n},)")
-            if arr.dtype.kind not in "iu":
-                raise corrupt(f"column {x} holds non-integer entries")
-            if arr.min() < 0 or arr.max() >= n:
-                raise corrupt(f"column {x} has an entry outside [0, {n})")
-            action[x] = arr
-        idx = np.arange(n)
-        for x in range(0, ncols, 2):
-            if not np.array_equal(action[x + 1][action[x]], idx):
-                raise corrupt(f"columns {x} and {x + 1} are not inverse permutations")
-        return cls(presentation, action)
-
-
-def _bfs(columns: np.ndarray, n: int, root: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bfs(columns: np.ndarray, n: int, root: int) -> np.ndarray:
     """Breadth-first sweep from `root` over points 0..n-1, where the
     (columns, points) array `columns` maps c to columns[x][c] under column x.
 
     Returns the points reached, in order of first discovery by
-    (discoverer's place in that order, column), and for each the point and
-    the column it was first reached from (-1 for the root).  Runs one BFS
-    level per numpy pass.
+    (discoverer's place in that order, column).  Runs one BFS level per
+    numpy pass.
     """
     ncols = len(columns)
     seen = np.zeros(n, dtype=bool)
     seen[root] = True
     first = np.empty(n, dtype=np.int64)  # first place of a candidate in `found`
     level = np.array([root], dtype=np.int64)
-    reached, parents, via = [level], [np.array([-1])], [np.array([-1])]
+    reached = [level]
     while ncols:  # without columns only the root is reached
         # candidates in order of (discoverer, column)
         found = columns[:, level].T.ravel()
@@ -245,13 +220,10 @@ def _bfs(columns: np.ndarray, n: int, root: int) -> tuple[np.ndarray, np.ndarray
         cand = found[fresh]
         first[cand] = found.size
         np.minimum.at(first, cand, fresh)
-        pick = fresh[first[cand] == fresh]
-        parents.append(level[pick // ncols])
-        via.append(pick % ncols)
-        level = found[pick]
+        level = found[fresh[first[cand] == fresh]]
         seen[level] = True
         reached.append(level)
-    return np.concatenate(reached), np.concatenate(parents), np.concatenate(via)
+    return np.concatenate(reached)
 
 
 def _freely_reduced(columns) -> list[int]:
@@ -360,7 +332,7 @@ def _coincide(cols: list[list[int]], uf: list[int], a: int, b: int) -> int:
     return killed
 
 
-def enumerate_presentation(pres: Presentation, max_cosets: int = 1_000_000) -> CosetTable:
+def enumerate_presentation(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
     """Run the enumeration to completion and return the collapsed table.
 
     Raises CapacityExceeded if the live cosets, times the order of the
@@ -369,7 +341,7 @@ def enumerate_presentation(pres: Presentation, max_cosets: int = 1_000_000) -> C
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    # the working tables are freed before the CosetTable sweeps its action
+    # the working tables are freed before the CosetTable checks its action
     action, stats = _table(pres, pres.generator_count, scan_relators(pres), max_cosets)
     return CosetTable(pres, action, stats)
 
@@ -408,7 +380,7 @@ def _table(pres: Presentation, ngens: int, rels, max_cosets: int) -> tuple[np.nd
 def _renumbered(image: np.ndarray, root: int, count: int) -> np.ndarray:
     """`image` restricted to the `count` points reached from `root`,
     renumbered in the order the BFS in column order reaches them."""
-    order = _bfs(image, image.shape[1], root)[0]
+    order = _bfs(image, image.shape[1], root)
     if len(order) != count:
         raise VerificationError(
             f"{count - len(order)} of {count} cosets are unreachable from the identity"

@@ -9,22 +9,28 @@ a_i -> a_{i+1}, and every G-element has the normal form a * t^beta.
 Window tables are cached per support width (shift equivariance makes
 windows of equal width isomorphic via index translation), built at most
 once each, and immutable afterwards, so completed tables can be queried
-from any thread.
+from any thread.  With a cache directory, each table's int32 action is
+also kept on disk as `table-<digest>.npy` (the suffix versions the
+format; files of another format are ignored) and goes through the same
+`CosetTable` checks when it is loaded.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import tempfile
 import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coset_enum import CosetTable, enumerate_presentation
-from .errors import CapacityExceeded, VerificationError
+from .errors import CapacityExceeded, ParseError, VerificationError
 from .presentations import (
+    DEFAULT_MAX_COSETS,
+    DEFAULT_MAX_WINDOW_WIDTH,
     CSequence,
     Window,
     build_window_presentation,
@@ -271,8 +277,8 @@ class LimitGroup:
         p: int = 2,
         c="n",
         *,
-        max_cosets: int = 1_000_000,
-        max_window_width: int = 6,
+        max_cosets: int = DEFAULT_MAX_COSETS,
+        max_window_width: int = DEFAULT_MAX_WINDOW_WIDTH,
         cache_dir: str | None = None,
     ):
         if not is_prime(p):
@@ -332,9 +338,6 @@ class LimitGroup:
     def element_key(self, g: GElement):
         return (g.beta, g.canonical_aword().letters)
 
-    def owns(self, g) -> bool:
-        return isinstance(g, GElement) and g.group is self
-
     # -- window tables ----------------------------------------------------
 
     def table_for_width(self, width: int) -> CosetTable:
@@ -370,36 +373,50 @@ class LimitGroup:
             return None
         key = f"{self.p}|{self.c.key(width)}|{width}"
         digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-        return os.path.join(self.cache_dir, f"table-{digest}.json")
+        return os.path.join(self.cache_dir, f"table-{digest}.npy")
 
     def _load_cached(self, width: int, pres) -> CosetTable | None:
+        """The cached table of `width`, or None if there is no cache entry.
+
+        An entry that is not a readable int32 `.npy` array, or whose action
+        `CosetTable` refuses, raises VerificationError naming the file.
+        """
         path = self._cache_path(width)
         if not path or not os.path.exists(path):
             return None
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except ValueError as exc:  # undecodable text or malformed JSON
+            with open(path, "rb") as fh:
+                action = np.load(fh, allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:  # unreadable, truncated or not .npy
             raise VerificationError(f"corrupt coset table cache file {path}: {exc}") from exc
-        return CosetTable.from_json_dict(pres, data)
+        if not isinstance(action, np.ndarray) or action.dtype != np.int32:
+            raise VerificationError(f"corrupt coset table cache file {path}: not an int32 array")
+        try:
+            return CosetTable(pres, action)  # checks the shape, range and canonical order
+        except VerificationError as exc:
+            raise VerificationError(f"{exc} (cache file {path})") from None
 
     def _store_cached(self, width: int, table: CosetTable) -> None:
-        """Write the table through a private temp file, so concurrent
-        writers never share a partial file."""
+        """Write the table's action through a private temp file, so
+        concurrent writers never share a partial file.  A cache directory
+        that cannot be written raises ParseError."""
         path = self._cache_path(width)
         if not path:
             return
-        os.makedirs(self.cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp"
-        )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(table.to_json_dict(), fh)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            os.makedirs(self.cache_dir, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=self.cache_dir, prefix=os.path.basename(path) + ".", suffix=".tmp"
+            )
+            try:
+                with os.fdopen(fd, "wb") as fh:
+                    np.save(fh, table.action)
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise ParseError(f"cannot write coset table cache file {path}: {exc}") from exc
 
     # -- word-level engine -------------------------------------------------
 
@@ -492,8 +509,8 @@ def instance(
     p: int = 2,
     c="n",
     *,
-    max_cosets: int = 1_000_000,
-    max_window_width: int = 6,
+    max_cosets: int = DEFAULT_MAX_COSETS,
+    max_window_width: int = DEFAULT_MAX_WINDOW_WIDTH,
     cache_dir: str | None = None,
 ) -> LimitGroup:
     """Shared LimitGroup instances, so window tables are built once per config."""

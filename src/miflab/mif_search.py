@@ -10,9 +10,7 @@ word the driver searches for a witness g = a * t^beta in canonical order
 (increasing support radius, then |beta|, then shortlex a-part, positive
 beta before negative) such that w(g) is nontrivial, and records a
 certificate.  Witnesses always re-verify; an exhausted search is
-reported honestly as inconclusive, not escalated.  `drive(3000)` with
-its certificate log takes ~0.33 s (benchmark `drive` `wall_s` median,
-cold tables; ~0.51 s when every letter string was reduced).
+reported honestly as inconclusive, not escalated.
 """
 
 from __future__ import annotations
@@ -24,6 +22,7 @@ from . import mixed_words as mw
 from .errors import CapacityExceeded, VerificationError
 from .limit_group import GElement, LimitGroup, instance
 from .parser import parse_element, parse_mixed_word
+from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH
 
 TRIVIAL_IN_FREE_PRODUCT = "TrivialInFreeProduct"
 WITNESS_FOUND = "WitnessFound"
@@ -311,7 +310,10 @@ def certificates_to_lines(result: DriveResult, group: LimitGroup) -> str:
 
 
 def verify_certificates(
-    lines, *, max_cosets: int = 1_000_000, max_window_width: int = 6
+    lines,
+    *,
+    max_cosets: int = DEFAULT_MAX_COSETS,
+    max_window_width: int = DEFAULT_MAX_WINDOW_WIDTH,
 ) -> VerifyReport:
     """Independent re-check of a certificate stream.
 

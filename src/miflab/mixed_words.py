@@ -65,13 +65,6 @@ class MixedWord:
     def variable_ids(self) -> tuple[int, ...]:
         return tuple(sorted({s[1] for s in self.syllables if s[0] == VAR}))
 
-    @property
-    def variable_count(self) -> int:
-        return len(self.variable_ids)
-
-    def syllable_length(self) -> int:
-        return len(self.syllables)
-
     # -- word operations --------------------------------------------------
 
     def concat(self, other: "MixedWord") -> "MixedWord":

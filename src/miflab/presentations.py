@@ -28,7 +28,9 @@ from .errors import CapacityExceeded, ParseError
 Letter = tuple[int, int]
 Relator = tuple[Letter, ...]
 
+# default caps of every engine and CLI command
 DEFAULT_MAX_WINDOW_WIDTH = 6
+DEFAULT_MAX_COSETS = 1_000_000
 
 
 def is_prime(n: int) -> bool:

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 
@@ -202,11 +203,52 @@ def test_exit_code_corrupt_cache(tmp_path):
     args = ("order", "--p", "2", "--c", "1,2", "--window", "0..1", "--cache-dir", str(tmp_path))
     assert run_cli(*args)[:2] == (0, "4\n")
     (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
-    data["action"][0][1] = 99
-    path.write_text(json.dumps(data))
+    action = np.load(path)
+    action[0][1] = 99
+    np.save(path, action)
     code, _, err = run_cli(*args)
     assert code == 3
+    assert json.loads(err)["error"] == "verification"
+
+
+def test_directory_at_a_cache_entry_is_a_verification_error(tmp_path):
+    args = ("order", "--p", "2", "--c", "1,2", "--window", "0..1", "--cache-dir", str(tmp_path))
+    assert run_cli(*args)[:2] == (0, "4\n")
+    (path,) = tmp_path.iterdir()
+    path.unlink()
+    path.mkdir()
+    code, out, err = run_cli(*args)
+    assert code == 3 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "verification" and str(path) in data["detail"]
+
+
+def test_cache_dir_that_is_a_file_is_a_parse_error(tmp_path):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    code, out, err = run_cli("order", "--window", "0..1", "--cache-dir", str(not_a_dir))
+    assert code == 4 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "parse" and str(not_a_dir) in data["detail"]
+
+
+def test_relabelled_cache_is_refused_not_reordered(tmp_path):
+    # a relabelled table is a valid group table, but its numbering would
+    # reorder the witness search; only the canonical numbering loads
+    args = ("--json", "search", "--word", "[x,a1]", "--c", "1,2", "--max-support-radius", "2",
+            "--max-beta", "0", "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(*args)
+    assert code == 0 and json.loads(cold)["witness"] == "a-1"
+    assert run_cli(*args) == (0, cold, "")
+    rng = np.random.default_rng(0)
+    for path in tmp_path.iterdir():
+        action = np.load(path)
+        n = action.shape[1]
+        if n > 2:  # a group of order 2 has only its canonical numbering
+            perm = rng.permutation(n)
+            np.save(path, perm[action[:, np.argsort(perm)]].astype(np.int32))
+    code, out, err = run_cli(*args)
+    assert code == 3 and out == ""
     assert json.loads(err)["error"] == "verification"
 
 

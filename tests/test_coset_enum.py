@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from miflab import CapacityExceeded, Window, build_window_presentation, enumerate_presentation
+from miflab import (
+    CapacityExceeded,
+    VerificationError,
+    Window,
+    build_window_presentation,
+    enumerate_presentation,
+)
 from miflab.coset_enum import CosetTable, EnumStats, _enumerate, scan_relators
 from miflab.presentations import invert_word
 
@@ -136,7 +142,8 @@ def test_multiply_inverse_word():
 def test_relator_soundness_and_permutation_columns(p, c, lo, hi):
     table = _tiny_table(p, c, lo, hi)
     assert table.relator_violations() == 0
-    assert table.columns_are_permutations()
+    idx = np.arange(table.coset_count)
+    assert all(np.array_equal(np.sort(col), idx) for col in table.action)
 
 
 def test_determinism_two_runs():
@@ -191,12 +198,12 @@ def test_shortlex_words_bfs_layering():
         assert len(word) == dist[coset]
 
 
-def _reference_words(action):
-    """Shortlex words by a plain queue BFS over the columns, in column order."""
+def _reference_words(action, root=0):
+    """Shortlex words by a plain queue BFS from `root` over the columns, in column order."""
     cols = [col.tolist() for col in action]
     words = [None] * len(cols[0])
-    words[0] = ()
-    queue = [0]
+    words[root] = ()
+    queue = [root]
     for cur in queue:
         for x, col in enumerate(cols):
             nxt = col[cur]
@@ -208,15 +215,23 @@ def _reference_words(action):
 
 @pytest.mark.parametrize("p,c,w", [(2, "1,2", 3), (3, "2", 2), (2, "n", 3)])
 def test_words_match_reference_bfs_also_after_relabelling(p, c, w):
+    # shortlex words do not depend on the labels, but only the canonical
+    # numbering is a table: every relabelling of it is refused
     pres = build_window_presentation(p, c, Window(0, w))
     table = enumerate_presentation(pres)
-    assert table.words() == _reference_words(table.action)
+    words = table.words()
+    assert words == _reference_words(table.action)
+    n = table.coset_count
     rng = np.random.default_rng(w)
-    for _ in range(3):
-        perm = rng.permutation(table.coset_count)  # coset c becomes perm[c]
-        inv = np.argsort(perm)
-        relabelled = [perm[col[inv]] for col in table.action]
-        assert CosetTable(pres, relabelled).words() == _reference_words(relabelled)
+    swap_last = np.arange(n)
+    swap_last[[-2, -1]] = swap_last[[-1, -2]]  # keeps the identity coset
+    for perm in [swap_last] + [rng.permutation(n) for _ in range(3)]:
+        # coset c becomes perm[c]
+        relabelled = np.stack([perm[col[np.argsort(perm)]] for col in table.action])
+        moved = _reference_words(relabelled, root=int(perm[0]))
+        assert [moved[d] for d in perm] == list(words)
+        with pytest.raises(VerificationError, match="canonical breadth-first order"):
+            CosetTable(pres, relabelled)
 
 
 def test_normal_form_idempotent_and_separating():
@@ -269,10 +284,10 @@ def test_coincidence_generator_identification():
     assert table.trace_word(((0, 1),)) == table.trace_word(((1, -1),))
 
 
-def test_json_round_trip():
+def test_action_round_trip():
     pres = build_window_presentation(2, "1,2", Window(0, 2))
     table = enumerate_presentation(pres)
-    clone = CosetTable.from_json_dict(pres, table.to_json_dict())
+    clone = CosetTable(pres, table.action.tolist())
     assert clone.coset_count == table.coset_count
     # counters describe an enumeration; a loaded table had none
     assert table.stats is not None and clone.stats is None

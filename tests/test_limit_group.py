@@ -1,14 +1,23 @@
 """Arithmetic in A and G: normal forms, orders, oracles, the finite-radical harness."""
 
 import hashlib
-import json
 import math
 import os
 import random
 
+import numpy as np
 import pytest
 
-from miflab import CapacityExceeded, INFINITE, LimitGroup, MiflabError, instance, shift
+from miflab import (
+    INFINITE,
+    CapacityExceeded,
+    LimitGroup,
+    MiflabError,
+    ParseError,
+    VerificationError,
+    instance,
+    shift,
+)
 from miflab.limit_group import AWord
 
 
@@ -245,7 +254,7 @@ def test_disk_cache_round_trip(tmp_path):
     G1 = instance(2, "1,2", cache_dir=str(tmp_path))
     t1 = G1.table_for_width(2)
     files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].suffix == ".json"
+    assert len(files) == 1 and files[0].suffix == ".npy"
     # a fresh instance with the same cache dir loads the identical table
     G2 = instance(2, "1,2", cache_dir=str(tmp_path), max_cosets=999_999)
     t2 = G2.table_for_width(2)
@@ -254,43 +263,56 @@ def test_disk_cache_round_trip(tmp_path):
 
 
 def test_cache_file_bytes_are_pinned(tmp_path):
-    # the in-memory dtype of the action must not leak into the cache format
+    # the cache file is the canonical int32 action as a .npy array
     LimitGroup(3, "2", cache_dir=str(tmp_path)).table_for_width(2)
     (path,) = tmp_path.iterdir()
-    assert path.name == "table-f3ff325b56110335b0130ec2.json"
+    assert path.name == "table-f3ff325b56110335b0130ec2.npy"
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "7b36d95854e7ee623b77a305e9dd2b131bff4ffd8078c1d6603ca387fcd82ac3"
+    assert digest == "ed49d8dd9226092815ea44d373b61b0eb7379c7599c7a98b91400fbcbb58f95d"
+
+
+def test_files_of_another_format_are_ignored(tmp_path):
+    G = LimitGroup(2, "1,2", cache_dir=str(tmp_path))
+    old = os.path.splitext(G._cache_path(1))[0] + ".json"
+    with open(old, "w") as fh:
+        fh.write("{not a table")
+    assert G.table_for_width(1).coset_count == 4
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [os.path.basename(old), os.path.basename(G._cache_path(1))]
+    )
+
+
+def _width_one_cache_file(tmp_path):
+    LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+    (path,) = tmp_path.iterdir()
+    return path
+
+
+def _reload_width_one(tmp_path):
+    return LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
 
 
 def test_corrupt_disk_cache_is_a_miflab_error(tmp_path):
-    LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
-    (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
+    path = _width_one_cache_file(tmp_path)
+    action = np.load(path)
     # every column fixes every coset, so only the identity coset is reachable
-    data["action"] = [list(range(data["coset_count"])) for _ in data["action"]]
-    path.write_text(json.dumps(data))
+    np.save(path, np.tile(np.arange(action.shape[1], dtype=np.int32), (len(action), 1)))
     with pytest.raises(MiflabError, match="unreachable"):
-        LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
-
-
-def _corrupt_width_one_table(tmp_path, edit):
-    LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
-    (path,) = tmp_path.iterdir()
-    data = json.loads(path.read_text())
-    edit(data)
-    path.write_text(json.dumps(data))
+        _reload_width_one(tmp_path)
 
 
 def _set_entry(value):
-    def edit(data):
-        data["action"][0][1] = value
+    def edit(action):
+        action[0][1] = value
+        return action
 
     return edit
 
 
-def _swap_entries(data):
-    col = data["action"][0]
+def _swap_entries(action):
+    col = action[0]
     col[0], col[1] = col[1], col[0]
+    return action
 
 
 @pytest.mark.parametrize(
@@ -298,28 +320,52 @@ def _swap_entries(data):
     [
         _set_entry(-1),
         _set_entry(99),
-        _set_entry(1.5),
+        lambda action: action.astype(np.float64),
         _swap_entries,
-        lambda data: data.update(coset_count=data["coset_count"] + 1),
-        lambda data: data["action"].pop(),
-        lambda data: data["action"][2].pop(),
-        lambda data: data.pop("action"),
+        lambda action: action[:-1],
     ],
-    ids=["minus-one", "out-of-range", "float", "not-inverse", "coset-count",
-         "missing-column", "short-column", "no-action"],
+    ids=["minus-one", "out-of-range", "float", "not-inverse", "missing-column"],
 )
 def test_corrupt_cache_entries_are_refused(tmp_path, edit):
-    _corrupt_width_one_table(tmp_path, edit)
-    with pytest.raises(MiflabError, match="corrupt"):
-        LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+    path = _width_one_cache_file(tmp_path)
+    np.save(path, edit(np.load(path)))
+    with pytest.raises(MiflabError, match="corrupt") as refused:
+        _reload_width_one(tmp_path)
+    assert str(path) in str(refused.value)
+
+
+def _refuses_rewritten_file(tmp_path, rewrite):
+    path = _width_one_cache_file(tmp_path)
+    path.write_bytes(rewrite(path.read_bytes()))
+    with pytest.raises(MiflabError, match="corrupt") as refused:
+        _reload_width_one(tmp_path)
+    assert str(path) in str(refused.value)
 
 
 def test_truncated_cache_file_is_refused(tmp_path):
-    LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
-    (path,) = tmp_path.iterdir()
-    path.write_text(path.read_text()[:-5])
-    with pytest.raises(MiflabError, match="corrupt"):
-        LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
+    _refuses_rewritten_file(tmp_path, lambda data: data[:-5])
+
+
+@pytest.mark.parametrize(
+    "data", [b"", b'{"coset_count": 4}'], ids=["empty", "not-npy"]
+)
+def test_unreadable_cache_file_is_refused(tmp_path, data):
+    _refuses_rewritten_file(tmp_path, lambda _: data)
+
+
+def test_directory_at_a_cache_entry_is_refused(tmp_path):
+    G = LimitGroup(2, "1,2", cache_dir=str(tmp_path))
+    os.mkdir(G._cache_path(1))
+    with pytest.raises(VerificationError, match="corrupt") as refused:
+        G.table_for_width(1)
+    assert G._cache_path(1) in str(refused.value)
+
+
+def test_cache_dir_that_is_a_file_is_refused(tmp_path):
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    with pytest.raises(ParseError, match="cannot write coset table cache file"):
+        LimitGroup(2, "1,2", cache_dir=str(not_a_dir)).table_for_width(1)
 
 
 def test_cache_write_uses_a_private_temp_file(tmp_path):
@@ -336,14 +382,12 @@ def test_cache_write_uses_a_private_temp_file(tmp_path):
 
 
 def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
-    import miflab.limit_group as lg
-
-    def broken_dump(obj, fh):
-        fh.write("{")
+    def broken_save(fh, arr):
+        fh.write(b"\x93NUMPY")
         raise OSError("disk full")
 
-    monkeypatch.setattr(lg.json, "dump", broken_dump)
-    with pytest.raises(OSError, match="disk full"):
+    monkeypatch.setattr(np, "save", broken_save)
+    with pytest.raises(ParseError, match="disk full"):
         LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
     assert os.listdir(tmp_path) == []
 
