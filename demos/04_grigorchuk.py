@@ -33,4 +33,5 @@ print("\n=== the mixed identity [[[[x, b], d], d], ada] = 1 ===")
 for max_len in (4, 6, 8):
     report = gg.verify_grig_identity(max_len)
     print(f"all reduced words of length <= {max_len}: "
-          f"{report.words_checked} checked, {len(report.violations)} violations")
+          f"{report.words_checked} covered by {report.elements_checked} elements, "
+          f"{len(report.violations)} violations")

@@ -183,16 +183,19 @@ class CosetTable:
     # -- validation ---------------------------------------------------
 
     def relator_violations(self) -> int:
-        """Number of (coset, relator) pairs whose trace does not close.
+        """Number of (coset, scan relator) pairs whose trace does not close.
 
-        Zero for any table produced by `enumerate_presentation`.
+        The scan relators (`scan_relators`) have the normal closure of the
+        presentation's relators, so the count is zero iff every relator
+        closes at every coset; it is zero for any table produced by
+        `enumerate_presentation`.
         """
-        idx = np.arange(self.coset_count, dtype=np.int64)
+        idx = np.arange(self.coset_count, dtype=np.int32)
         bad = 0
-        for rel in self.presentation.relators:
+        for rel in scan_relators(self.presentation):
             v = idx
-            for pos, s in rel:
-                v = self.action[column(pos, s)][v]
+            for x in rel:
+                v = self.action[x][v]
             bad += int(np.count_nonzero(v != idx))
         return bad
 

@@ -48,7 +48,9 @@ _NOT_REDUCED = re.compile(r"aa|[bcd][bcd]|[^abcd]")
 _WORD = re.compile(r"[abcd]*")
 _BINARY = re.compile(r"[01]*")
 ORACLE_DEPTH = 12
-# words the solver remembers (verify_grig_identity(16) decides 13,121)
+# tree level whose action keys the elements of verify_grig_identity
+KEY_DEPTH = 8
+# words the solver remembers (verify_grig_identity(16) decides 3,909)
 SOLVER_CACHE_SIZE = 2**14
 
 
@@ -288,6 +290,7 @@ class IdentityReport:
     word: str
     max_len: int
     words_checked: int
+    elements_checked: int
     violations: list = field(default_factory=list)
 
     @property
@@ -299,6 +302,7 @@ class IdentityReport:
             "identity": self.word,
             "max_len": self.max_len,
             "words_checked": self.words_checked,
+            "elements_checked": self.elements_checked,
             "violations": list(self.violations),
         }
 
@@ -311,20 +315,71 @@ def grig_identity_word(g: str) -> str:
     return _commutator_reduced(w, "ada")
 
 
+def reduced_word_count(max_len: int) -> int:
+    """Number of reduced words of length <= max_len: a word of length n
+    alternates a with Klein letters, ceil(n/2) or floor(n/2) of them."""
+    return 1 + sum(3 ** (n // 2) + 3 ** ((n + 1) // 2) for n in range(1, max_len + 1))
+
+
+# the letters that keep a reduced word reduced, by the word's last letter
+_EXTENSIONS = {"": "abcd", "a": "bcd", "b": "a", "c": "a", "d": "a"}
+
+
+@lru_cache(maxsize=None)
+def _key_letters() -> dict[str, bytes]:
+    """bytes.translate tables of the generators' level-KEY_DEPTH actions."""
+    return {ch: bytes(perm.tolist()) for ch, perm in level_permutations(KEY_DEPTH).items()}
+
+
 def verify_grig_identity(max_len: int) -> IdentityReport:
-    """Check [[[[x, b], d], d], ada] = 1 for every reduced word of length
-    <= max_len, via the recursive solver."""
+    """Check [[[[x, b], d], d], ada] = 1 for every element of the ball of
+    radius max_len, each once, via the recursive solver.
+
+    A breadth-first search by spheres finds each element at its
+    shortlex-least word: sphere n is grown from the words of sphere n - 1,
+    in order, by the letters that keep them reduced, in abcd order.  A
+    candidate w is keyed by the level-KEY_DEPTH action of w^-1 (a byte
+    string, one letter's translate from the key of its parent; the
+    generators are involutions).  Equal keys only suggest equal elements:
+    w is dropped only when the solver finds w s^-1 trivial for a word s of
+    the bucket.  The neighbours of sphere n - 1 lie in spheres n - 2 to n,
+    so only those keys are kept.
+
+    `violations` holds the shortlex-least word of each element that breaks
+    the identity, in shortlex order.  Every reduced word of length
+    <= max_len names an element of the ball, so all `words_checked` of
+    them are covered; `elements_checked` counts the elements.
+    """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    checked = 0
-    violations = []
-    for g in reduced_words(max_len):
-        checked += 1
-        if not is_trivial(grig_identity_word(g)):
-            violations.append(g)
+    letters = _key_letters()
+    root = bytes(range(1 << KEY_DEPTH))
+    sphere = [("", root)]
+    older, last = {}, {root: [""]}
+    violations = [] if is_trivial(grig_identity_word("")) else [""]
+    elements = 1
+    for _ in range(max_len):
+        grown, current = [], {}
+        for r, key in sphere:
+            for ch in _EXTENSIONS[r[-1:]]:
+                w = r + ch
+                k = key.translate(letters[ch])
+                if any(
+                    is_trivial(w + invert(s))
+                    for bucket in (older, last, current)
+                    for s in bucket.get(k, ())
+                ):
+                    continue
+                current.setdefault(k, []).append(w)
+                grown.append((w, k))
+                if not is_trivial(grig_identity_word(w)):
+                    violations.append(w)
+        elements += len(grown)
+        sphere, older, last = grown, last, current
     return IdentityReport(
         word="[[[[x,b],d],d],ada]",
         max_len=max_len,
-        words_checked=checked,
+        words_checked=reduced_word_count(max_len),
+        elements_checked=elements,
         violations=violations,
     )

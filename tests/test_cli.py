@@ -102,6 +102,10 @@ def test_grig_subcommands():
     assert code == 0
     data = json.loads(out)
     assert data["violations"] == [] and data["words_checked"] == 41
+    assert data["elements_checked"] == 40  # adad = dada
+    assert run_cli("grig", "verify-identity", "--max-len", "4") == (
+        0, "checked 41 words, 0 violations\n", ""
+    )
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from miflab import (
     enumerate_presentation,
 )
 from miflab.coset_enum import CosetTable, EnumStats, _enumerate, scan_relators
-from miflab.presentations import invert_word
+from miflab.presentations import RelatorLabel, invert_word
 
 
 # -- independent oracles ----------------------------------------------------------
@@ -144,6 +144,18 @@ def test_relator_soundness_and_permutation_columns(p, c, lo, hi):
     assert table.relator_violations() == 0
     idx = np.arange(table.coset_count)
     assert all(np.array_equal(np.sort(col), idx) for col in table.action)
+
+
+def test_relator_violations_counts_an_unsatisfied_relator():
+    table = _tiny_table(2, "1", 0, 1)  # the Klein four-group, acting regularly
+    pres = table.presentation
+    extra = dataclasses.replace(
+        pres,
+        relators=pres.relators + (((0, 1), (1, 1)),),
+        labels=pres.labels + (RelatorLabel("commutator", indices=(0, 1)),),
+    )
+    # a0 a1 is not the identity, so it moves each of the four cosets
+    assert CosetTable(extra, table.action).relator_violations() == 4
 
 
 def test_determinism_two_runs():

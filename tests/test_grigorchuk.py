@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from miflab import grigorchuk as gg
+from miflab import cli, grigorchuk as gg
 
 
 def random_string(rng, length):
@@ -187,18 +187,20 @@ def test_k_factor_disjointness():
 def test_identity_on_generators():
     report = gg.verify_grig_identity(1)
     assert report.ok
-    assert report.words_checked == 5  # identity plus a, b, c, d
+    assert report.words_checked == report.elements_checked == 5  # identity plus a, b, c, d
 
 
 def test_identity_on_identity_only():
     report = gg.verify_grig_identity(0)
-    assert report.ok and report.words_checked == 1
+    assert report.ok and report.words_checked == report.elements_checked == 1
 
 
 def test_identity_longer_words():
     report = gg.verify_grig_identity(5)
     assert report.ok
     assert report.words_checked == 1 + 4 + 6 + 12 + 18 + 36
+    # adad = dada, since (ad)^4 = 1, is the first element with two reduced words
+    assert report.elements_checked == 68
 
 
 def test_identity_word_shape():
@@ -369,11 +371,62 @@ def test_identity_holds_on_all_words_of_length_14():
     assert report.violations == []
 
 
+# -- the element search against the word-by-word reference ------------------------
+
+
+def ref_verify_grig_identity(max_len):
+    """Words checked and violating words, deciding every reduced word."""
+    checked, violations = 0, []
+    for g in gg.reduced_words(max_len):
+        checked += 1
+        if not gg.is_trivial(gg.grig_identity_word(g)):
+            violations.append(g)
+    return checked, violations
+
+
+def test_element_search_matches_word_reference():
+    for n in range(13):
+        report = gg.verify_grig_identity(n)
+        checked, violations = ref_verify_grig_identity(n)
+        assert report.words_checked == checked
+        assert (report.ok, report.violations) == (not violations, violations)
+
+
+def test_word_count_closed_form():
+    for n in range(13):
+        assert gg.reduced_word_count(n) == len(list(gg.reduced_words(n)))
+
+
+def test_elements_of_the_ball():
+    # the ball grows far more slowly than the set of reduced words
+    for radius, elements in ((10, 643), (14, 3_313), (18, 15_303)):
+        report = gg.verify_grig_identity(radius)
+        assert report.elements_checked == elements
+        assert report.ok
+
+
+def test_a_violating_element_is_reported_at_its_least_word(monkeypatch, capsys):
+    # break the identity on the one element adad = dada: the word reference
+    # reports both words, the element search its shortlex-least word only
+    identity_word = gg.grig_identity_word
+
+    def broken(g):
+        return "a" if gg.is_trivial(g + "dada") else identity_word(g)
+
+    monkeypatch.setattr(gg, "grig_identity_word", broken)
+    assert ref_verify_grig_identity(6) == (131, ["adad", "dada"])
+    report = gg.verify_grig_identity(6)
+    assert not report.ok and report.violations == ["adad"]
+    assert report.words_checked == 131 and report.elements_checked == 108
+    assert cli.main(["grig", "verify-identity", "--max-len", "6"]) == cli.EXIT_VERIFICATION
+    assert capsys.readouterr().out == "checked 131 words, 1 violations\n"
+
+
 def test_solver_cache_is_bounded():
     info = gg._is_trivial_reduced.cache_info()
     assert info.maxsize == gg.SOLVER_CACHE_SIZE
     # the bound keeps every word verify_grig_identity(16) decides
-    assert gg.SOLVER_CACHE_SIZE >= 13_121
+    assert gg.SOLVER_CACHE_SIZE >= 3_909
     report = gg.verify_grig_identity(10)
     assert report.violations == []
     assert gg._is_trivial_reduced.cache_info().currsize <= gg.SOLVER_CACHE_SIZE
