@@ -6,9 +6,9 @@ finite window groups.  The final section checks the disjointness
 H ∩ (shifted H) = {1} that rules out finite normal subgroups.
 """
 
-from miflab import INFINITE, instance
+from miflab import INFINITE, LimitGroup
 
-G = instance(2, "n")  # the default demo instance: p = 2, c_n = n
+G = LimitGroup(2, "n")  # the default group: p = 2, c_n = n
 a0, a1, t = G.generator(0), G.generator(1), G.t_power(1)
 
 print("=== normal forms ===")
@@ -35,7 +35,7 @@ for text in ["a0 a1 a1", "[a0, a2]", "a0 t"]:
 print("a nonzero image proves nontriviality; a zero image proves nothing")
 
 print("\n=== no finite normal subgroups: H ∩ t^-(2N+1) H t^(2N+1) = 1 ===")
-H = instance(2, "1,2")
+H = LimitGroup(2, "1,2")
 gens = [H.aword([(-1, 1)]), H.aword([(0, 1)]), H.aword([(1, 1)])]
 print("B([-1,1]) order:", H.table_for_window(-1, 1).coset_count)
 print("meets its shift trivially:", H.conjugate_subgroup_meet_trivial(gens, 1))

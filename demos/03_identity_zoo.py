@@ -1,15 +1,15 @@
 """A zoo of mixed identities on finite groups, plus the lamplighter.
 
 Every verdict below is an exhaustive proof over the whole group (the lab
-refuses to sample).  The last section leaves finite groups: the abelian
-instance c = (1, 1, ...) of the limit-group engine is exactly the
+refuses to sample).  The last section leaves finite groups: the limit
+group of the abelian class-bound sequence c = (1, 1, ...) is exactly the
 restricted lamplighter C2 wr Z, and the wreath identity is checked there
 on bounded-support elements.
 """
 
 import random
 
-from miflab import instance, evaluate
+from miflab import LimitGroup, evaluate
 from miflab import identity_lab as il
 from miflab import mixed_words as mw
 
@@ -56,10 +56,10 @@ N = S4.closure([S4.element_by_label("(12)(34)"), S4.element_by_label("(13)(24)")
 g = S4.element_by_label("(12)(34)")
 print("S4 with N = V4, n! = 24:", il.factorial_identity_check(S4, N, g))
 
-print("\n=== the lamplighter C2 wr Z, as the abelian limit instance ===")
+print("\n=== the lamplighter C2 wr Z, as the abelian limit group ===")
 # c = (1,1,...): A = direct sum of Z/2 copies, G = C2 wr Z; lamp patterns are
 # finitely supported words, the shift is t
-L = instance(2, "1", max_window_width=12)
+L = LimitGroup(2, "1", max_window_width=12)
 a = L.generator(0)    # the lamp at position 0
 b = L.generator(1)    # a lamp in the complementary factor of the base
 word = mw.left_normed([mw.variable(L)] + [mw.constant(L, c) for c in (a, a, b)])

@@ -8,10 +8,10 @@ are JSON lines that an independent pass re-checks from scratch.
 
 import io
 
-from miflab import default_instance, parse_mixed_word
+from miflab import LimitGroup, parse_mixed_word
 from miflab import mif_search as ms
 
-G = default_instance()
+G = LimitGroup(2, "n")
 
 print("=== the word enumeration ===")
 words = ms.enumerate_words(G, 12)

@@ -27,8 +27,6 @@ from .limit_group import (
     AWord,
     GElement,
     LimitGroup,
-    default_instance,
-    instance,
     shift,
 )
 from .mixed_words import (
@@ -43,7 +41,6 @@ from .mixed_words import (
 from .parser import parse_element, parse_mixed_word
 from .identity_lab import (
     FiniteGroup,
-    GroupWithConstants,
     cyclic,
     dihedral,
     direct_product,
@@ -74,7 +71,6 @@ __all__ = [
     "CosetTable",
     "FiniteGroup",
     "GElement",
-    "GroupWithConstants",
     "INFINITE",
     "LimitGroup",
     "MiflabError",
@@ -87,7 +83,6 @@ __all__ = [
     "build_window_presentation",
     "commutator",
     "cyclic",
-    "default_instance",
     "dihedral",
     "direct_product",
     "drive",
@@ -96,7 +91,6 @@ __all__ = [
     "evaluate",
     "factorial_identity_check",
     "find_witness",
-    "instance",
     "iota_embed",
     "is_mixed_identity",
     "klein_four",

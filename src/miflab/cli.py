@@ -2,12 +2,12 @@
 
 Subcommands: order, check, grig (act / trivial / verify-identity),
 search, drive, verify, selftest.  Every command is deterministic given
-its flags; --threads only sets the advertised parallelism (results are
-independent of it, the exact integer core executes sequentially), and
---seed affects only the sampled selftest subcommand.
+its flags, and --seed affects only the sampled selftest subcommand.
+Each subcommand takes only the flags it reads.
 
 Exit codes: 0 success, 2 capacity/budget exceeded, 3 verification
-failure, 4 parse error (also a missing or unwritable file).
+failure, 4 parse error (also a usage error, and a missing or unwritable
+file).
 """
 
 from __future__ import annotations
@@ -16,12 +16,11 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import grigorchuk, identity_lab, mif_search
 from . import mixed_words as mw
 from .errors import BudgetExceeded, CapacityExceeded, MiflabError, ParseError, VerificationError
-from .limit_group import instance
+from .limit_group import LimitGroup
 from .mif_search import SearchBounds
 from .parser import parse_mixed_word
 from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH, Window
@@ -30,49 +29,6 @@ EXIT_OK = 0
 EXIT_CAPACITY = 2
 EXIT_VERIFICATION = 3
 EXIT_PARSE = 4
-
-
-@dataclass
-class InstanceConfig:
-    p: int
-    c: str
-    max_cosets: int
-    max_window_width: int
-    cache_dir: str | None
-    bounds: SearchBounds
-
-    @classmethod
-    def from_args(cls, args) -> "InstanceConfig":
-        _check_caps(args)
-        try:
-            bounds = SearchBounds(
-                max_support_radius=args.max_support_radius,
-                max_beta=args.max_beta,
-                max_word_length=args.max_word_length,
-                max_candidates=args.max_candidates,
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-        return cls(
-            p=args.p,
-            c=args.c,
-            max_cosets=args.max_cosets,
-            max_window_width=args.max_window_width,
-            cache_dir=args.cache_dir,
-            bounds=bounds,
-        )
-
-    def group(self):
-        try:
-            return instance(
-                self.p,
-                self.c,
-                max_cosets=self.max_cosets,
-                max_window_width=self.max_window_width,
-                cache_dir=self.cache_dir,
-            )
-        except ValueError as exc:  # p is not a prime
-            raise ParseError(str(exc)) from exc
 
 
 def _check_caps(args) -> None:
@@ -88,12 +44,42 @@ def _add_cap_flags(sub):
                      dest="max_window_width")
 
 
+def _group(args) -> LimitGroup:
+    _check_caps(args)
+    try:
+        return LimitGroup(
+            args.p,
+            args.c,
+            max_cosets=args.max_cosets,
+            max_window_width=args.max_window_width,
+            cache_dir=args.cache_dir,
+        )
+    except ValueError as exc:  # p is not a prime
+        raise ParseError(str(exc)) from exc
+
+
+def _bounds(args) -> SearchBounds:
+    try:
+        return SearchBounds(
+            max_support_radius=args.max_support_radius,
+            max_beta=args.max_beta,
+            max_word_length=args.max_word_length,
+            max_candidates=args.max_candidates,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _add_instance_flags(sub):
     sub.add_argument("--p", type=int, default=2, help="prime p (default 2)")
     sub.add_argument("--c", default="n", help="class-bound sequence: 'n' or '1,2,2'")
     _add_cap_flags(sub)
     sub.add_argument("--cache-dir", default=None, dest="cache_dir",
                      help="table cache directory (default: $MIFLAB_CACHE)")
+
+
+def _add_search_flags(sub):
+    _add_instance_flags(sub)
     sub.add_argument("--max-support-radius", type=int, default=3, dest="max_support_radius")
     sub.add_argument("--max-beta", type=int, default=3, dest="max_beta")
     sub.add_argument("--max-word-length", type=int, default=16, dest="max_word_length")
@@ -111,8 +97,7 @@ def _emit(args, payload: dict, text: str | None = None):
 
 
 def cmd_order(args) -> int:
-    config = InstanceConfig.from_args(args)
-    group = config.group()
+    group = _group(args)
     window = Window.from_spec(args.window)
     n = group.window_order(window)
     _emit(
@@ -188,10 +173,9 @@ def cmd_check(args) -> int:
         return EXIT_OK
     if args.word:
         G = identity_lab.small_group(args.group)
-        bound = identity_lab.GroupWithConstants(G, G.constants())
-        word = parse_mixed_word(args.word, bound.group, constants=bound.constants)
-        verdict = identity_lab.is_mixed_identity(word, bound.group)
-        payload = verdict.to_json_dict(bound.group, word)
+        word = parse_mixed_word(args.word, G, constants=G.constants())
+        verdict = identity_lab.is_mixed_identity(word, G)
+        payload = verdict.to_json_dict(G, word)
         _emit(args, payload, f"{verdict.holds}")
         return EXIT_OK
     raise ParseError("check needs --id or --word")
@@ -230,13 +214,13 @@ def cmd_grig(args) -> int:
 
 
 def cmd_search(args) -> int:
-    config = InstanceConfig.from_args(args)
-    group = config.group()
+    group = _group(args)
+    bounds = _bounds(args)
     word = parse_mixed_word(args.word, group)
     if word.is_empty():
         _emit(args, {"word": args.word, "status": mif_search.TRIVIAL_IN_FREE_PRODUCT}, "trivial in free product")
         return EXIT_OK
-    result = mif_search.find_witness(word, config.bounds)
+    result = mif_search.find_witness(word, bounds)
     payload = {
         "word": word.render(),
         "status": result.status,
@@ -252,10 +236,10 @@ def cmd_search(args) -> int:
 
 
 def cmd_drive(args) -> int:
-    config = InstanceConfig.from_args(args)
-    group = config.group()
+    group = _group(args)
+    bounds = _bounds(args)
     try:
-        result = mif_search.drive(group, args.count, config.bounds)
+        result = mif_search.drive(group, args.count, bounds)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     if args.out:
@@ -295,8 +279,7 @@ def cmd_verify(args) -> int:
 def cmd_selftest(args) -> int:
     """Sampled invariants; the only subcommand whose work depends on --seed."""
     rng = random.Random(args.seed)
-    config = InstanceConfig.from_args(args)
-    group = config.group()
+    group = _group(args)
     failures = []
     for _ in range(args.samples):
         # random narrow-support elements; raw-level group laws must hold exactly
@@ -327,8 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact workbench for window p-groups, mixed identities and witness search",
     )
     ap.add_argument("--json", action="store_true", help="emit JSON output")
-    ap.add_argument("--threads", type=int, default=0,
-                    help="advertised parallelism; results are independent of it")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("order", help="order of a window group B(window)")
@@ -361,12 +342,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_grig)
 
     sp = sub.add_parser("search", help="find a witness for a single-variable word")
-    _add_instance_flags(sp)
+    _add_search_flags(sp)
     sp.add_argument("--word", required=True)
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("drive", help="run the certificate-producing driver")
-    _add_instance_flags(sp)
+    _add_search_flags(sp)
     sp.add_argument("--count", type=int, default=50)
     sp.add_argument("--out", help="certificate JSONL file (default: stdout)")
     sp.set_defaults(func=cmd_drive)
@@ -389,11 +370,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.threads < 0:
-        print(json.dumps({"error": "threads must be non-negative"}), file=sys.stderr)
-        return EXIT_PARSE
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ParseError as exc:

@@ -158,10 +158,6 @@ class CosetTable:
     def trace_word(self, letters) -> int:
         return self.trace(self.identity_coset, letters)
 
-    def multiply(self, u, v) -> int:
-        """Coset reached from the identity by tracing u then v."""
-        return self.trace(self.trace_word(u), v)
-
     def normal_form(self, letters) -> Letters:
         return self.word(self.trace_word(letters))
 

@@ -9,10 +9,11 @@ in `itertools.product` order, so the first counterexample found is the
 lexicographically first one.  Products are refused before their table is
 allocated when the n x n int64 table would exceed `PRODUCT_TABLE_BYTES_LIMIT`.
 
-A table passed to `FiniteGroup` is checked against the group axioms and then
-made read-only.  Direct and wreath products are built by a fixed formula from
-such checked, read-only factors, so they are groups by construction and their
-tables are not re-checked; they are read-only too.
+A table passed to `FiniteGroup` is checked against every group axiom and then
+made read-only; one of order above `FULL_AXIOM_CHECK_LIMIT` is refused, not
+sampled.  Catalog groups (cyclic, dihedral, symmetric) and direct and wreath
+products of groups are built by a fixed formula, so they are groups by
+construction and their tables are not checked; they are read-only too.
 """
 
 from __future__ import annotations
@@ -36,24 +37,29 @@ VERDICT_BLOCK = 2**16  # substitutions evaluated per batch
 class FiniteGroup:
     """A finite group as a full multiplication table on 0..n-1.
 
-    The constructor copies the table and checks the group axioms: in full
-    up to order `FULL_AXIOM_CHECK_LIMIT`, on 64 sampled rows above it.
-    `table` and `inverse_table` are read-only, so a group cannot change
-    after its check.  Direct and wreath products are built
-    by a fixed formula from such groups and go through `_product`, which
-    skips the re-check.
+    The constructor copies the table and checks every group axiom; a
+    table of order above `FULL_AXIOM_CHECK_LIMIT` is refused with
+    BudgetExceeded.  `table` and `inverse_table` are read-only, so a group
+    cannot change after its check.  Catalog groups and products are built
+    by a fixed formula and go through `_by_construction`, which skips the
+    check.
     """
 
     def __init__(self, table, labels=None, name: str = "group"):
         table = np.array(table, dtype=np.int64)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("multiplication table must be square")
+        if table.shape[0] > FULL_AXIOM_CHECK_LIMIT:
+            raise BudgetExceeded(
+                f"{name}: a table of order {table.shape[0]} is over the "
+                f"{FULL_AXIOM_CHECK_LIMIT}-element limit of the group axiom check"
+            )
         self._setup(table, labels, name)
-        self._validate(full=self.size <= FULL_AXIOM_CHECK_LIMIT)
+        self._validate()
 
     @classmethod
-    def _product(cls, table: np.ndarray, labels, name: str) -> "FiniteGroup":
-        """A product of checked groups: its table is a group by construction."""
+    def _by_construction(cls, table: np.ndarray, labels, name: str) -> "FiniteGroup":
+        """A table built by a fixed group formula: a group without a check."""
         group = cls.__new__(cls)
         group._setup(table, labels, name)
         return group
@@ -90,7 +96,7 @@ class FiniteGroup:
             raise ValueError(f"{self.name}: some element has no inverse")
         return inv
 
-    def _validate(self, full: bool) -> None:
+    def _validate(self) -> None:
         n = self.size
         if self.table.min() < 0 or self.table.max() >= n:
             raise ValueError(f"{self.name}: table entries out of range")
@@ -98,12 +104,7 @@ class FiniteGroup:
         for a in range(n):
             if not np.array_equal(np.sort(self.table[a]), idx):
                 raise ValueError(f"{self.name}: row {a} is not a permutation")
-        if full:
-            rng_rows = range(n)
-        else:
-            rng = np.random.default_rng(0)
-            rng_rows = rng.integers(0, n, size=64)
-        for a in rng_rows:
+        for a in range(n):
             # (a*b)*c == a*(b*c) for all b, c, vectorized over the (b, c) plane
             left = self.table[self.table[a][:, None], np.arange(n)[None, :]]
             right = self.table[a][self.table]
@@ -232,19 +233,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order {self.size})"
 
 
-@dataclass
-class GroupWithConstants:
-    """A finite group together with named constants for the word grammar."""
-
-    group: FiniteGroup
-    constants: dict[str, int]
-
-    def __post_init__(self):
-        for name, el in self.constants.items():
-            if not (0 <= el < self.group.size):
-                raise ValueError(f"constant {name!r} is not an element id")
-
-
 # -- small-group catalog -----------------------------------------------------
 
 
@@ -255,7 +243,7 @@ def cyclic(n: int) -> FiniteGroup:
     table = (idx[:, None] + idx[None, :]) % n
     labels = [f"g{i}" for i in range(n)]
     labels[0] = "e"
-    return FiniteGroup(table, labels, name=f"C{n}")
+    return FiniteGroup._by_construction(table, labels, name=f"C{n}")
 
 
 def _perm_group(perms, labels, name):
@@ -267,7 +255,7 @@ def _perm_group(perms, labels, name):
         for j, q in enumerate(perms):
             composed = tuple(p[q[k]] for k in range(len(p)))
             table[i, j] = index[composed]
-    return FiniteGroup(table, labels, name=name)
+    return FiniteGroup._by_construction(table, labels, name=name)
 
 
 def _cycle_label(perm) -> str:
@@ -368,7 +356,7 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     yb = np.tile(np.arange(nb), na)
     table = a.table[xa[:, None], xa[None, :]] * nb + b.table[yb[:, None], yb[None, :]]
     labels = [f"({a.labels[x]},{b.labels[y]})" for x, y in zip(xa, yb)]
-    return FiniteGroup._product(table, labels, name=f"{a.name}x{b.name}")
+    return FiniteGroup._by_construction(table, labels, name=f"{a.name}x{b.name}")
 
 
 @dataclass
@@ -421,7 +409,7 @@ def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
         "(" + ",".join(base.labels[b] for b in f) + f";{s})"
         for f, s in zip(coord.tolist(), shift.tolist())
     ]
-    group = FiniteGroup._product(table, labels, name=f"{base.name}wrC{k}")
+    group = FiniteGroup._by_construction(table, labels, name=f"{base.name}wrC{k}")
 
     id_b = base.identity
     first = tuple(

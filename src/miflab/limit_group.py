@@ -164,7 +164,7 @@ class GElement:
 
     def __init__(self, group: "LimitGroup", a: AWord, beta: int = 0, t_free=None):
         if a.p != group.p:
-            raise ValueError("AWord does not match the group instance")
+            raise ValueError("AWord does not match the group's p")
         self.group = group
         self.a = a
         self.beta = beta
@@ -270,7 +270,10 @@ class GElement:
 
 
 class LimitGroup:
-    """Ambient instance (p, c): owns caps and the window-table cache."""
+    """The limit group G of (p, c): owns the caps and the window-table cache.
+
+    Construct one directly; two groups never share tables.
+    """
 
     def __init__(
         self,
@@ -341,10 +344,17 @@ class LimitGroup:
     # -- window tables ----------------------------------------------------
 
     def table_for_width(self, width: int) -> CosetTable:
-        """Coset table of the base window [0, width] (shared by all shifts)."""
+        """Coset table of the base window [0, width] (shared by all shifts).
+
+        Within the width bound the table one width down is got first, so a
+        window past the coset cap is refused at the narrowest width that
+        breaks it, before any wider presentation is built.
+        """
         tbl = self._tables.get(width)
         if tbl is not None:
             return tbl
+        if 0 < width <= self.max_window_width:
+            self.table_for_width(width - 1)
         with self._build_lock:
             tbl = self._tables.get(width)
             if tbl is not None:
@@ -498,38 +508,3 @@ class LimitGroup:
         ids_shift = {big.trace_word(self._letters_for_table(w, -N)) for w in shifted}
         return ids_h & ids_shift == {big.identity_coset}
 
-
-# -- instance registry ------------------------------------------------------
-
-_instances: dict = {}
-_instances_lock = threading.Lock()
-
-
-def instance(
-    p: int = 2,
-    c="n",
-    *,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    max_window_width: int = DEFAULT_MAX_WINDOW_WIDTH,
-    cache_dir: str | None = None,
-) -> LimitGroup:
-    """Shared LimitGroup instances, so window tables are built once per config."""
-    cseq = CSequence.from_spec(c)
-    key = (p, cseq.rule, cseq.prefix, max_cosets, max_window_width, cache_dir)
-    with _instances_lock:
-        got = _instances.get(key)
-        if got is None:
-            got = LimitGroup(
-                p,
-                cseq,
-                max_cosets=max_cosets,
-                max_window_width=max_window_width,
-                cache_dir=cache_dir,
-            )
-            _instances[key] = got
-        return got
-
-
-def default_instance() -> LimitGroup:
-    """The demo default: p = 2 with the identity class-bound rule c_n = n."""
-    return instance(2, "n")

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 from . import mixed_words as mw
 from .errors import CapacityExceeded, VerificationError
-from .limit_group import GElement, LimitGroup, instance
+from .limit_group import GElement, LimitGroup
 from .parser import parse_element, parse_mixed_word
-from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH
+from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH, CSequence
 
 TRIVIAL_IN_FREE_PRODUCT = "TrivialInFreeProduct"
 WITNESS_FOUND = "WitnessFound"
@@ -219,9 +219,9 @@ def find_witness(word: "mw.MixedWord", bounds: SearchBounds) -> FindResult:
         if tried >= bounds.max_candidates:
             break
         tried += 1
-        value = mw.evaluate(word, {1: g}) if word.variable_ids else word.constant_value()
+        value = mw.evaluate(word, {1: g})
         if not value.is_trivial():
-            recheck = mw.evaluate(word, {1: g}) if word.variable_ids else word.constant_value()
+            recheck = mw.evaluate(word, {1: g})
             if recheck.is_trivial():
                 raise VerificationError(f"witness for {word.render()!r} failed re-check")
             return FindResult(WITNESS_FOUND, g, value, tried)
@@ -320,11 +320,12 @@ def verify_certificates(
     Every witness is re-parsed and the word re-evaluated from scratch;
     re-parse failures, trivial evaluations, and malformed rows are
     failures.  SearchExhausted rows carry no claim and only need to be
-    well-formed.  Instances are built under the given caps, and a
-    CapacityExceeded is raised, not recorded: a row that cannot be
-    checked within the caps has not failed.
+    well-formed.  Each limit group (p, c) is built once per call, under the
+    given caps, and a CapacityExceeded is raised, not recorded: a row that
+    cannot be checked within the caps has not failed.
     """
     report = VerifyReport(checked=0, witnesses_ok=0)
+    groups: dict = {}
     if isinstance(lines, str):
         lines = lines.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -341,9 +342,12 @@ def verify_certificates(
         report.checked += 1
         try:
             inst = data["instance"]
-            group = instance(
-                inst["p"], inst["c"], max_cosets=max_cosets, max_window_width=max_window_width
-            )
+            key = (inst["p"], CSequence.from_spec(inst["c"]))
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = LimitGroup(
+                    *key, max_cosets=max_cosets, max_window_width=max_window_width
+                )
             word = parse_mixed_word(data["word"], group)
             status = data["status"]
             if status == TRIVIAL_IN_FREE_PRODUCT:
@@ -356,7 +360,7 @@ def verify_certificates(
                 report.failures.append((lineno, f"unknown status {status!r}"))
                 continue
             witness = parse_element(data["witness"], group)
-            value = mw.evaluate(word, {1: witness}) if word.variable_ids else word.constant_value()
+            value = mw.evaluate(word, {1: witness})
             if value.is_trivial():
                 report.failures.append((lineno, "witness evaluation is trivial"))
                 continue

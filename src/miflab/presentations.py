@@ -19,7 +19,6 @@ sequence are emitted once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import CapacityExceeded, ParseError
@@ -209,9 +208,6 @@ class Presentation:
     relators: tuple[Relator, ...]
     labels: tuple[RelatorLabel, ...]
 
-    def generator_index(self, pos: int) -> int:
-        return self.window.lo + pos
-
     def relator_text(self, i: int) -> str:
         label = self.labels[i]
         if label.kind == "power":
@@ -223,31 +219,6 @@ class Presentation:
         lines.extend(self.relator_text(i) for i in range(len(self.relators)))
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        rels = []
-        for rel, label in zip(self.relators, self.labels):
-            entry = {
-                "letters": [[self.generator_index(pos), s] for pos, s in rel],
-                "kind": label.kind,
-            }
-            if label.kind == "power":
-                entry["index"] = label.index
-            else:
-                entry["spread"] = label.spread
-                entry["weight"] = label.weight
-                entry["indices"] = list(label.indices)
-            rels.append(entry)
-        return {
-            "p": self.p,
-            "c": self.c.spec(),
-            "window": [self.window.lo, self.window.hi],
-            "generators": self.generator_count,
-            "relators": rels,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def build_window_presentation(
     p: int,
@@ -255,7 +226,7 @@ def build_window_presentation(
     window: Window,
     max_width: int = DEFAULT_MAX_WINDOW_WIDTH,
 ) -> Presentation:
-    """Presentation of B(window) for the instance (p, c).
+    """Presentation of B(window) for the parameters (p, c).
 
     Relators: a_i^p for every window index, plus one left-normed commutator
     of weight c_d + 1 for every index tuple of exact spread d (1 <= d <=

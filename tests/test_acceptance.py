@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The tests share
-instances (and so window-table caches) through the session registry and
+Run with `pytest tests/test_acceptance.py -v -s`.  The tests share one
+LimitGroup per (p, c) through `_group` (and so its window tables) and
 collect every engine-handled element for the final cross-oracle sweep.
 """
 
+import functools
 import json
 import math
 import random
@@ -14,7 +15,7 @@ import time
 
 import pytest
 
-from miflab import INFINITE, Window, instance
+from miflab import INFINITE, LimitGroup, Window
 from miflab import grigorchuk as gg
 from miflab import identity_lab as il
 from miflab import mif_search as ms
@@ -29,12 +30,17 @@ def _ok(n, text, t0):
     print(f"[PASS] criterion {n}: {text} ({time.monotonic() - t0:.1f}s)")
 
 
+@functools.cache
+def _group(p, c):
+    return LimitGroup(p, c)
+
+
 def _default():
-    return instance(2, "n")
+    return _group(2, "n")
 
 
 def _c12():
-    return instance(2, "1,2")
+    return _group(2, "1,2")
 
 
 def _sample_narrow_element(G, rng, beta_range):
@@ -48,12 +54,12 @@ def _sample_narrow_element(G, rng, beta_range):
 def test_criterion_01_window_group_orders():
     t0 = time.monotonic()
     checks = [
-        (instance(2, "1"), Window(0, 0), 2),
-        (instance(3, "1"), Window(0, 0), 3),
-        (instance(2, "1"), Window(0, 1), 4),
-        (instance(3, "1"), Window(0, 1), 9),
-        (instance(3, "2"), Window(0, 1), 27),
-        (instance(2, "1"), Window(-1, 1), 8),
+        (_group(2, "1"), Window(0, 0), 2),
+        (_group(3, "1"), Window(0, 0), 3),
+        (_group(2, "1"), Window(0, 1), 4),
+        (_group(3, "1"), Window(0, 1), 9),
+        (_group(3, "2"), Window(0, 1), 27),
+        (_group(2, "1"), Window(-1, 1), 8),
     ]
     for G, window, expected in checks:
         t1 = time.monotonic()
@@ -70,7 +76,7 @@ def test_criterion_02_relator_soundness_all_cached_tables():
     for width in range(0, 6):
         _c12().table_for_width(width)
     groups = [
-        _default(), _c12(), instance(2, "1"), instance(3, "1"), instance(3, "2"),
+        _default(), _c12(), _group(2, "1"), _group(3, "1"), _group(3, "2"),
     ]
     tables = []
     for G in groups:
@@ -243,12 +249,11 @@ def test_criterion_08_driver_soundness():
     # bit-identical re-execution in process
     again = ms.certificates_to_lines(ms.drive(G, 50), G)
     assert lines == again
-    # bit-identical across thread counts through the CLI
+    # bit-identical across two CLI runs
     outs = []
-    for threads in ("1", "8"):
+    for _ in range(2):
         proc = subprocess.run(
-            [sys.executable, "-m", "miflab.cli", "--threads", threads,
-             "drive", "--count", "50"],
+            [sys.executable, "-m", "miflab.cli", "drive", "--count", "50"],
             capture_output=True, text=True, check=True,
         )
         outs.append(proc.stdout)
@@ -259,16 +264,16 @@ def test_criterion_08_driver_soundness():
             HANDLED.append(G.parse(cert.evaluation_normal_form))
     HANDLED.extend(result.witness_set)
     _ok(8, "drive(50) certificates verify, persist and are bit-identical "
-           "across runs and thread counts 1/8", t0)
+           "across in-process and CLI runs", t0)
 
 
 def test_criterion_09_iota_embedding_compatibility():
     t0 = time.monotonic()
     total = 0
     for G, count, seed, max_syll, betas, idx in [
-        (instance(2, "1"), 700, 101, 4, (-1, 0, 1), (-1, 1)),
-        (instance(2, "1,2"), 250, 102, 3, (-1, 0, 1), (-1, 1)),
-        (instance(2, "n"), 50, 103, 2, (0, 1), (0, 1)),
+        (_group(2, "1"), 700, 101, 4, (-1, 0, 1), (-1, 1)),
+        (_group(2, "1,2"), 250, 102, 3, (-1, 0, 1), (-1, 1)),
+        (_group(2, "n"), 50, 103, 2, (0, 1), (0, 1)),
     ]:
         rng = random.Random(seed)
         pool = [G.generator(i) for i in range(idx[0], idx[1] + 1)]

@@ -1,6 +1,7 @@
 """CLI surface: outputs, JSON mode, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -203,10 +204,16 @@ def test_verify_honours_the_caps(tmp_path):
     }
 
 
+def _width_one_cache_file(tmp_path):
+    from miflab import LimitGroup
+
+    return LimitGroup(2, "1,2", cache_dir=str(tmp_path))._cache_path(1)
+
+
 def test_exit_code_corrupt_cache(tmp_path):
     args = ("order", "--p", "2", "--c", "1,2", "--window", "0..1", "--cache-dir", str(tmp_path))
     assert run_cli(*args)[:2] == (0, "4\n")
-    (path,) = tmp_path.iterdir()
+    path = _width_one_cache_file(tmp_path)
     action = np.load(path)
     action[0][1] = 99
     np.save(path, action)
@@ -218,9 +225,9 @@ def test_exit_code_corrupt_cache(tmp_path):
 def test_directory_at_a_cache_entry_is_a_verification_error(tmp_path):
     args = ("order", "--p", "2", "--c", "1,2", "--window", "0..1", "--cache-dir", str(tmp_path))
     assert run_cli(*args)[:2] == (0, "4\n")
-    (path,) = tmp_path.iterdir()
-    path.unlink()
-    path.mkdir()
+    path = _width_one_cache_file(tmp_path)
+    os.unlink(path)
+    os.mkdir(path)
     code, out, err = run_cli(*args)
     assert code == 3 and out == ""
     data = json.loads(err)
@@ -306,9 +313,23 @@ def test_selftest_seeded():
     assert json.loads(out)["failures"] == []
 
 
-def test_threads_flag_does_not_change_results(tmp_path):
-    a = tmp_path / "a.jsonl"
-    b = tmp_path / "b.jsonl"
-    run_cli("--threads", "1", "drive", "--count", "10", "--out", str(a))
-    run_cli("--threads", "8", "drive", "--count", "10", "--out", str(b))
-    assert a.read_text() == b.read_text()
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("order",),
+        ("order", "--window", "0..1", "--bogus"),
+        ("--threads", "1", "drive"),
+        ("order", "--window", "0..1", "--max-beta", "1"),
+        ("selftest", "--max-candidates", "5"),
+    ],
+    ids=["missing-required", "unknown-flag", "threads", "order-search-bound", "selftest-search-bound"],
+)
+def test_usage_errors_are_parse_errors(args):
+    code, out, err = run_cli(*args)
+    assert code == 4 and out == ""
+    assert "usage: miflab" in err
+
+
+def test_help_exits_zero():
+    code, out, _ = run_cli("order", "--help")
+    assert code == 0 and "--window" in out and "--max-beta" not in out

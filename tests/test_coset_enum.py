@@ -121,15 +121,15 @@ def test_single_involution():
 def test_klein_four():
     table = _tiny_table(2, "1", 0, 1)
     assert table.coset_count == 4
-    assert table.multiply(((0, 1),), ((0, 1),)) == table.identity_coset
-    assert table.multiply((), ()) == table.identity_coset
+    assert table.trace_word(((0, 1), (0, 1))) == table.identity_coset
+    assert table.trace_word(()) == table.identity_coset
 
 
 def test_multiply_inverse_word():
     table = _tiny_table(3, "2", 0, 1)
     u = ((0, 1), (1, 1))
     v = ((1, -1), (0, -1))
-    assert table.multiply(u, v) == table.identity_coset
+    assert table.trace(table.trace_word(u), v) == table.identity_coset
 
 
 # -- invariants ------------------------------------------------------------------------

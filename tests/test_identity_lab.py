@@ -110,26 +110,37 @@ def test_group_axiom_validation_rejects_bad_table():
     ids=["S3xC2", "V4", "C2wrC3", "S3wrC2"],
 )
 def test_product_tables_pass_the_full_axiom_check(make):
-    make()._validate(full=True)
+    make()._validate()
 
 
 def test_products_are_not_rechecked(monkeypatch):
+    # catalog groups and products are groups by construction: only a table
+    # from outside is checked
     checked = []
     validate = il.FiniteGroup._validate
 
-    def counting(self, full):
+    def counting(self):
         checked.append(self.name)
-        validate(self, full)
+        validate(self)
 
     monkeypatch.setattr(il.FiniteGroup, "_validate", counting)
     S3, C2 = il.symmetric(3), il.cyclic(2)
-    assert checked == ["S3", "C2"]
     direct = il.direct_product(S3, C2)
     il.wreath_product(2, S3)
     small_group("S5xS4")
-    assert checked == ["S3", "C2", "S5", "S4"]
+    small_group("D4xV4")
+    assert checked == []
     il.FiniteGroup(direct.table, name="outside")
-    assert checked == ["S3", "C2", "S5", "S4", "outside"]
+    assert checked == ["outside"]
+
+
+def test_oversized_outside_table_is_refused_not_sampled(monkeypatch):
+    checked = []
+    monkeypatch.setattr(il.FiniteGroup, "_validate", lambda self: checked.append(self.name))
+    with pytest.raises(BudgetExceeded, match="order 600 is over the 512-element limit"):
+        il.FiniteGroup(il.cyclic(600).table, name="C600")
+    assert checked == []
+    assert il.FiniteGroup(il.cyclic(512).table).size == 512
 
 
 def test_checked_tables_are_read_only():
@@ -141,7 +152,7 @@ def test_checked_tables_are_read_only():
             G.table[2, 3], G.table[2, 4] = G.table[2, 4], G.table[2, 3]
         with pytest.raises(ValueError, match="read-only"):
             G.inverse_table[1] = G.identity
-        G._validate(full=True)
+        G._validate()
     # the constructor checks a private copy: the caller's array stays writable
     raw = np.array(groups[0].table)
     G = il.FiniteGroup(raw)
@@ -394,11 +405,3 @@ def test_subgroup_enumeration_small():
     V4 = small_group("V4")
     subs = V4.all_subgroups()
     assert [len(s) for s in subs] == [1, 2, 2, 2, 4]
-
-
-def test_group_with_constants_validation():
-    S3 = small_group("S3")
-    bound = il.GroupWithConstants(S3, S3.constants())
-    assert bound.constants["(12)"] == S3.element_by_label("(12)")
-    with pytest.raises(ValueError):
-        il.GroupWithConstants(S3, {"bad": 99})

@@ -15,9 +15,10 @@ from miflab import (
     MiflabError,
     ParseError,
     VerificationError,
-    instance,
+    Window,
     shift,
 )
+from miflab import limit_group
 from miflab.limit_group import AWord
 
 
@@ -113,7 +114,7 @@ def test_order_dichotomy_sampled(default_group):
 
 def test_exponent_bound_in_regular_regime():
     # p greater than every queried class bound: beta-free p-th powers die
-    G = instance(5, "2")
+    G = LimitGroup(5, "2")
     rng = random.Random(17)
     for _ in range(40):
         letters = [(rng.randint(0, 1), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
@@ -192,7 +193,7 @@ def test_conjugate_subgroup_rejects_bad_support(default_group):
 
 def test_capacity_exceeded_bubbles_up():
     # a width-3 window needs 1024 cosets under c_n = n, over the tiny cap
-    G = instance(2, "n", max_cosets=64)
+    G = LimitGroup(2, "n", max_cosets=64)
     wide = G.element([(-1, 1), (0, 1), (2, 1), (-1, 1), (1, 1), (0, 1)])
     with pytest.raises(CapacityExceeded):
         wide.is_trivial()
@@ -225,6 +226,35 @@ def test_wide_support_is_capacity_limited_on_steep_instances(default_group):
         default_group.parse("a-2 a3 t^-4")
 
 
+def _record_built_widths(monkeypatch):
+    built = []
+    build = limit_group.build_window_presentation
+
+    def recording(p, c, window, max_width):
+        built.append(window.width)
+        return build(p, c, window, max_width)
+
+    monkeypatch.setattr(limit_group, "build_window_presentation", recording)
+    return built
+
+
+def test_capacity_refusal_stops_at_the_narrowest_width(monkeypatch):
+    # B([0,4]) of c_n = n passes the coset cap, so B([0,5]) is refused there,
+    # before its 19,536-relator presentation is built
+    built = _record_built_widths(monkeypatch)
+    with pytest.raises(CapacityExceeded, match=r"for window 0\.\.4 "):
+        LimitGroup(2, "n").window_order(Window(0, 5))
+    assert built == [0, 1, 2, 3, 4]
+
+
+def test_width_over_the_bound_is_refused_at_once(monkeypatch):
+    built = _record_built_widths(monkeypatch)
+    G = LimitGroup(2, "n", max_window_width=2)
+    with pytest.raises(CapacityExceeded, match="^window width 4 exceeds the configured bound 2$"):
+        G.window_order(Window(0, 4))
+    assert built == [4] and G.cached_tables() == {}
+
+
 def test_instance_mixing_is_an_error(default_group, c12_group):
     with pytest.raises(ValueError):
         default_group.generator(0) * c12_group.generator(0)
@@ -233,7 +263,7 @@ def test_instance_mixing_is_an_error(default_group, c12_group):
 def test_table_cache_concurrent_access():
     import threading
 
-    G = instance(2, "1,2", max_cosets=500_000, max_window_width=5)
+    G = LimitGroup(2, "1,2", max_cosets=500_000, max_window_width=5)
     results = [[] for _ in range(8)]
 
     def worker(i):
@@ -251,12 +281,15 @@ def test_table_cache_concurrent_access():
 
 
 def test_disk_cache_round_trip(tmp_path):
-    G1 = instance(2, "1,2", cache_dir=str(tmp_path))
+    G1 = LimitGroup(2, "1,2", cache_dir=str(tmp_path))
     t1 = G1.table_for_width(2)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].suffix == ".npy"
+    # one .npy file for each width built: 2 and the widths below it
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        os.path.basename(G1._cache_path(w)) for w in range(3)
+    )
+    assert all(name.endswith(".npy") for name in os.listdir(tmp_path))
     # a fresh instance with the same cache dir loads the identical table
-    G2 = instance(2, "1,2", cache_dir=str(tmp_path), max_cosets=999_999)
+    G2 = LimitGroup(2, "1,2", cache_dir=str(tmp_path), max_cosets=999_999)
     t2 = G2.table_for_width(2)
     assert t2.words() == t1.words()
     assert all((a == b).all() for a, b in zip(t2.action, t1.action))
@@ -264,9 +297,10 @@ def test_disk_cache_round_trip(tmp_path):
 
 def test_cache_file_bytes_are_pinned(tmp_path):
     # the cache file is the canonical int32 action as a .npy array
-    LimitGroup(3, "2", cache_dir=str(tmp_path)).table_for_width(2)
-    (path,) = tmp_path.iterdir()
-    assert path.name == "table-f3ff325b56110335b0130ec2.npy"
+    G = LimitGroup(3, "2", cache_dir=str(tmp_path))
+    G.table_for_width(2)
+    path = tmp_path / "table-f3ff325b56110335b0130ec2.npy"
+    assert G._cache_path(2) == str(path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "ed49d8dd9226092815ea44d373b61b0eb7379c7599c7a98b91400fbcbb58f95d"
 
@@ -278,14 +312,14 @@ def test_files_of_another_format_are_ignored(tmp_path):
         fh.write("{not a table")
     assert G.table_for_width(1).coset_count == 4
     assert sorted(os.listdir(tmp_path)) == sorted(
-        [os.path.basename(old), os.path.basename(G._cache_path(1))]
+        [os.path.basename(old)] + [os.path.basename(G._cache_path(w)) for w in (0, 1)]
     )
 
 
 def _width_one_cache_file(tmp_path):
-    LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
-    (path,) = tmp_path.iterdir()
-    return path
+    G = LimitGroup(2, "1,2", cache_dir=str(tmp_path))
+    G.table_for_width(1)
+    return tmp_path / os.path.basename(G._cache_path(1))
 
 
 def _reload_width_one(tmp_path):
@@ -375,7 +409,7 @@ def test_cache_write_uses_a_private_temp_file(tmp_path):
     os.mkdir(path + ".tmp")
     G.table_for_width(1)
     assert sorted(os.listdir(tmp_path)) == sorted(
-        [os.path.basename(path), os.path.basename(path) + ".tmp"]
+        [os.path.basename(G._cache_path(0)), os.path.basename(path), os.path.basename(path) + ".tmp"]
     )
     reloaded = LimitGroup(2, "1,2", cache_dir=str(tmp_path)).table_for_width(1)
     assert reloaded.words() == G.table_for_width(1).words()

@@ -1,11 +1,12 @@
 """Free-product word calculus: reduction, evaluation, the two substitutions."""
 
+import functools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from miflab import evaluate, instance, iota_embed, parse_mixed_word, sub_commutator
+from miflab import LimitGroup, evaluate, iota_embed, parse_mixed_word, sub_commutator
 from miflab import mixed_words as mw
 
 
@@ -173,6 +174,12 @@ def _build(G, specs):
     ]
 
 
+@functools.cache
+def _group(p, c):
+    """One group per (p, c) for every example, so each table is built once."""
+    return LimitGroup(p, c)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     st.sampled_from([(2, "n"), (2, "1")]),
@@ -181,7 +188,7 @@ def _build(G, specs):
 )
 def test_reduce_invariants(instance_key, pieces, assignment):
     """One stack pass leaves a fully reduced word with the same value."""
-    G = instance(*instance_key)
+    G = _group(*instance_key)
     raw = []
     for kind, specs in pieces:
         syllables = _build(G, specs)

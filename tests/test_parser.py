@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from miflab import CapacityExceeded, ParseError, instance, parse_element, parse_mixed_word, small_group
+from miflab import CapacityExceeded, LimitGroup, ParseError, parse_element, parse_mixed_word, small_group
 from miflab import mixed_words as mw
 from miflab.parser import _Parser
 
@@ -118,6 +118,8 @@ def _splice(args):
 
 
 _S3 = small_group("S3")
+# one group for every example, so each window table is built once
+_NARROW = LimitGroup(2, "n", max_window_width=3)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -127,7 +129,7 @@ def test_single_reduce_matches_item_fold_limit_group(text):
     # a table (width 4 of c_n = n would pass 10^6 cosets).  The fold reduces
     # after every item, so it may meet such a constant before a later syntax
     # error; those texts say nothing about parsing and are skipped.
-    G = instance(2, "n", max_window_width=3)
+    G = _NARROW
     expected = _outcome(lambda: _fold_parse(text, G, None))
     assume(expected[0] != "CapacityExceeded")
     assert _outcome(lambda: parse_mixed_word(text, G)) == expected
