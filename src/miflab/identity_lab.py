@@ -120,6 +120,13 @@ class FiniteGroup:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
+    def product(self, factors) -> int:
+        """The product of `factors`, left to right: a fold through `table`."""
+        acc = self.identity
+        for a in factors:
+            acc = self.table[acc, a]
+        return int(acc)
+
     def inv(self, a: int) -> int:
         return int(self.inverse_table[a])
 

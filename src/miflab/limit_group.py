@@ -174,14 +174,7 @@ class GElement:
     # -- group operations ---------------------------------------------
 
     def __mul__(self, other: "GElement") -> "GElement":
-        if other.group is not self.group:
-            raise ValueError("cannot mix elements of different instances")
-        return GElement(
-            self.group,
-            self.a * shift(other.a, self.beta),
-            self.beta + other.beta,
-            t_free=self.t_free and other.t_free,
-        )
+        return self.group.product((self, other))
 
     def inverse(self) -> "GElement":
         return GElement(
@@ -325,6 +318,29 @@ class LimitGroup:
 
     def mul(self, g: GElement, h: GElement) -> GElement:
         return g * h
+
+    def product(self, factors) -> GElement:
+        """The product of `factors`, left to right, with one merge.
+
+        Each factor's letters are shifted by the sum of the betas before
+        it (`a t^b * a' t^b' = a shift(a', b) t^(b+b')`) and the whole
+        list is merged once.  Merging in the free product of the C_p is
+        confluent, so the letters, beta and `t_free` equal those of the
+        pairwise left fold.
+        """
+        letters = []
+        beta = 0
+        t_free = True
+        for g in factors:
+            if g.group is not self:
+                raise ValueError("cannot mix elements of different instances")
+            if beta:
+                letters.extend([(i + beta, e) for i, e in g.a.letters])
+            else:
+                letters.extend(g.a.letters)
+            beta += g.beta
+            t_free = t_free and g.t_free
+        return GElement(self, AWord(self.p, letters), beta, t_free=t_free)
 
     def inv(self, g: GElement) -> GElement:
         return g.inverse()

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import mixed_words as mw
 from .errors import CapacityExceeded, VerificationError
@@ -198,6 +199,39 @@ def candidate_elements(group: LimitGroup, bounds: SearchBounds):
                     yield GElement(group, word, -abs_beta)
 
 
+class SharedCandidates:
+    """`candidate_elements(group, bounds)` entered once and kept, so many
+    searches can share it.
+
+    Every iteration yields the same candidates in the same order; the
+    generator is advanced only past what an earlier iteration already
+    pulled.  An error it raises (a window past the caps) is raised again
+    to every later iteration that reaches that point.
+    """
+
+    def __init__(self, group: LimitGroup, bounds: SearchBounds):
+        self._source = candidate_elements(group, bounds)
+        self._kept = []
+        self._error = None
+
+    def __iter__(self):
+        kept = self._kept
+        i = 0
+        while True:
+            if i == len(kept):
+                if self._error is not None:
+                    raise self._error
+                try:
+                    kept.append(next(self._source))
+                except StopIteration:
+                    return
+                except Exception as exc:
+                    self._error = exc
+                    raise
+            yield kept[i]
+            i += 1
+
+
 @dataclass
 class FindResult:
     status: str
@@ -206,18 +240,26 @@ class FindResult:
     candidates_tried: int
 
 
-def find_witness(word: "mw.MixedWord", bounds: SearchBounds) -> FindResult:
+def find_witness(
+    word: "mw.MixedWord", bounds: SearchBounds, *, candidates=None
+) -> FindResult:
     """First candidate (canonical order) on which the word evaluates away
-    from the identity.  The witness re-verifies before being returned."""
+    from the identity.  The witness re-verifies before being returned.
+
+    `candidates` is the candidate order of `candidate_elements(word.group,
+    bounds)` to search, such as a `SharedCandidates` that many words
+    share; by default a fresh one.  At most `bounds.max_candidates` of
+    them are pulled.
+    """
     group = word.group
     if word.is_empty():
         raise ValueError("empty word has no witness")
     if any(v != 1 for v in word.variable_ids):
         raise ValueError("witness search expects a single-variable word")
+    if candidates is None:
+        candidates = candidate_elements(group, bounds)
     tried = 0
-    for g in candidate_elements(group, bounds):
-        if tried >= bounds.max_candidates:
-            break
+    for g in islice(candidates, bounds.max_candidates):
         tried += 1
         value = mw.evaluate(word, {1: g})
         if not value.is_trivial():
@@ -236,7 +278,8 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
 
     Each word is searched before the next one is enumerated, so a
     CapacityExceeded met while enumerating keeps every certificate made
-    before it, like one met while searching.
+    before it, like one met while searching.  All words search one
+    `SharedCandidates`, so each candidate is built once per run.
 
     The witness set F collects every recorded w_i(g_i).  Once the search
     stops (also on CapacityExceeded, when the partial log is returned
@@ -251,10 +294,11 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
     witness_set = []
     complete = True
     reason = None
+    candidates = SharedCandidates(group, bounds)
     try:
         words = iter_words(group, count, bounds.max_word_length)
         for i, (word, _) in enumerate(words, start=1):
-            result = find_witness(word, bounds)
+            result = find_witness(word, bounds, candidates=candidates)
             if result.status == WITNESS_FOUND:
                 certificates.append(
                     Certificate(
@@ -317,15 +361,19 @@ def verify_certificates(
 ) -> VerifyReport:
     """Independent re-check of a certificate stream.
 
-    Every witness is re-parsed and the word re-evaluated from scratch;
-    re-parse failures, trivial evaluations, and malformed rows are
-    failures.  SearchExhausted rows carry no claim and only need to be
-    well-formed.  Each limit group (p, c) is built once per call, under the
-    given caps, and a CapacityExceeded is raised, not recorded: a row that
-    cannot be checked within the caps has not failed.
+    Every word is re-parsed from its row's text and re-evaluated from
+    scratch; re-parse failures, trivial evaluations, and malformed rows
+    (also rows that are not JSON objects) are failures.  Only an object
+    with a `run_complete` key is the run summary.  SearchExhausted rows
+    carry no claim and only need to be well-formed.  Each limit group
+    (p, c) is built once per call, under the given caps, and each
+    distinct witness text is parsed once per group.  A CapacityExceeded
+    is raised, not recorded: a row that cannot be checked within the caps
+    has not failed.
     """
     report = VerifyReport(checked=0, witnesses_ok=0)
     groups: dict = {}
+    witnesses: dict = {}  # (group key, witness text) -> parsed witness
     if isinstance(lines, str):
         lines = lines.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -336,6 +384,9 @@ def verify_certificates(
             data = json.loads(raw)
         except json.JSONDecodeError:
             report.failures.append((lineno, "not valid JSON"))
+            continue
+        if not isinstance(data, dict):
+            report.failures.append((lineno, "not a JSON object"))
             continue
         if "run_complete" in data:
             continue
@@ -359,7 +410,10 @@ def verify_certificates(
             if status != WITNESS_FOUND:
                 report.failures.append((lineno, f"unknown status {status!r}"))
                 continue
-            witness = parse_element(data["witness"], group)
+            witness_key = (key, data["witness"])
+            witness = witnesses.get(witness_key)
+            if witness is None:
+                witness = witnesses[witness_key] = parse_element(data["witness"], group)
             value = mw.evaluate(word, {1: witness})
             if value.is_trivial():
                 report.failures.append((lineno, "witness evaluation is trivial"))

@@ -2,10 +2,11 @@
 
 A mixed word alternates constant syllables (nontrivial ambient-group
 elements) and variable syllables (x_i with a nonzero integer exponent).
-The ambient group is any context object providing `mul`, `inv`, `power`,
-`is_identity`, `identity_element`, `render_element` and `element_key`;
-both the limit-group instances and the finite-group lab satisfy this, so
-one word calculus serves both.  Constants of one word all belong to a
+The ambient group is any context object providing `mul`, `product` (of a
+sequence of elements, left to right), `inv`, `power`, `is_identity`,
+`identity_element`, `render_element` and `element_key`; both the
+limit-group instances and the finite-group lab satisfy this, so one word
+calculus serves both.  Constants of one word all belong to a
 single context; mixing contexts is an error.
 """
 
@@ -56,10 +57,7 @@ class MixedWord:
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("word contains variables")
-        acc = self.group.identity_element
-        for s in self.syllables:
-            acc = self.group.mul(acc, s[1])
-        return acc
+        return self.group.product(s[1] for s in self.syllables)
 
     @property
     def variable_ids(self) -> tuple[int, ...]:
@@ -180,18 +178,20 @@ def left_normed(words) -> MixedWord:
 
 def evaluate(word: MixedWord, assignment: dict):
     """Image of the word under the homomorphism fixing constants and
-    sending x_i to assignment[i]."""
+    sending x_i to assignment[i].
+
+    One `group.product` over the syllables' values; a variable syllable
+    x_i^e enters as `group.power(assignment[i], e)`, so a large exponent
+    costs O(log |e|) multiplications.
+    """
     group = word.group
     missing = [v for v in word.variable_ids if v not in assignment]
     if missing:
         raise ValueError(f"assignment missing variables {missing}")
-    acc = group.identity_element
-    for s in word.syllables:
-        if s[0] == CONST:
-            acc = group.mul(acc, s[1])
-        else:
-            acc = group.mul(acc, group.power(assignment[s[1]], s[2]))
-    return acc
+    return group.product([
+        s[1] if s[0] == CONST else group.power(assignment[s[1]], s[2])
+        for s in word.syllables
+    ])
 
 
 def iota_embed(word: MixedWord, g) -> MixedWord:

@@ -164,6 +164,19 @@ def test_verify_detects_forgery(tmp_path):
     assert json.loads(out)["failures"]
 
 
+def test_verify_lists_a_row_that_is_not_an_object(tmp_path):
+    certs = tmp_path / "certs.jsonl"
+    run_cli("drive", "--count", "3", "--out", str(certs))
+    lines = certs.read_text().splitlines()
+    lines.insert(2, "null")
+    certs.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli("--json", "verify", str(certs))
+    assert code == 3 and err == ""
+    data = json.loads(out)
+    assert data["failures"] == [{"line": 3, "reason": "not a JSON object"}]
+    assert data["checked"] == data["witnesses_ok"] == 3
+
+
 def test_exit_code_capacity():
     code, _, err = run_cli(
         "order", "--p", "2", "--c", "n", "--window", "0..4", "--max-cosets", "1000"

@@ -2,13 +2,15 @@
 
 import hashlib
 import json
-from itertools import product
+from collections import Counter
+from itertools import islice, product
 
 import pytest
 
 from miflab import CapacityExceeded, LimitGroup, VerificationError, parse_mixed_word
 from miflab import mif_search as ms
 from miflab import mixed_words as mw
+from miflab.coset_enum import CosetTable
 from miflab.limit_group import AWord, GElement
 
 
@@ -178,6 +180,32 @@ def test_verify_rejects_garbage_lines():
     assert not report.ok
 
 
+@pytest.mark.parametrize("row", ["5", "null", '"run_complete"', "[1, 2]", "true"])
+def test_verify_fails_rows_that_are_not_objects(default_group, row):
+    lines = ms.certificates_to_lines(ms.drive(default_group, 3), default_group).splitlines()
+    lines.insert(1, row)
+    report = ms.verify_certificates("\n".join(lines))
+    assert report.failures == [(2, "not a JSON object")]
+    assert report.checked == report.witnesses_ok == 3
+
+
+def test_verify_parses_each_witness_text_once(monkeypatch, default_group):
+    lines = ms.certificates_to_lines(ms.drive(default_group, 200), default_group)
+    parsed = Counter()
+    parse = ms.parse_element
+
+    def counted(text, group):
+        parsed[text] += 1
+        return parse(text, group)
+
+    monkeypatch.setattr(ms, "parse_element", counted)
+    report = ms.verify_certificates(lines)
+    assert report.ok and report.witnesses_ok == 200
+    witnesses = {json.loads(row)["witness"] for row in lines.splitlines()[:-1]}
+    assert parsed == Counter(witnesses)
+    assert len(witnesses) < 20
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         ms.SearchBounds(max_beta=-1)
@@ -220,6 +248,49 @@ def test_drive_work_is_linear_in_the_word_count(monkeypatch):
     assert calls[0] < 30_000
 
 
+def test_drive_builds_the_candidates_once_per_run(monkeypatch):
+    entered = [0]
+    walks = Counter()
+    evaluations = [0]
+    candidates, words, evaluate = ms.candidate_elements, CosetTable.words, mw.evaluate
+
+    def counted_candidates(group, bounds):
+        entered[0] += 1
+        return candidates(group, bounds)
+
+    def counted_words(self):
+        walks[id(self)] += 1
+        return words(self)
+
+    def counted_evaluate(word, assignment):
+        evaluations[0] += 1
+        return evaluate(word, assignment)
+
+    monkeypatch.setattr(ms, "candidate_elements", counted_candidates)
+    monkeypatch.setattr(CosetTable, "words", counted_words)
+    monkeypatch.setattr(mw, "evaluate", counted_evaluate)
+    result = ms.drive(LimitGroup(2, "n"), 800)
+    assert result.complete and len(result.certificates) == 800
+    assert entered[0] == 1
+    assert walks and max(walks.values()) == 1
+    # one evaluation per candidate tried, plus the re-check of each witness
+    witnesses = sum(c.status == ms.WITNESS_FOUND for c in result.certificates)
+    assert evaluations[0] == sum(c.candidates_tried for c in result.certificates) + witnesses
+
+
+def test_shared_candidates_repeat_the_order_and_its_errors(default_group):
+    bounds = ms.SearchBounds(max_support_radius=2, max_beta=1)
+    shared = ms.SharedCandidates(default_group, bounds)
+    first = [g.render() for g in islice(shared, 12)]
+    assert [g.render() for g in islice(shared, 20)][:12] == first
+    assert first == [g.render() for g in islice(ms.candidate_elements(default_group, bounds), 12)]
+    narrow = LimitGroup(2, "n", max_window_width=1)
+    shared = ms.SharedCandidates(narrow, bounds)
+    for _ in range(2):  # the radius-1 window (width 2) is refused every time
+        with pytest.raises(CapacityExceeded, match="window width 2"):
+            list(shared)
+
+
 def _patch_search(monkeypatch, words_searched, stop_with=None, forget=True):
     """After `words_searched` searches, the next search raises `stop_with`
     (if given) and, with `forget`, every recorded value canonicalises to the
@@ -229,10 +300,10 @@ def _patch_search(monkeypatch, words_searched, stop_with=None, forget=True):
     search = ms.find_witness
     canonical = LimitGroup.canonical_aword
 
-    def find_witness(word, bounds):
+    def find_witness(word, bounds, **kwargs):
         if searched[0] == words_searched and stop_with is not None:
             raise stop_with
-        result = search(word, bounds)
+        result = search(word, bounds, **kwargs)
         searched[0] += 1
         if result.value is not None:
             recorded.append(result.value.a)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from miflab import LimitGroup, evaluate, iota_embed, parse_mixed_word, sub_commutator
 from miflab import mixed_words as mw
+from miflab.identity_lab import FiniteGroup, small_group
+from miflab.limit_group import GElement, shift
 
 
 def test_reduce_free_cancellation(default_group):
@@ -229,6 +231,144 @@ def test_missing_assignment_rejected(default_group):
     G = default_group
     with pytest.raises(ValueError):
         evaluate(parse_mixed_word("x1 x2", G), {1: G.generator(0)})
+
+
+# -- one product per evaluation ---------------------------------------------------
+
+
+def _shift_and_merge(g, h):
+    """The product of two limit-group elements by its defining rule."""
+    return GElement(g.group, g.a * shift(h.a, g.beta), g.beta + h.beta, g.t_free and h.t_free)
+
+
+def _fold_evaluate(word, assignment, mul=None):
+    """`evaluate` as a left fold of pairwise products (`group.mul` unless
+    given), with x^e expanded to |e| factors x or x^-1: the reference the
+    one-product evaluation must match."""
+    group = word.group
+    mul = mul or group.mul
+    acc = group.identity_element
+    for s in word.syllables:
+        if s[0] == mw.CONST:
+            acc = mul(acc, s[1])
+            continue
+        g = assignment[s[1]] if s[2] > 0 else group.inv(assignment[s[1]])
+        for _ in range(abs(s[2])):
+            acc = mul(acc, g)
+    return acc
+
+
+def _assert_same_element(got, expected):
+    assert got.a.letters == expected.a.letters
+    assert got.beta == expected.beta
+    assert got.t_free == expected.t_free
+    assert got.abelianize() == expected.abelianize()
+
+
+def _seeded_element(G, rng):
+    letters = [(rng.randint(-2, 2), rng.randint(1, G.p - 1)) for _ in range(rng.randint(0, 4))]
+    return G.element(letters, rng.choice([-2, -1, 0, 0, 0, 1, 2]))
+
+
+@pytest.mark.parametrize("key", [(2, "n"), (3, "1,2")], ids=["2-n", "3-1,2"])
+def test_evaluate_matches_the_fold_on_seeded_words(key):
+    # unreduced words: adjacent constants and t-powers cancel across factors
+    G = _group(*key)
+    rng = random.Random(13)
+    for _ in range(300):
+        syllables = [
+            mw.var_syllable(rng.randint(1, 2), rng.choice([-3, -2, -1, 1, 2, 3]))
+            if rng.random() < 0.4
+            else mw.const_syllable(_seeded_element(G, rng))
+            for _ in range(rng.randint(0, 8))
+        ]
+        word = mw.MixedWord(G, syllables)
+        sigma = {1: _seeded_element(G, rng), 2: _seeded_element(G, rng)}
+        _assert_same_element(evaluate(word, sigma), _fold_evaluate(word, sigma, _shift_and_merge))
+
+
+@pytest.mark.parametrize(
+    "text, x, expected",
+    [
+        ("a0 x a0", "a0", "a0"),
+        ("a0 x a0", "a0 t", "a1 t"),
+        ("x^-1 a0 x", "t", "a-1"),
+        ("t x t^-1 x^-1", "a0 t^2", "a1 a0"),
+        ("x^-3 t^2 x^3", "t^-1", "t^2"),
+        ("x^2 a0 x^-2", "a0 a1", "a0 a1 a0 a1 a0 a1 a0 a1 a0"),
+    ],
+)
+def test_evaluate_cancels_across_factors(default_group, text, x, expected):
+    G = default_group
+    word = parse_mixed_word(text, G)
+    sigma = {1: G.parse(x)}
+    value = evaluate(word, sigma)
+    _assert_same_element(value, _fold_evaluate(word, sigma, _shift_and_merge))
+    assert value.render() == expected
+
+
+def test_two_factor_product_is_the_shift_and_merge_rule():
+    G = _group(3, "1,2")
+    rng = random.Random(5)
+    for _ in range(200):
+        g, h = _seeded_element(G, rng), _seeded_element(G, rng)
+        expected = _shift_and_merge(g, h)
+        _assert_same_element(g * h, expected)
+        _assert_same_element(G.product([g, h]), expected)
+    _assert_same_element(G.product([]), G.identity_element)
+    with pytest.raises(ValueError, match="cannot mix"):
+        G.product([G.generator(0), _group(2, "n").generator(0)])
+
+
+@pytest.mark.parametrize("name", ["S3", "D8"])
+def test_finite_group_product_matches_the_fold(name):
+    group = small_group(name)
+    rng = random.Random(7)
+    for _ in range(300):
+        syllables = [
+            mw.var_syllable(rng.randint(1, 2), rng.choice([-5, -2, -1, 1, 2, 7]))
+            if rng.random() < 0.5
+            else mw.const_syllable(rng.randrange(group.size))
+            for _ in range(rng.randint(0, 8))
+        ]
+        word = mw.MixedWord(group, syllables)
+        sigma = {1: rng.randrange(group.size), 2: rng.randrange(group.size)}
+        value = evaluate(word, sigma)
+        assert type(value) is int
+        assert value == _fold_evaluate(word, sigma)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_large_exponents_stay_cheap_on_a_finite_group(monkeypatch):
+    S3 = small_group("S3")
+    muls = _count_calls(monkeypatch, FiniteGroup, "mul")
+    for x in S3.elements():
+        expected = S3.identity
+        for _ in range(10**9 % S3.element_order(x)):
+            expected = S3.table[expected, x]
+        assert evaluate(mw.variable(S3, 1, 10**9), {1: x}) == expected
+    assert muls[0] <= S3.size * 2 * 30  # square-and-multiply, not 10^9 steps
+
+
+def test_large_exponents_stay_cheap_on_a_limit_group(monkeypatch, default_group):
+    G = default_group
+    muls = _count_calls(monkeypatch, GElement, "__mul__")
+    a0 = G.generator(0)
+    assert evaluate(mw.variable(G, 1, 10**9), {1: a0}).is_trivial()
+    assert evaluate(mw.variable(G, 1, 10**9 + 1), {1: a0}).render() == "a0"
+    assert evaluate(mw.variable(G, 1, -(10**9)), {1: G.t_power(1)}).render() == "t^-1000000000"
+    assert muls[0] <= 3 * 2 * 30
 
 
 # -- helpers -----------------------------------------------------------------------
