@@ -58,13 +58,13 @@ def _group(args) -> LimitGroup:
         raise ParseError(str(exc)) from exc
 
 
-def _bounds(args) -> SearchBounds:
+def _bounds(args, **kwargs) -> SearchBounds:
     try:
         return SearchBounds(
             max_support_radius=args.max_support_radius,
             max_beta=args.max_beta,
-            max_word_length=args.max_word_length,
             max_candidates=args.max_candidates,
+            **kwargs,
         )
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
@@ -82,7 +82,6 @@ def _add_search_flags(sub):
     _add_instance_flags(sub)
     sub.add_argument("--max-support-radius", type=int, default=3, dest="max_support_radius")
     sub.add_argument("--max-beta", type=int, default=3, dest="max_beta")
-    sub.add_argument("--max-word-length", type=int, default=16, dest="max_word_length")
     sub.add_argument("--max-candidates", type=int, default=100_000, dest="max_candidates")
 
 
@@ -184,8 +183,7 @@ def cmd_check(args) -> int:
 def cmd_grig(args) -> int:
     if args.grig_command == "act":
         try:
-            word = grigorchuk.reduce_word(args.word) if args.reduce else args.word
-            result = grigorchuk.act(word, args.string)
+            result = grigorchuk.act(args.word, args.string)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
         _emit(args, {"word": args.word, "string": args.string, "result": result}, result)
@@ -237,7 +235,7 @@ def cmd_search(args) -> int:
 
 def cmd_drive(args) -> int:
     group = _group(args)
-    bounds = _bounds(args)
+    bounds = _bounds(args, max_word_length=args.max_word_length)
     try:
         result = mif_search.drive(group, args.count, bounds)
     except ValueError as exc:
@@ -334,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     g1 = gsub.add_parser("act", help="apply a word to a binary string")
     g1.add_argument("--word", required=True)
     g1.add_argument("--string", required=True)
-    g1.add_argument("--reduce", action="store_true")
     g2 = gsub.add_parser("trivial", help="decide the word problem")
     g2.add_argument("--word", required=True)
     g3 = gsub.add_parser("verify-identity", help="check [[[[x,b],d],d],ada]=1 exhaustively")
@@ -349,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("drive", help="run the certificate-producing driver")
     _add_search_flags(sp)
     sp.add_argument("--count", type=int, default=50)
+    sp.add_argument("--max-word-length", type=int, default=16, dest="max_word_length")
     sp.add_argument("--out", help="certificate JSONL file (default: stdout)")
     sp.set_defaults(func=cmd_drive)
 

@@ -3,16 +3,18 @@
 A window group B([lo, hi]) retracts onto B([lo, hi-1]): setting the last
 generator to 1 leaves every relator that involves it freely trivial.  So
 the subgroup H generated by the other generators is a copy of the group
-one generator down, and B is enumerated as the [B:H] cosets of H, with
-H's table built the same way, recursively.  B acts on the pairs
-(coset Hg, retraction of g) coordinatewise; that action is transitive on
-[B:H] * |H| points, so it is the regular one.  A presentation without
-that retraction (a hand-made one, say) is enumerated over the trivial
-subgroup instead.  For (3, "2") on [0, 3] this is 81 cosets of a group of
-order 729 instead of 59,049 elements, and 2,268 relator scans instead of
-1,653,372.  The cap `max_cosets` bounds live cosets times |H|, so a
-window whose index is too large is refused while the working table is
-still small.
+one generator down, and B is enumerated as the [B:H] cosets of H.  H's
+table is the `below` table the caller passes (a limit group builds its
+widths in order, so it holds that table already and no window is
+enumerated twice), or else it is built the same way, recursively.  B acts
+on the pairs (coset Hg, retraction of g) coordinatewise; that action is
+transitive on [B:H] * |H| points, so it is the regular one.  A
+presentation without that retraction (a hand-made one, say) is enumerated
+over the trivial subgroup instead.  For (3, "2") on [0, 3] this is 81
+cosets of a group of order 729 instead of 59,049 elements, and 2,268
+relator scans instead of 1,653,372.  The cap `max_cosets` bounds live
+cosets times |H|, so a window whose index is too large is refused while
+the working table is still small.
 
 HLT-style relator scanning with immediate coincidence handling: dead
 cosets go through a union-find and are processed from a FIFO queue.  Row
@@ -79,10 +81,13 @@ class CosetTable:
     """Complete coset action of a window-group presentation.
 
     `action[x][c]` (one int32 array) is the image of coset c under column
-    x.  The constructor, for built and loaded tables alike, refuses with
-    VerificationError an action that is not a 2-D integer array with one
-    row per column and entries in [0, n), whose columns are not inverse
-    pairs, or whose numbering is not the canonical breadth-first one.
+    x; the table keeps that array (an int32 array it is given is kept as
+    it is) and makes it read-only, so the action stays the one that was
+    checked.  The constructor, for built and loaded tables alike, refuses
+    with VerificationError an action that is not a 2-D integer array with
+    one row per column and entries in [0, n), whose columns are not
+    inverse pairs, or whose numbering is not the canonical breadth-first
+    one.
     `parent[c]` and `via[c]` are the least (preimage, column) pair of c,
     where the sweep in column order first reaches it; the numbering is
     canonical iff parent[c] < c for c >= 1 and the keys
@@ -106,6 +111,7 @@ class CosetTable:
             raise corrupt(f"an entry lies outside [0, {n})")
         self.presentation = presentation
         self.action = action = action.astype(np.int32, copy=False)
+        action.flags.writeable = False
         self.stats = stats
         self.coset_count = n
         self.identity_coset = 0
@@ -162,7 +168,12 @@ class CosetTable:
         return self.word(self.trace_word(letters))
 
     def element_order(self, letters) -> int:
-        """Least k >= 1 with u^k at the identity coset."""
+        """Least k >= 1 with u^k at the identity coset.
+
+        Every column is a permutation (the constructor checks the inverse
+        pairs, and the action is read-only), so u permutes the cosets and
+        the orbit of the identity coset closes within `coset_count` steps.
+        """
         c = self.identity_coset
         k = 0
         cols = self._rows
@@ -173,8 +184,6 @@ class CosetTable:
             k += 1
             if c == self.identity_coset:
                 return k
-            if k > self.coset_count:
-                raise RuntimeError("element order exceeded the group order")
 
     # -- validation ---------------------------------------------------
 
@@ -331,8 +340,16 @@ def _coincide(cols: list[list[int]], uf: list[int], a: int, b: int) -> int:
     return killed
 
 
-def enumerate_presentation(pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
+def enumerate_presentation(
+    pres: Presentation, max_cosets: int = DEFAULT_MAX_COSETS, below: CosetTable | None = None
+) -> CosetTable:
     """Run the enumeration to completion and return the collapsed table.
+
+    `below`, if given, is the table of the retract: `pres` without its
+    last generator.  It is used in place of enumerating the retract again,
+    and ValueError is raised if `pres` has no retraction onto it, or if its
+    scan relators are not those of `pres` that avoid the last generator.
+    Without it the retract is enumerated first, recursively.
 
     Raises CapacityExceeded if the live cosets, times the order of the
     subgroup they are cosets of, would exceed `max_cosets`; a partial table
@@ -340,12 +357,44 @@ def enumerate_presentation(pres: Presentation, max_cosets: int = DEFAULT_MAX_COS
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
+    rels = scan_relators(pres)
+    ngens = pres.generator_count
+    sub = None
+    if below is not None:
+        kept = _retract_relators(ngens, rels)
+        if kept is None:
+            raise ValueError(f"the presentation of window {pres.window} has no retraction")
+        if (
+            below.presentation.generator_count != ngens - 1
+            or scan_relators(below.presentation) != kept
+        ):
+            q = below.presentation
+            raise ValueError(
+                f"the table of window {q.window} (p={q.p}, c={q.c.spec()}) is not the "
+                f"retract of window {pres.window} (p={pres.p}, c={pres.c.spec()})"
+            )
+        sub = below.action
     # the working tables are freed before the CosetTable checks its action
-    action, stats = _table(pres, pres.generator_count, scan_relators(pres), max_cosets)
+    action, stats = _table(pres, ngens, rels, max_cosets, sub)
     return CosetTable(pres, action, stats)
 
 
-def _table(pres: Presentation, ngens: int, rels, max_cosets: int) -> tuple[np.ndarray, EnumStats]:
+def _retract_relators(ngens: int, rels) -> list | None:
+    """The relators among `rels` that avoid the last generator b, if
+    deleting b leaves every relator that involves it freely trivial (so
+    b -> 1 is a retraction onto the group they present); None otherwise."""
+    b = 2 * ngens - 2  # column of the last generator; b + 1 is its inverse
+    kept, moved = [], []
+    for w in rels:
+        (moved if b in w or b + 1 in w else kept).append(w)
+    if ngens == 1 or any(_freely_reduced([x for x in w if x < b]) for w in moved):
+        return None
+    return kept
+
+
+def _table(
+    pres: Presentation, ngens: int, rels, max_cosets: int, sub: np.ndarray | None = None
+) -> tuple[np.ndarray, EnumStats]:
     """Canonical action of B = <a_0, ..., a_{ngens-1} | rels> and the
     counters of its top-level enumeration.
 
@@ -356,15 +405,15 @@ def _table(pres: Presentation, ngens: int, rels, max_cosets: int) -> tuple[np.nd
     enumerated, and B acts on the pairs (Hg, pi(g)) coordinatewise.  That
     action is transitive (the renumbering sweep checks it) on [B:H] * |B'|
     points, while |B| = [B:H] * |H|, so it is the regular one.  Otherwise
-    H is trivial.
+    H is trivial.  A caller that has checked the retraction and holds the
+    canonical action of B' passes it as `sub`, and B' is not built again.
     """
-    b = 2 * ngens - 2  # column of the last generator; b + 1 is its inverse
-    kept, moved = [], []
-    for w in rels:
-        (moved if b in w or b + 1 in w else kept).append(w)
-    if ngens == 1 or any(_freely_reduced([x for x in w if x < b]) for w in moved):
-        return _enumerate(pres, ngens, rels, max_cosets)
-    sub = _table(pres, ngens - 1, kept, max_cosets)[0]
+    if sub is None:
+        kept = _retract_relators(ngens, rels)
+        if kept is None:
+            return _enumerate(pres, ngens, rels, max_cosets)
+        sub = _table(pres, ngens - 1, kept, max_cosets)[0]
+    b = 2 * ngens - 2  # column of the last generator
     order = sub.shape[1]
     cosets, stats = _enumerate(pres, ngens, rels, max_cosets, order)
     # point k * order + h is the pair (coset k, element h of B'); b fixes h

@@ -185,6 +185,14 @@ class GElement:
         )
 
     def __pow__(self, k: int) -> "GElement":
+        """Square-and-multiply.  For beta == 0 an exponent past the coset
+        cap, which bounds every window order, is first reduced modulo the
+        element's order, so the letters stay short; a support past the
+        caps raises CapacityExceeded before any letter is built."""
+        if self.beta == 0 and abs(k) > self.group.max_cosets:
+            k %= self.order()
+            if k == 0:
+                return GElement(self.group, self.group.aword(), 0, t_free=self.t_free)
         if k == 0:
             return self.group.identity_element
         base = self if k > 0 else self.inverse()
@@ -364,13 +372,15 @@ class LimitGroup:
 
         Within the width bound the table one width down is got first, so a
         window past the coset cap is refused at the narrowest width that
-        breaks it, before any wider presentation is built.
+        breaks it, before any wider presentation is built; the enumeration
+        then takes that table as the retract instead of building it again.
         """
         tbl = self._tables.get(width)
         if tbl is not None:
             return tbl
+        below = None
         if 0 < width <= self.max_window_width:
-            self.table_for_width(width - 1)
+            below = self.table_for_width(width - 1)
         with self._build_lock:
             tbl = self._tables.get(width)
             if tbl is not None:
@@ -380,7 +390,7 @@ class LimitGroup:
             )
             tbl = self._load_cached(width, pres)
             if tbl is None:
-                tbl = enumerate_presentation(pres, self.max_cosets)
+                tbl = enumerate_presentation(pres, self.max_cosets, below=below)
                 self._store_cached(width, tbl)
             self._tables[width] = tbl
             return tbl

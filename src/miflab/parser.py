@@ -121,10 +121,19 @@ class _Parser:
 
 
 def _word_power(word: "mw.MixedWord", k: int) -> "mw.MixedWord":
+    """word^k.  A single syllable is raised in place (a variable's exponent
+    is multiplied, a constant goes through `group.power`), so its cost does
+    not grow with |k|; a longer word is repeated |k| times."""
+    group = word.group
     if k == 0:
-        return mw.MixedWord(word.group, ())
+        return mw.MixedWord(group, ())
+    if len(word.syllables) == 1:
+        s = word.syllables[0]
+        if s[0] == mw.CONST:
+            return mw.constant(group, group.power(s[1], k))
+        return mw.variable(group, s[1], s[2] * k)
     base = word if k > 0 else word.inverse()
-    return mw.reduce(word.group, base.syllables * abs(k))
+    return mw.reduce(group, base.syllables * abs(k))
 
 
 def parse_mixed_word(text: str, group, constants: dict | None = None) -> "mw.MixedWord":

@@ -114,11 +114,10 @@ def test_grig_subcommands():
     [
         ("grig", "act", "--word", "xb", "--string", "01"),
         ("grig", "act", "--word", "ab", "--string", "012"),
-        ("grig", "act", "--word", "abx", "--string", "01", "--reduce"),
         ("grig", "trivial", "--word", "abx"),
         ("grig", "verify-identity", "--max-len", "-1"),
     ],
-    ids=["act-word", "act-string", "act-reduce", "trivial", "verify-identity"],
+    ids=["act-word", "act-string", "trivial", "verify-identity"],
 )
 def test_grig_bad_input_is_a_parse_error(args):
     code, out, err = run_cli(*args)
@@ -140,6 +139,8 @@ def test_search():
     assert code == 0
     data = json.loads(out)
     assert data["status"] == "WitnessFound" and data["witness"] == "a0"
+    # the exponent is raised in place and reduced by each candidate's order
+    assert run_cli("search", "--word", "x^1000000000") == (0, "witness t\n", "")
 
 
 def test_drive_verify_round_trip(tmp_path):
@@ -334,8 +335,14 @@ def test_selftest_seeded():
         ("--threads", "1", "drive"),
         ("order", "--window", "0..1", "--max-beta", "1"),
         ("selftest", "--max-candidates", "5"),
+        # deleted flags: neither changed any output
+        ("search", "--word", "x", "--max-word-length", "5"),
+        ("grig", "act", "--word", "ab", "--string", "01", "--reduce"),
     ],
-    ids=["missing-required", "unknown-flag", "threads", "order-search-bound", "selftest-search-bound"],
+    ids=[
+        "missing-required", "unknown-flag", "threads", "order-search-bound",
+        "selftest-search-bound", "search-word-length", "grig-act-reduce",
+    ],
 )
 def test_usage_errors_are_parse_errors(args):
     code, out, err = run_cli(*args)

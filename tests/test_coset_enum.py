@@ -11,11 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from miflab import (
     CapacityExceeded,
+    LimitGroup,
     VerificationError,
     Window,
     build_window_presentation,
     enumerate_presentation,
 )
+from miflab import coset_enum
 from miflab.coset_enum import CosetTable, EnumStats, _enumerate, scan_relators
 from miflab.presentations import RelatorLabel, invert_word
 
@@ -464,6 +466,88 @@ def test_lifted_tables_equal_the_plain_enumeration(p, c, w):
     table = _grid_table(p, c, w)
     assert table.stats.subgroup_order == (_grid_table(p, c, w - 1).coset_count if w else 1)
     assert np.array_equal(table.action, _plain(table.presentation))
+
+
+def test_a_limit_group_enumerates_each_table_once(monkeypatch):
+    # one enumeration per table: each width takes the table one width down
+    # as its retract instead of enumerating the narrower windows again
+    # (51 enumerations for these 20 tables when it did)
+    calls = [0]
+    enumerate_ = coset_enum._enumerate
+
+    def counted(*args):
+        calls[0] += 1
+        return enumerate_(*args)
+
+    monkeypatch.setattr(coset_enum, "_enumerate", counted)
+    widest = {}
+    for p, c, w in PINNED_DIGESTS:
+        widest[p, c] = max(w, widest.get((p, c), 0))
+    tables = {}
+    for (p, c), w in widest.items():
+        G = LimitGroup(p, c)
+        G.table_for_width(w)
+        tables.update({(p, c, k): t for k, t in G.cached_tables().items()})
+    assert calls[0] == len(tables) == len(PINNED_DIGESTS) == 20
+    monkeypatch.undo()
+    for key, table in tables.items():
+        assert _digest(table) == PINNED_DIGESTS[key]
+        assert table.stats == _grid_table(*key).stats
+
+
+@pytest.mark.parametrize(
+    "p,c,w,below",
+    [
+        (2, "1,2", 4, (2, "n", 3)),
+        (3, "2", 3, (5, "1,2", 2)),
+        (2, "n", 3, (2, "n", 1)),
+        (2, "n", 2, (2, "n", 2)),
+    ],
+    ids=["wrong-c", "wrong-p", "two-widths-down", "same-width"],
+)
+def test_a_below_table_that_is_not_the_retract_is_refused(p, c, w, below):
+    pres = build_window_presentation(p, c, Window(0, w))
+    with pytest.raises(ValueError) as refused:
+        enumerate_presentation(pres, below=_grid_table(*below))
+    assert str(refused.value) == (
+        f"the table of window 0..{below[2]} (p={below[0]}, c={below[1]}) "
+        f"is not the retract of window 0..{w} (p={p}, c={c})"
+    )
+
+
+def test_a_below_table_needs_a_retraction():
+    below = _tiny_table(2, "1", 0, 0)
+    for pres in (NO_RETRACTION["C3"], _tiny_table(2, "1", 0, 0).presentation):
+        with pytest.raises(ValueError, match="has no retraction"):
+            enumerate_presentation(pres, below=below)
+
+
+def test_a_below_table_gives_the_table_of_the_recursion(tmp_path):
+    for p, c, w in [(2, "1,2", 4), (3, "2", 2), (5, "1,2", 2)]:
+        pres = build_window_presentation(p, c, Window(0, w))
+        table = enumerate_presentation(pres, below=_grid_table(p, c, w - 1))
+        assert np.array_equal(table.action, _grid_table(p, c, w).action)
+        assert table.stats == _grid_table(p, c, w).stats
+    # a table loaded from disk serves as well as a built one
+    below = _built_and_loaded(tmp_path, 2, "n", 2)[1]
+    pres = build_window_presentation(2, "n", Window(0, 3))
+    assert _digest(enumerate_presentation(pres, below=below)) == PINNED_DIGESTS[2, "n", 3]
+
+
+def _built_and_loaded(tmp_path, p, c, w):
+    built = LimitGroup(p, c, cache_dir=str(tmp_path)).table_for_width(w)
+    loaded = LimitGroup(p, c, cache_dir=str(tmp_path)).table_for_width(w)
+    assert built.stats is not None and loaded.stats is None
+    return built, loaded
+
+
+def test_the_action_is_read_only(tmp_path):
+    for table in _built_and_loaded(tmp_path, 2, "1,2", 2):
+        with pytest.raises(ValueError, match="read-only"):
+            table.action[0, 1] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            table.action[1][0] = 0
+        assert _digest(table) == PINNED_DIGESTS[2, "1,2", 2]
 
 
 NO_RETRACTION = {

@@ -273,9 +273,8 @@ def test_drive_builds_the_candidates_once_per_run(monkeypatch):
     assert result.complete and len(result.certificates) == 800
     assert entered[0] == 1
     assert walks and max(walks.values()) == 1
-    # one evaluation per candidate tried, plus the re-check of each witness
-    witnesses = sum(c.status == ms.WITNESS_FOUND for c in result.certificates)
-    assert evaluations[0] == sum(c.candidates_tried for c in result.certificates) + witnesses
+    # one evaluation per candidate tried
+    assert evaluations[0] == sum(c.candidates_tried for c in result.certificates)
 
 
 def test_shared_candidates_repeat_the_order_and_its_errors(default_group):

@@ -6,7 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from miflab import LimitGroup, evaluate, iota_embed, parse_mixed_word, sub_commutator
+from miflab import (
+    CapacityExceeded,
+    LimitGroup,
+    evaluate,
+    iota_embed,
+    parse_mixed_word,
+    sub_commutator,
+)
 from miflab import mixed_words as mw
 from miflab.identity_lab import FiniteGroup, small_group
 from miflab.limit_group import GElement, shift
@@ -368,7 +375,20 @@ def test_large_exponents_stay_cheap_on_a_limit_group(monkeypatch, default_group)
     assert evaluate(mw.variable(G, 1, 10**9), {1: a0}).is_trivial()
     assert evaluate(mw.variable(G, 1, 10**9 + 1), {1: a0}).render() == "a0"
     assert evaluate(mw.variable(G, 1, -(10**9)), {1: G.t_power(1)}).render() == "t^-1000000000"
+    # past the coset cap an exponent is reduced modulo the element's order,
+    # so a0 a1 (whose letters never cancel when squared) stays two letters
+    ab = G.parse("a0 a1")
+    assert evaluate(mw.variable(G, 1, 10**9), {1: ab}).is_trivial()
+    assert evaluate(mw.variable(G, 1, 10**9 + 1), {1: ab}).a.letters == ab.a.letters
+    # the parser raises a single letter or variable in place
+    word = parse_mixed_word("x^1000000000", G)
+    assert word.syllables == (mw.var_syllable(1, 10**9),)
+    assert evaluate(word, {1: ab}).is_trivial()
+    assert parse_mixed_word("a0^1000000001", G).render() == "a0"
     assert muls[0] <= 3 * 2 * 30
+    # a support past the caps is refused before any letter is built
+    with pytest.raises(CapacityExceeded, match="for window 0..4 "):
+        evaluate(mw.variable(G, 1, 10**9), {1: G.element([(0, 1), (5, 1)])})
 
 
 # -- helpers -----------------------------------------------------------------------
