@@ -365,16 +365,22 @@ def verify_certificates(
     Every word is re-parsed from its row's text and re-evaluated from
     scratch; re-parse failures, trivial evaluations, and malformed rows
     (also rows that are not JSON objects) are failures.  Only an object
-    with a `run_complete` key is the run summary.  SearchExhausted rows
-    carry no claim and only need to be well-formed.  Each limit group
-    (p, c) is built once per call, under the given caps, and each
-    distinct witness text is parsed once per group.  A CapacityExceeded
-    is raised, not recorded: a row that cannot be checked within the caps
-    has not failed.
+    with a `run_complete` key is the run summary; its `certificates` count
+    must equal the number of certificate rows since the previous summary,
+    so a log cut short under its summary fails.  SearchExhausted rows carry
+    no claim and only need to be well-formed.  Each limit group (p, c) is
+    built once per call, under the given caps.  Per group, each distinct
+    witness text is parsed once, and each distinct non-commutator item text
+    of the words (`a0`, `t^-1`, `x^2`) is built once, through one `items`
+    memo that every word of the group shares; each word is still reduced
+    from its own text.  A CapacityExceeded is raised, not recorded: a row
+    that cannot be checked within the caps has not failed.
     """
     report = VerifyReport(checked=0, witnesses_ok=0)
     groups: dict = {}
     witnesses: dict = {}  # (group key, witness text) -> parsed witness
+    items: dict = {}  # group key -> the item memo of its words
+    rows = 0  # certificate rows since the last run summary
     if isinstance(lines, str):
         lines = lines.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -390,7 +396,14 @@ def verify_certificates(
             report.failures.append((lineno, "not a JSON object"))
             continue
         if "run_complete" in data:
+            recorded = data.get("certificates")
+            if type(recorded) is not int or recorded != rows:
+                report.failures.append(
+                    (lineno, f"run summary counts {recorded!r} certificates, the log has {rows}")
+                )
+            rows = 0
             continue
+        rows += 1
         report.checked += 1
         try:
             inst = data["instance"]
@@ -400,7 +413,8 @@ def verify_certificates(
                 group = groups[key] = LimitGroup(
                     *key, max_cosets=max_cosets, max_window_width=max_window_width
                 )
-            word = parse_mixed_word(data["word"], group)
+                items[key] = {}
+            word = parse_mixed_word(data["word"], group, items=items[key])
             status = data["status"]
             if status == TRIVIAL_IN_FREE_PRODUCT:
                 if not word.is_empty():

@@ -14,6 +14,22 @@ Grammar (whitespace separates items; items multiply left to right):
 
 Parsing returns a reduced MixedWord over the given context; a word with
 no variables can be collapsed to a group element.
+
+Every item that is not a commutator (an atom token plus its optional
+`^k`, such as `a0`, `t^-1` or `x^2`) is built once per distinct text
+and kept in the `items` memo, which maps the item text to its reduced
+syllables; later occurrences of the same text reuse them.  By default
+each parse has its own memo.  A caller that parses many texts over one
+context, such as `verify_certificates`, passes one dict to all of them,
+so each distinct item is built once; the dict must only ever see that one
+group and binding map.  A commutator item is built afresh, from items
+looked up the same way.  An item that fails to parse leaves no entry.
+
+The parser bounds every syllable list it writes out by `MAX_SYLLABLES`:
+a word power or a commutator step that would pass it raises
+CapacityExceeded before its list is built, and so does a word once its
+items, before reduction, pass it (the list then holds at most one item
+more than the limit).
 """
 
 from __future__ import annotations
@@ -21,7 +37,10 @@ from __future__ import annotations
 import re
 
 from . import mixed_words as mw
-from .errors import ParseError
+from .errors import CapacityExceeded, ParseError
+
+# Most syllables the parser writes out in one list before reducing it.
+MAX_SYLLABLES = 100_000
 
 _TOKEN = re.compile(
     r"""
@@ -47,10 +66,11 @@ def tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, group, constants: dict | None):
+    def __init__(self, text: str, group, constants: dict | None, items: dict | None = None):
         self.text = text
         self.group = group
         self.constants = constants
+        self.items = {} if items is None else items
         self.tokens = tokenize(text)
         self.pos = 0
 
@@ -62,57 +82,84 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def take_power(self) -> str:
+        """The `^k` token after an atom, consumed, or "" if there is none."""
+        pos = self.pos
+        if pos < len(self.tokens) and self.tokens[pos][0] == "pow":
+            self.pos = pos + 1
+            return self.tokens[pos][1]
+        return ""
+
     def parse_word(self, stop=()) -> "mw.MixedWord":
         syllables = []
         while True:
             kind, _ = self.peek()
             if kind is None or kind in stop:
                 return mw.reduce(self.group, syllables)
-            syllables.extend(self.parse_item().syllables)
+            syllables.extend(self.parse_item())
+            if len(syllables) > MAX_SYLLABLES:
+                _refuse(len(syllables), "the word")
 
-    def parse_item(self) -> "mw.MixedWord":
-        atom = self.parse_atom()
-        kind, val = self.peek()
-        if kind == "pow":
-            self.take()
-            k = int(val[1:])
-            atom = _word_power(atom, k)
-        return atom
-
-    def parse_atom(self) -> "mw.MixedWord":
+    def parse_item(self) -> tuple:
+        """The reduced syllables of the next item.  A commutator is built
+        afresh; any other item is looked up by its text in `items` and built
+        only if it is not there."""
         kind, val = self.take()
         if kind == "lbrack":
-            parts = [self.parse_word(stop=("comma", "rbrack"))]
-            while True:
-                k, _ = self.take()
-                if k == "rbrack":
-                    break
-                if k != "comma":
-                    raise ParseError(f"expected ',' or ']' in {self.text!r}")
-                parts.append(self.parse_word(stop=("comma", "rbrack")))
-            if len(parts) < 2:
-                raise ParseError("commutator needs at least two entries")
-            return mw.left_normed(parts)
+            word = self.parse_commutator()
+            return _word_power(word, self.take_power()).syllables
+        if kind not in ("name", "paren", "one"):
+            raise ParseError(f"unexpected token {val!r} in {self.text!r}")
+        power = self.take_power()
+        text = val + power
+        syllables = self.items.get(text)
+        if syllables is None:
+            syllables = self.items[text] = self._build_item(kind, val, power)
+        return syllables
+
+    def _build_item(self, kind: str, val: str, power: str) -> tuple:
+        return _word_power(self.parse_atom(kind, val), power).syllables
+
+    def parse_commutator(self) -> "mw.MixedWord":
+        """The left-normed commutator after a '['; each step's expansion is
+        checked against MAX_SYLLABLES before it is written out."""
+        parts = [self.parse_word(stop=("comma", "rbrack"))]
+        while True:
+            k, _ = self.take()
+            if k == "rbrack":
+                break
+            if k != "comma":
+                raise ParseError(f"expected ',' or ']' in {self.text!r}")
+            parts.append(self.parse_word(stop=("comma", "rbrack")))
+        if len(parts) < 2:
+            raise ParseError("commutator needs at least two entries")
+        acc = parts[0]
+        for part in parts[1:]:
+            length = 2 * (len(acc.syllables) + len(part.syllables))
+            if length > MAX_SYLLABLES:
+                _refuse(length, "a commutator")
+            acc = mw.commutator(acc, part)
+        return acc
+
+    def parse_atom(self, kind: str, val: str) -> "mw.MixedWord":
         if kind == "one":
             return mw.MixedWord(self.group, ())
         if kind == "paren":
             return self._constant(val)
-        if kind == "name":
-            head = val[0]
-            rest = val[1:]
-            if head == "x" and (rest == "" or re.fullmatch(r"\d+", rest)):
-                vid = 1 if rest == "" else int(rest)
-                if vid < 1:
-                    raise ParseError(f"variable ids start at 1: {val!r}")
-                return mw.variable(self.group, vid)
-            if self.constants is None:
-                if head == "a" and re.fullmatch(r"-?\d+", rest):
-                    return mw.constant(self.group, self.group.generator(int(rest)))
-                if val == "t":
-                    return mw.constant(self.group, self.group.t_power(1))
-                raise ParseError(f"unknown generator {val!r} in {self.text!r}")
-            return self._constant(val)
-        raise ParseError(f"unexpected token {val!r} in {self.text!r}")
+        head = val[0]
+        rest = val[1:]
+        if head == "x" and (rest == "" or re.fullmatch(r"\d+", rest)):
+            vid = 1 if rest == "" else int(rest)
+            if vid < 1:
+                raise ParseError(f"variable ids start at 1: {val!r}")
+            return mw.variable(self.group, vid)
+        if self.constants is None:
+            if head == "a" and re.fullmatch(r"-?\d+", rest):
+                return mw.constant(self.group, self.group.generator(int(rest)))
+            if val == "t":
+                return mw.constant(self.group, self.group.t_power(1))
+            raise ParseError(f"unknown generator {val!r} in {self.text!r}")
+        return self._constant(val)
 
     def _constant(self, name: str) -> "mw.MixedWord":
         if self.constants is None or name not in self.constants:
@@ -120,10 +167,22 @@ class _Parser:
         return mw.constant(self.group, self.constants[name])
 
 
-def _word_power(word: "mw.MixedWord", k: int) -> "mw.MixedWord":
-    """word^k.  A single syllable is raised in place (a variable's exponent
-    is multiplied, a constant goes through `group.power`), so its cost does
-    not grow with |k|; a longer word is repeated |k| times."""
+def _refuse(syllables: int, what: str):
+    raise CapacityExceeded(
+        f"{what} would write out {syllables} syllables, "
+        f"past the parser's limit of {MAX_SYLLABLES}"
+    )
+
+
+def _word_power(word: "mw.MixedWord", power: str) -> "mw.MixedWord":
+    """word^k for the power token `power` = "^k"; the word itself if
+    `power` is "".  A single syllable is raised in place (a variable's
+    exponent is multiplied, a constant goes through `group.power`), so its
+    cost does not grow with |k|; a longer word is repeated |k| times, if
+    that stays within MAX_SYLLABLES."""
+    if not power:
+        return word
+    k = int(power[1:])
     group = word.group
     if k == 0:
         return mw.MixedWord(group, ())
@@ -132,17 +191,25 @@ def _word_power(word: "mw.MixedWord", k: int) -> "mw.MixedWord":
         if s[0] == mw.CONST:
             return mw.constant(group, group.power(s[1], k))
         return mw.variable(group, s[1], s[2] * k)
+    n = len(word.syllables)
+    if n * abs(k) > MAX_SYLLABLES:
+        _refuse(n * abs(k), f"the power ^{k} of a {n}-syllable word")
     base = word if k > 0 else word.inverse()
     return mw.reduce(group, base.syllables * abs(k))
 
 
-def parse_mixed_word(text: str, group, constants: dict | None = None) -> "mw.MixedWord":
+def parse_mixed_word(
+    text: str, group, constants: dict | None = None, *, items: dict | None = None
+) -> "mw.MixedWord":
     """Parse `text` over the given context.
 
     In limit-group mode (constants=None) the indexed letters and t are
     available; in finite-group mode constants come from the binding map.
+    `items` is the item memo (see the module docstring): pass one dict to
+    every parse over the same `group` and `constants` to build each
+    distinct item once; by default the parse has its own.
     """
-    parser = _Parser(text, group, constants)
+    parser = _Parser(text, group, constants, items)
     word = parser.parse_word()
     if parser.pos != len(parser.tokens):
         raise ParseError(f"trailing input in {text!r}")

@@ -143,6 +143,16 @@ def test_search():
     assert run_cli("search", "--word", "x^1000000000") == (0, "witness t\n", "")
 
 
+def test_search_refuses_a_long_word_power():
+    code, out, err = run_cli("search", "--word", "[x,a0]^1000000000")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "error": "capacity",
+        "detail": "the power ^1000000000 of a 4-syllable word would write out "
+        "4000000000 syllables, past the parser's limit of 100000",
+    }
+
+
 def test_drive_verify_round_trip(tmp_path):
     certs = tmp_path / "certs.jsonl"
     code, _, _ = run_cli("drive", "--count", "8", "--out", str(certs))
@@ -163,6 +173,20 @@ def test_verify_detects_forgery(tmp_path):
     code, out, _ = run_cli("--json", "verify", str(certs))
     assert code == 3
     assert json.loads(out)["failures"]
+
+
+def test_verify_fails_a_truncated_log(tmp_path):
+    certs = tmp_path / "certs.jsonl"
+    run_cli("drive", "--count", "50", "--out", str(certs))
+    lines = certs.read_text().splitlines()
+    certs.write_text("\n".join(lines[:10] + lines[-1:]) + "\n")
+    code, out, _ = run_cli("--json", "verify", str(certs))
+    assert code == 3
+    assert json.loads(out) == {
+        "checked": 10,
+        "witnesses_ok": 10,
+        "failures": [{"line": 11, "reason": "run summary counts 50 certificates, the log has 10"}],
+    }
 
 
 def test_verify_lists_a_row_that_is_not_an_object(tmp_path):

@@ -7,9 +7,10 @@ from itertools import islice, product
 
 import pytest
 
-from miflab import CapacityExceeded, LimitGroup, VerificationError, parse_mixed_word
+from miflab import CapacityExceeded, LimitGroup, VerificationError, parse_element, parse_mixed_word
 from miflab import mif_search as ms
 from miflab import mixed_words as mw
+from miflab.parser import _Parser
 from miflab.coset_enum import CosetTable
 from miflab.limit_group import AWord, GElement
 
@@ -204,6 +205,94 @@ def test_verify_parses_each_witness_text_once(monkeypatch, default_group):
     witnesses = {json.loads(row)["witness"] for row in lines.splitlines()[:-1]}
     assert parsed == Counter(witnesses)
     assert len(witnesses) < 20
+
+
+def test_verify_builds_each_item_text_of_the_words_once(monkeypatch):
+    """The words of one group share one item memo.  A witness text builds
+    its own items when it is parsed (once, see above), so only builds made
+    while parsing a word are counted."""
+    group = LimitGroup(2, "n")
+    lines = ms.certificates_to_lines(ms.drive(group, 800), group)
+    built = Counter()
+    in_word = [False]
+    parse, build = ms.parse_mixed_word, _Parser._build_item
+
+    def word_parse(*args, **kwargs):
+        in_word[0] = True
+        try:
+            return parse(*args, **kwargs)
+        finally:
+            in_word[0] = False
+
+    def counted(self, kind, val, power):
+        if in_word[0]:
+            built[val + power] += 1
+        return build(self, kind, val, power)
+
+    monkeypatch.setattr(ms, "parse_mixed_word", word_parse)
+    monkeypatch.setattr(_Parser, "_build_item", counted)
+    report = ms.verify_certificates(lines)
+    assert report.ok and report.witnesses_ok == 800
+    # the 800 words hold 2,780 item tokens
+    assert built and max(built.values()) == 1
+    assert len(built) < 40
+
+
+def test_verify_fails_a_log_cut_under_its_summary(default_group):
+    *rows, summary = ms.certificates_to_lines(ms.drive(default_group, 50), default_group).splitlines()
+    assert json.loads(summary) == {"certificates": 50, "run_complete": True}
+    report = ms.verify_certificates(rows[:10] + [summary])
+    assert report.checked == report.witnesses_ok == 10
+    assert report.failures == [(11, "run summary counts 50 certificates, the log has 10")]
+    report = ms.verify_certificates(rows[:10] + ['{"run_complete":true}'])
+    assert report.failures == [(11, "run summary counts None certificates, the log has 10")]
+
+
+def test_verify_accepts_the_partial_log_of_a_refused_drive():
+    narrow = LimitGroup(2, "n", max_window_width=2)
+    partial = ms.drive(narrow, 1130)
+    assert not partial.complete and len(partial.certificates) == 1120
+    report = ms.verify_certificates(ms.certificates_to_lines(partial, narrow))
+    assert report.ok and report.checked == report.witnesses_ok == 1120
+
+
+def _forged(rows, i, field, value):
+    data = json.loads(rows[i])
+    if field == "c":
+        data["instance"]["c"] = value
+    else:
+        data[field] = value
+    return rows[:i] + [json.dumps(data, sort_keys=True)] + rows[i + 1:]
+
+
+def test_verify_fails_exactly_the_forged_row(default_group):
+    """Every row shares the item memo of its group, and a forged row still
+    fails on its own text."""
+    lines = ms.certificates_to_lines(ms.drive(default_group, 200), default_group).splitlines()
+    rows = [json.loads(row) for row in lines[:-1]]
+    assert ms.verify_certificates(lines).ok
+    for i in range(0, 200, 10):
+        row = rows[i]
+        # w a0 evaluates to w(g) a0, which is not w(g)
+        forgeries = [("word", row["word"] + " a0"), ("evaluation_normal_form", row["evaluation_normal_form"] + " a9")]
+        if row["witness"] != "1":
+            # the identity is the first candidate, so a later witness means w(1) = 1
+            forgeries.append(("witness", "1"))
+        for field, value in forgeries:
+            report = ms.verify_certificates(_forged(lines, i, field, value))
+            assert [line for line, _ in report.failures] == [i + 1], (i, field)
+    # a certificate moved to another instance fails exactly where its recorded
+    # value is not the value in that instance
+    other = LimitGroup(2, "2")
+    moved = 0
+    for i in range(0, 200, 5):
+        row = rows[i]
+        value = mw.evaluate(parse_mixed_word(row["word"], other), {1: parse_element(row["witness"], other)})
+        false_there = value.render_canonical() != row["evaluation_normal_form"]
+        moved += false_there
+        report = ms.verify_certificates(_forged(lines, i, "c", "2"))
+        assert [line for line, _ in report.failures] == ([i + 1] if false_there else []), i
+    assert moved
 
 
 def test_bounds_validation():

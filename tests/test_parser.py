@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from miflab import CapacityExceeded, LimitGroup, ParseError, parse_element, parse_mixed_word, small_group
 from miflab import mixed_words as mw
+from miflab import parser
 from miflab.parser import _Parser
 
 
@@ -45,6 +46,23 @@ def test_word_power_expansion(default_group):
     assert parse_mixed_word("x^0", G).is_empty()
 
 
+def test_word_powers_and_commutators_are_bounded(monkeypatch, default_group):
+    G = default_group
+    # refused from the lengths, before the 4 * 10^9 syllables are written out
+    with pytest.raises(CapacityExceeded, match="4000000000 syllables, past the parser's limit of 100000"):
+        parse_mixed_word("[x,a0]^1000000000", G)
+    # each step of a left-normed commutator about doubles its length
+    with pytest.raises(CapacityExceeded, match="a commutator would write out"):
+        parse_mixed_word("[x" + ", t" * 20 + "]", G)
+    monkeypatch.setattr(parser, "MAX_SYLLABLES", 8)
+    assert len(parse_mixed_word("[x,a0]^2", G).syllables) == 8
+    with pytest.raises(CapacityExceeded, match="the power \\^-3 of a 4-syllable word would write out 12 "):
+        parse_mixed_word("[x,a0]^-3", G)
+    with pytest.raises(CapacityExceeded, match="the word would write out 9 "):
+        parse_mixed_word("x " * 9, G)
+    assert parse_mixed_word("x^1000000000", G).render() == "x^1000000000"
+
+
 def test_finite_group_constants():
     S3 = small_group("S3")
     w = parse_mixed_word("[x, (123)]", S3, constants=S3.constants())
@@ -77,7 +95,7 @@ class _FoldParser(_Parser):
             kind, _ = self.peek()
             if kind is None or kind in stop:
                 return acc
-            acc = acc.concat(self.parse_item())
+            acc = acc.concat(mw.MixedWord(self.group, self.parse_item()))
 
 
 def _outcome(parse):
@@ -142,3 +160,44 @@ def test_single_reduce_matches_item_fold_finite_group(text):
     assert _outcome(lambda: parse_mixed_word(text, _S3, consts)) == _outcome(
         lambda: _fold_parse(text, _S3, consts)
     )
+
+
+# -- one item memo shared by many parses -------------------------------------------
+
+
+def _check_shared(text, group, constants, items):
+    """Parsing through the shared memo gives what a fresh parse gives, and
+    every entry it holds is what a fresh parse of the entry's text gives, so
+    no text that failed to build is among them."""
+    shared = _outcome(lambda: parse_mixed_word(text, group, constants, items=items))
+    assert shared == _outcome(lambda: parse_mixed_word(text, group, constants))
+    for item, syllables in items.items():
+        assert mw.MixedWord(group, syllables) == parse_mixed_word(item, group, constants)
+
+
+# one memo per context for every example of the stream
+_NARROW_ITEMS: dict = {}
+_S3_ITEMS: dict = {}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_texts(["a0", "a1", "a-1", "t", "x", "x2", "1"]))
+def test_shared_items_match_fresh_parses_limit_group(text):
+    _check_shared(text, _NARROW, None, _NARROW_ITEMS)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_texts(["(12)", "(123)", "(13)", "e", "x", "x2", "1"]))
+def test_shared_items_match_fresh_parses_finite_group(text):
+    _check_shared(text, _S3, _S3.constants(), _S3_ITEMS)
+
+
+def test_shared_items_keep_no_failed_item(default_group):
+    G = default_group
+    items = {}
+    for bad in ["a0 x0", "t^-1 q7", "[x, a0] ]"]:
+        with pytest.raises(ParseError):
+            parse_mixed_word(bad, G, items=items)
+    # items built before the failure stay; the failed ones and commutators do not
+    assert sorted(items) == ["a0", "t^-1", "x"]
+    assert parse_mixed_word("a0 t^-1 x", G, items=items) == parse_mixed_word("a0 t^-1 x", G)
