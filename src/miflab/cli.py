@@ -218,7 +218,10 @@ def cmd_search(args) -> int:
     if word.is_empty():
         _emit(args, {"word": args.word, "status": mif_search.TRIVIAL_IN_FREE_PRODUCT}, "trivial in free product")
         return EXIT_OK
-    result = mif_search.find_witness(word, bounds)
+    try:
+        result = mif_search.find_witness(word, bounds)
+    except ValueError as exc:  # a word in more than one variable
+        raise ParseError(str(exc)) from exc
     payload = {
         "word": word.render(),
         "status": result.status,

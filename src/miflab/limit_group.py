@@ -8,11 +8,10 @@ a_i -> a_{i+1}, and every G-element has the normal form a * t^beta.
 
 Window tables are cached per support width (shift equivariance makes
 windows of equal width isomorphic via index translation), built at most
-once each, and immutable afterwards, so completed tables can be queried
-from any thread.  With a cache directory, each table's int32 action is
-also kept on disk as `table-<digest>.npy` (the suffix versions the
-format; files of another format are ignored) and goes through the same
-`CosetTable` checks when it is loaded.
+once each, and immutable afterwards.  With a cache directory, each
+table's int32 action is also kept on disk as `table-<digest>.npy` (the
+suffix versions the format; files of another format are ignored) and
+goes through the same `CosetTable` checks when it is loaded.
 """
 
 from __future__ import annotations
@@ -21,13 +20,12 @@ import hashlib
 import math
 import os
 import tempfile
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coset_enum import CosetTable, enumerate_presentation
-from .errors import CapacityExceeded, ParseError, VerificationError
+from .errors import ParseError, VerificationError
 from .presentations import (
     DEFAULT_MAX_COSETS,
     DEFAULT_MAX_WINDOW_WIDTH,
@@ -132,11 +130,13 @@ def render_aword(u: AWord) -> str:
 class AbelianImage:
     """Abelianization data for a G-element.
 
-    kind "index_vector": the element was built t-free, and `vector` holds
-    index-wise exponent sums mod p (a homomorphism on the subgroup A).
-    kind "collapsed": t was involved, and only the pair (total exponent
-    sum mod p, beta) is a sound invariant, since conjugation by t shifts
-    indices.
+    kind "index_vector": beta == 0, so the element lies in A, and `vector`
+    holds its index-wise exponent sums mod p.  Every relator of A is a
+    p-th power or a commutator, so A^ab is the direct sum of the C_p on
+    the a_i and the vector is that map: a nonzero vector proves the
+    element nontrivial, whatever word built it.
+    kind "collapsed": beta != 0, and only the pair (total exponent sum
+    mod p, beta) is reported, since conjugation by t shifts indices.
     """
 
     kind: str
@@ -155,20 +155,17 @@ class GElement:
     """Element of G in the normal form a * t^beta.
 
     The carried AWord is unreduced; the canonical window-group form is
-    computed on demand and cached.  `t_free` records whether the element
-    was built purely from A-generators (it controls only how `abelianize`
-    reports, never group semantics).
+    computed on demand and cached.  The element lies in A iff beta == 0.
     """
 
-    __slots__ = ("group", "a", "beta", "t_free", "_canon")
+    __slots__ = ("group", "a", "beta", "_canon")
 
-    def __init__(self, group: "LimitGroup", a: AWord, beta: int = 0, t_free=None):
+    def __init__(self, group: "LimitGroup", a: AWord, beta: int = 0):
         if a.p != group.p:
             raise ValueError("AWord does not match the group's p")
         self.group = group
         self.a = a
         self.beta = beta
-        self.t_free = (beta == 0) if t_free is None else bool(t_free)
         self._canon = None
 
     # -- group operations ---------------------------------------------
@@ -177,12 +174,7 @@ class GElement:
         return self.group.product((self, other))
 
     def inverse(self) -> "GElement":
-        return GElement(
-            self.group,
-            shift(self.a.inverse(), -self.beta),
-            -self.beta,
-            t_free=self.t_free,
-        )
+        return GElement(self.group, shift(self.a.inverse(), -self.beta), -self.beta)
 
     def __pow__(self, k: int) -> "GElement":
         """Square-and-multiply.  For beta == 0 an exponent past the coset
@@ -191,8 +183,6 @@ class GElement:
         caps raises CapacityExceeded before any letter is built."""
         if self.beta == 0 and abs(k) > self.group.max_cosets:
             k %= self.order()
-            if k == 0:
-                return GElement(self.group, self.group.aword(), 0, t_free=self.t_free)
         if k == 0:
             return self.group.identity_element
         base = self if k > 0 else self.inverse()
@@ -234,7 +224,7 @@ class GElement:
         return self.group.aword_order(canon)
 
     def abelianize(self) -> AbelianImage:
-        if self.t_free:
+        if self.beta == 0:
             return AbelianImage(
                 "index_vector", self.a.index_vector(), self.a.total_exponent(), self.beta
             )
@@ -293,29 +283,28 @@ class LimitGroup:
         self.max_window_width = max_window_width
         self.cache_dir = cache_dir if cache_dir is not None else os.environ.get("MIFLAB_CACHE")
         self._tables: dict[int, CosetTable] = {}
-        self._build_lock = threading.Lock()
 
     # -- element constructors -------------------------------------------
 
     def aword(self, items=()) -> AWord:
         return AWord(self.p, items)
 
-    def element(self, a=None, beta: int = 0, t_free=None) -> GElement:
+    def element(self, a=None, beta: int = 0) -> GElement:
         if a is None:
             a = self.aword()
         elif not isinstance(a, AWord):
             a = self.aword(a)
-        return GElement(self, a, beta, t_free=t_free)
+        return GElement(self, a, beta)
 
     @property
     def identity_element(self) -> GElement:
-        return GElement(self, self.aword(), 0, t_free=True)
+        return GElement(self, self.aword(), 0)
 
     def generator(self, i: int, exp: int = 1) -> GElement:
-        return GElement(self, self.aword([(i, exp)]), 0, t_free=True)
+        return GElement(self, self.aword([(i, exp)]), 0)
 
     def t_power(self, k: int = 1) -> GElement:
-        return GElement(self, self.aword(), k, t_free=(k == 0))
+        return GElement(self, self.aword(), k)
 
     def parse(self, text: str) -> GElement:
         from .parser import parse_element
@@ -333,12 +322,11 @@ class LimitGroup:
         Each factor's letters are shifted by the sum of the betas before
         it (`a t^b * a' t^b' = a shift(a', b) t^(b+b')`) and the whole
         list is merged once.  Merging in the free product of the C_p is
-        confluent, so the letters, beta and `t_free` equal those of the
-        pairwise left fold.
+        confluent, so the letters and beta equal those of the pairwise left
+        fold.
         """
         letters = []
         beta = 0
-        t_free = True
         for g in factors:
             if g.group is not self:
                 raise ValueError("cannot mix elements of different instances")
@@ -347,8 +335,7 @@ class LimitGroup:
             else:
                 letters.extend(g.a.letters)
             beta += g.beta
-            t_free = t_free and g.t_free
-        return GElement(self, AWord(self.p, letters), beta, t_free=t_free)
+        return GElement(self, AWord(self.p, letters), beta)
 
     def inv(self, g: GElement) -> GElement:
         return g.inverse()
@@ -381,22 +368,13 @@ class LimitGroup:
         below = None
         if 0 < width <= self.max_window_width:
             below = self.table_for_width(width - 1)
-        with self._build_lock:
-            tbl = self._tables.get(width)
-            if tbl is not None:
-                return tbl
-            pres = build_window_presentation(
-                self.p, self.c, Window(0, width), self.max_window_width
-            )
-            tbl = self._load_cached(width, pres)
-            if tbl is None:
-                tbl = enumerate_presentation(pres, self.max_cosets, below=below)
-                self._store_cached(width, tbl)
-            self._tables[width] = tbl
-            return tbl
-
-    def table_for_window(self, lo: int, hi: int) -> CosetTable:
-        return self.table_for_width(hi - lo)
+        pres = build_window_presentation(self.p, self.c, Window(0, width), self.max_window_width)
+        tbl = self._load_cached(width, pres)
+        if tbl is None:
+            tbl = enumerate_presentation(pres, self.max_cosets, below=below)
+            self._store_cached(width, tbl)
+        self._tables[width] = tbl
+        return tbl
 
     def cached_tables(self) -> dict[int, CosetTable]:
         return dict(self._tables)
@@ -486,51 +464,3 @@ class LimitGroup:
         lo, hi = word.support
         table = self.table_for_width(hi - lo)
         return table.element_order(self._letters_for_table(word, lo))
-
-    def subgroup_elements(self, gens, lo: int, hi: int) -> list[AWord]:
-        """All elements of <gens> inside B([lo, hi]), as canonical AWords.
-
-        Deterministic BFS closure over the window's coset table.
-        """
-        table = self.table_for_width(hi - lo)
-        steps = []  # table letters of each generator and of its inverse
-        for g in gens:
-            if not isinstance(g, AWord):
-                g = self.aword(g)
-            sup = g.support
-            if sup is not None and (sup[0] < lo or sup[1] > hi):
-                raise ValueError(f"generator {render_aword(g)} not supported in [{lo}, {hi}]")
-            steps.append(self._letters_for_table(g, lo))
-            steps.append(self._letters_for_table(g.inverse(), lo))
-        found = {table.identity_coset}
-        queue = [table.identity_coset]
-        for cur in queue:
-            for letters in steps:
-                nxt = table.trace(cur, letters)
-                if nxt not in found:
-                    found.add(nxt)
-                    queue.append(nxt)
-        return [self.aword_from_table(table.word(c), lo) for c in sorted(found)]
-
-    def conjugate_subgroup_meet_trivial(self, gens, N: int) -> bool:
-        """Check H ∩ (shift of H by 2N+1) = {1} for H = <gens> <= B([-N, N]).
-
-        The intersection is computed honestly in the join window
-        [-N, 3N+1]; for window-supported subgroups the result is always
-        true, so this operation is a property-check harness.
-        """
-        gens = [g if isinstance(g, AWord) else self.aword(g) for g in gens]
-        for g in gens:
-            sup = g.support
-            if sup is not None and (sup[0] < -N or sup[1] > N):
-                raise ValueError("generators must be supported in [-N, N]")
-        gens = [g for g in gens if not g.is_empty()]
-        if not gens:
-            return True  # trivial subgroup, for any N
-        h_words = self.subgroup_elements(gens, -N, N)
-        shifted = [shift(w, 2 * N + 1) for w in h_words]
-        big = self.table_for_window(-N, 3 * N + 1)
-        ids_h = {big.trace_word(self._letters_for_table(w, -N)) for w in h_words}
-        ids_shift = {big.trace_word(self._letters_for_table(w, -N)) for w in shifted}
-        return ids_h & ids_shift == {big.identity_coset}
-

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import mixed_words as mw
-from .errors import CapacityExceeded, VerificationError
+from .errors import CapacityExceeded, ParseError, VerificationError
 from .limit_group import GElement, LimitGroup
 from .parser import parse_element, parse_mixed_word
-from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH, CSequence
+from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH
 
 TRIVIAL_IN_FREE_PRODUCT = "TrivialInFreeProduct"
 WITNESS_FOUND = "WitnessFound"
@@ -185,7 +185,7 @@ def candidate_elements(group: LimitGroup, bounds: SearchBounds):
     radius already appeared there and are skipped.
     """
     for radius in range(bounds.max_support_radius + 1):
-        table = group.table_for_window(-radius, radius)
+        table = group.table_for_width(2 * radius)
         words = []
         for letters in table.words():
             word = group.aword_from_table(letters, -radius)
@@ -367,13 +367,15 @@ def verify_certificates(
     (also rows that are not JSON objects) are failures.  Only an object
     with a `run_complete` key is the run summary; its `certificates` count
     must equal the number of certificate rows since the previous summary,
-    so a log cut short under its summary fails.  SearchExhausted rows carry
-    no claim and only need to be well-formed.  Each limit group (p, c) is
-    built once per call, under the given caps.  Per group, each distinct
-    witness text is parsed once, and each distinct non-commutator item text
-    of the words (`a0`, `t^-1`, `x^2`) is built once, through one `items`
-    memo that every word of the group shares; each word is still reduced
-    from its own text.  A CapacityExceeded is raised, not recorded: a row
+    so a log cut short under its summary fails.  Rows after the last
+    summary, or a log with no summary at all, fail once, at the line past
+    the end.  SearchExhausted rows carry no claim and only need to be
+    well-formed.  Each limit group is built once per call for each
+    distinct raw (p, c) of the rows (an int and a spec string), under the
+    given caps.  Per group, each distinct witness text is parsed once, and
+    each distinct non-commutator item text of the words (`a0`, `t^-1`,
+    `x^2`) is built once, through one `items` memo that every word of the
+    group shares; each word is still reduced from its own text.  A CapacityExceeded is raised, not recorded: a row
     that cannot be checked within the caps has not failed.
     """
     report = VerifyReport(checked=0, witnesses_ok=0)
@@ -381,6 +383,8 @@ def verify_certificates(
     witnesses: dict = {}  # (group key, witness text) -> parsed witness
     items: dict = {}  # group key -> the item memo of its words
     rows = 0  # certificate rows since the last run summary
+    summarised = False
+    lineno = 0
     if isinstance(lines, str):
         lines = lines.splitlines()
     for lineno, raw in enumerate(lines, start=1):
@@ -402,12 +406,15 @@ def verify_certificates(
                     (lineno, f"run summary counts {recorded!r} certificates, the log has {rows}")
                 )
             rows = 0
+            summarised = True
             continue
         rows += 1
         report.checked += 1
         try:
-            inst = data["instance"]
-            key = (inst["p"], CSequence.from_spec(inst["c"]))
+            p, c = data["instance"]["p"], data["instance"]["c"]
+            if type(p) is not int or type(c) is not str:
+                raise ParseError(f"instance needs an int p and a spec string c, got {p!r}, {c!r}")
+            key = (p, c)
             group = groups.get(key)
             if group is None:
                 group = groups[key] = LimitGroup(
@@ -441,4 +448,8 @@ def verify_certificates(
             raise
         except Exception as exc:  # malformed certificates must not crash the verifier
             report.failures.append((lineno, f"{type(exc).__name__}: {exc}"))
+    if rows or not summarised:
+        report.failures.append(
+            (lineno + 1, f"the log ends without a run summary after {rows} certificate rows")
+        )
     return report

@@ -12,8 +12,6 @@ single context; mixing contexts is an error.
 
 from __future__ import annotations
 
-from .errors import ParseError
-
 CONST = "c"
 VAR = "v"
 

@@ -46,37 +46,31 @@ def is_prime(n: int) -> bool:
 class CSequence:
     """Non-decreasing class-bound sequence c_1 <= c_2 <= ... , total on n >= 1.
 
-    Two forms: an explicit prefix whose last value repeats forever
-    (rule ``"repeat"``), or the identity rule c_n = n beyond the prefix
-    (rule ``"identity"``).
+    A non-empty prefix whose last value repeats forever, or the empty
+    prefix, meaning c_n = n (spec ``"n"``).
     """
 
-    __slots__ = ("prefix", "rule")
+    __slots__ = ("prefix",)
 
-    def __init__(self, prefix=(), rule: str = "repeat"):
+    def __init__(self, prefix=()):
         prefix = tuple(int(v) for v in prefix)
-        if rule not in ("repeat", "identity"):
-            raise ParseError(f"unknown CSequence rule {rule!r}")
-        if rule == "repeat" and not prefix:
-            raise ParseError("repeat-rule CSequence needs a nonempty prefix")
         if any(v < 1 for v in prefix):
             raise ParseError("CSequence entries must be positive")
         if any(a > b for a, b in zip(prefix, prefix[1:])):
             raise ParseError("CSequence prefix must be non-decreasing")
-        if rule == "identity" and prefix and prefix[-1] > len(prefix) + 1:
-            raise ParseError("identity rule would break monotonicity after the prefix")
         self.prefix = prefix
-        self.rule = rule
 
     @classmethod
     def from_spec(cls, text) -> "CSequence":
         if isinstance(text, CSequence):
             return text
         if isinstance(text, (tuple, list)):
-            return cls(tuple(text), "repeat")
+            if not text:
+                raise ParseError("CSequence needs a nonempty prefix")
+            return cls(text)
         t = str(text).strip().lower()
         if t in ("n", "identity"):
-            return cls((), "identity")
+            return cls()
         parts = [p.strip() for p in t.split(",") if p.strip() != ""]
         if not parts:
             raise ParseError(f"empty CSequence spec {text!r}")
@@ -84,36 +78,27 @@ class CSequence:
             vals = tuple(int(p) for p in parts)
         except ValueError:
             raise ParseError(f"bad CSequence spec {text!r}") from None
-        return cls(vals, "repeat")
+        return cls(vals)
 
     def spec(self) -> str:
-        if self.rule == "identity" and not self.prefix:
-            return "n"
-        body = ",".join(str(v) for v in self.prefix)
-        return body if self.rule == "repeat" else f"{body},identity"
+        return ",".join(str(v) for v in self.prefix) or "n"
 
     def __getitem__(self, n: int) -> int:
         if n < 1:
             raise IndexError("CSequence is indexed from 1")
         if n <= len(self.prefix):
             return self.prefix[n - 1]
-        if self.rule == "repeat":
-            return self.prefix[-1]
-        return n
+        return self.prefix[-1] if self.prefix else n
 
     def key(self, width: int) -> tuple[int, ...]:
         """The values that matter for a window of the given width."""
         return tuple(self[d] for d in range(1, width + 1))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, CSequence)
-            and self.rule == other.rule
-            and self.prefix == other.prefix
-        )
+        return isinstance(other, CSequence) and self.prefix == other.prefix
 
     def __hash__(self):
-        return hash((self.rule, self.prefix))
+        return hash(self.prefix)
 
     def __repr__(self):
         return f"CSequence({self.spec()!r})"

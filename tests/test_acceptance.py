@@ -20,7 +20,6 @@ from miflab import grigorchuk as gg
 from miflab import identity_lab as il
 from miflab import mif_search as ms
 from miflab import mixed_words as mw
-from miflab.limit_group import AWord
 
 # elements handled by criteria 3, 4 and 8, swept by criterion 10
 HANDLED = []
@@ -144,22 +143,28 @@ def test_criterion_04_order_dichotomy():
 
 
 def test_criterion_05_finite_radical_property():
+    """H ∩ H^{t^{2N+1}} = 1 for every subgroup H of B([-N, N]), computed in
+    the join window B([-N, 3N+1]).  It holds because deleting the letters
+    a_{N+1..3N+1} is a retraction onto B([-N, N]) that kills the shifted
+    copy; the test traces both copies and does not assume it."""
     t0 = time.monotonic()
     G = _c12()
     checked = 0
     for N in (0, 1):
-        table = G.table_for_window(-N, N)
+        table = G.table_for_width(2 * N)  # B([-N, N]), letters relative to -N
+        join = G.table_for_width(4 * N + 1)  # B([-N, 3N+1]), the same letters
         # the window group as a multiplication-table group, for subgroup search
         n = table.coset_count
         mul = [[table.trace(a, table.word(b)) for b in range(n)] for a in range(n)]
         fg = il.FiniteGroup(mul, name=f"B[-{N},{N}]")
-        words = {
-            c: AWord(G.p, tuple((pos - N, 1 if s > 0 else G.p - 1) for pos, s in table.word(c)))
+        home = [join.trace_word(table.word(c)) for c in range(n)]
+        shifted = [
+            join.trace_word(tuple((pos + 2 * N + 1, s) for pos, s in table.word(c)))
             for c in range(n)
-        }
+        ]
         for subgroup in fg.all_subgroups():
-            gens = [words[c] for c in sorted(subgroup)]
-            assert G.conjugate_subgroup_meet_trivial(gens, N)
+            meet = {home[c] for c in subgroup} & {shifted[c] for c in subgroup}
+            assert meet == {join.identity_coset}
             checked += 1
     _ok(5, f"H meets its shift by 2N+1 trivially for all {checked} subgroups, N <= 1", t0)
 

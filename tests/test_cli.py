@@ -143,6 +143,15 @@ def test_search():
     assert run_cli("search", "--word", "x^1000000000") == (0, "witness t\n", "")
 
 
+def test_search_refuses_a_word_in_two_variables():
+    code, out, err = run_cli("search", "--word", "[x1,x2]")
+    assert code == 4 and out == ""
+    assert json.loads(err) == {
+        "error": "parse",
+        "detail": "witness search expects a single-variable word",
+    }
+
+
 def test_search_refuses_a_long_word_power():
     code, out, err = run_cli("search", "--word", "[x,a0]^1000000000")
     assert code == 2 and out == ""
@@ -186,6 +195,22 @@ def test_verify_fails_a_truncated_log(tmp_path):
         "checked": 10,
         "witnesses_ok": 10,
         "failures": [{"line": 11, "reason": "run summary counts 50 certificates, the log has 10"}],
+    }
+
+
+def test_verify_fails_a_log_without_a_summary(tmp_path):
+    certs = tmp_path / "certs.jsonl"
+    certs.write_text("")
+    code, out, _ = run_cli("verify", str(certs))
+    assert (code, out) == (3, "checked 0, failures 1\n")
+    run_cli("drive", "--count", "5", "--out", str(certs))
+    certs.write_text("\n".join(certs.read_text().splitlines()[:3]) + "\n")
+    code, out, _ = run_cli("--json", "verify", str(certs))
+    assert code == 3
+    assert json.loads(out) == {
+        "checked": 3,
+        "witnesses_ok": 3,
+        "failures": [{"line": 4, "reason": "the log ends without a run summary after 3 certificate rows"}],
     }
 
 

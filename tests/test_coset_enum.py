@@ -486,7 +486,8 @@ def test_a_limit_group_enumerates_each_table_once(monkeypatch):
     tables = {}
     for (p, c), w in widest.items():
         G = LimitGroup(p, c)
-        G.table_for_width(w)
+        table = G.table_for_width(w)
+        assert G.table_for_width(w) is table  # kept, not enumerated again
         tables.update({(p, c, k): t for k, t in G.cached_tables().items()})
     assert calls[0] == len(tables) == len(PINNED_DIGESTS) == 20
     monkeypatch.undo()

@@ -1,0 +1,60 @@
+"""Every module of the package uses each name it imports.
+
+No linter runs in the test suite, so this parses each module of
+`src/miflab` (except the package's `__init__.py`, which imports to
+re-export) and fails on an imported name that the module never reads.
+Names in quoted annotations count as read.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+MODULES = sorted(
+    path
+    for path in (pathlib.Path(__file__).parent.parent / "src" / "miflab").glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def _imported(tree):
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+
+
+def _read(tree):
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                quoted = ast.parse(node.value, mode="eval")
+                names.update(n.id for n in ast.walk(quoted) if isinstance(n, ast.Name))
+    return names
+
+
+def test_modules_are_found():
+    assert len(MODULES) > 5
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = _read(tree)
+    unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in read)
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"

@@ -248,6 +248,36 @@ def test_verify_fails_a_log_cut_under_its_summary(default_group):
     assert report.failures == [(11, "run summary counts None certificates, the log has 10")]
 
 
+def test_verify_fails_a_log_without_a_summary(default_group):
+    report = ms.verify_certificates("")
+    assert report.checked == 0
+    assert report.failures == [(1, "the log ends without a run summary after 0 certificate rows")]
+    # a log cut above its summary, as `head -3` would
+    lines = ms.certificates_to_lines(ms.drive(default_group, 5), default_group).splitlines()
+    report = ms.verify_certificates(lines[:3])
+    assert report.checked == report.witnesses_ok == 3
+    assert report.failures == [(4, "the log ends without a run summary after 3 certificate rows")]
+    # rows after the last summary are not covered by it
+    report = ms.verify_certificates(lines + lines[:2])
+    assert report.failures == [(9, "the log ends without a run summary after 2 certificate rows")]
+    assert ms.verify_certificates(lines + lines).ok
+
+
+def test_verify_fails_a_row_whose_instance_is_malformed(default_group):
+    lines = ms.certificates_to_lines(ms.drive(default_group, 3), default_group).splitlines()
+    for field, value, reason in [
+        ("c", ["n"], "ParseError: instance needs an int p and a spec string c, got 2, ['n']"),
+        ("c", 2, "ParseError: instance needs an int p and a spec string c, got 2, 2"),
+        ("p", 4, "ValueError: p must be prime, got 4"),
+        ("p", 2.0, "ParseError: instance needs an int p and a spec string c, got 2.0, 'n'"),
+    ]:
+        data = json.loads(lines[1])
+        data["instance"][field] = value
+        report = ms.verify_certificates(lines[:1] + [json.dumps(data)] + lines[2:])
+        assert report.failures == [(2, reason)], (field, value)
+        assert report.checked == 3 and report.witnesses_ok == 2
+
+
 def test_verify_accepts_the_partial_log_of_a_refused_drive():
     narrow = LimitGroup(2, "n", max_window_width=2)
     partial = ms.drive(narrow, 1130)

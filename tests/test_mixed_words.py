@@ -245,7 +245,7 @@ def test_missing_assignment_rejected(default_group):
 
 def _shift_and_merge(g, h):
     """The product of two limit-group elements by its defining rule."""
-    return GElement(g.group, g.a * shift(h.a, g.beta), g.beta + h.beta, g.t_free and h.t_free)
+    return GElement(g.group, g.a * shift(h.a, g.beta), g.beta + h.beta)
 
 
 def _fold_evaluate(word, assignment, mul=None):
@@ -268,7 +268,6 @@ def _fold_evaluate(word, assignment, mul=None):
 def _assert_same_element(got, expected):
     assert got.a.letters == expected.a.letters
     assert got.beta == expected.beta
-    assert got.t_free == expected.t_free
     assert got.abelianize() == expected.abelianize()
 
 

@@ -180,6 +180,9 @@ def test_csequence_forms():
     cid = CSequence.from_spec("n")
     assert [cid[i] for i in range(1, 6)] == [1, 2, 3, 4, 5]
     assert CSequence.from_spec((1, 2)).spec() == "1,2"
+    for spec in ["n", "1", "1,2", "2,2,3", (1, 2)]:
+        c = CSequence.from_spec(spec)
+        assert CSequence.from_spec(c.spec()) == c, spec
 
 
 def test_csequence_validation():
@@ -187,6 +190,9 @@ def test_csequence_validation():
         CSequence.from_spec("2,1")
     with pytest.raises(ParseError):
         CSequence.from_spec("")
+    for empty in ((), []):
+        with pytest.raises(ParseError):
+            CSequence.from_spec(empty)
     with pytest.raises(ParseError):
         CSequence.from_spec("0,1")
     with pytest.raises(IndexError):
