@@ -33,7 +33,8 @@ DEFAULT_MAX_COSETS = 1_000_000
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    # 2.0 and 3.5 pass the trial division below, and True is an int
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         return False
     d = 2
     while d * d <= n:

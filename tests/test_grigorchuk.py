@@ -342,6 +342,8 @@ def test_bad_letters_are_rejected():
             gg.act(word, "01")
         with pytest.raises(ValueError):
             gg.find_moved_string(word)
+        with pytest.raises(ValueError):
+            gg.acts_trivially_to_depth(word)
     for s in ["2", "012", "0 1"]:
         with pytest.raises(ValueError):
             gg.act("ab", s)
@@ -435,6 +437,16 @@ def test_solver_cache_is_bounded():
 # -- the oracle against letter-by-letter references ----------------------------------
 
 
+def test_level_permutations_are_the_action():
+    # the oracle's byte tables and the references below are built from these
+    for depth in range(9):
+        perms = gg.level_permutations(depth)
+        for x in range(1 << depth):
+            s = format(x, f"0{depth}b") if depth else ""
+            for ch in "abcd":
+                assert perms[ch][x] == int(gg.act(ch, s) or "0", 2)
+
+
 def ref_word_permutation(word, depth):
     perms = gg.level_permutations(depth)
     acc = np.arange(1 << depth, dtype=np.int64)
@@ -467,10 +479,13 @@ def _oracle_words(rng, count):
 
 
 def test_word_permutation_matches_reference():
+    # the oracle fixes level d iff the reference permutation of level d is
+    # the identity, at every depth up to ORACLE_DEPTH
     rng = random.Random(8)
     for w in _oracle_words(rng, 300):
-        depth = rng.randint(0, 12)
-        assert np.array_equal(gg.word_permutation(w, depth), ref_word_permutation(w, depth))
+        for depth in range(gg.ORACLE_DEPTH + 1):
+            fixed = np.array_equal(ref_word_permutation(w, depth), np.arange(1 << depth))
+            assert gg.acts_trivially_to_depth(w, depth) == fixed
 
 
 def test_find_moved_string_matches_level_by_level_reference():
@@ -483,3 +498,67 @@ def test_find_moved_string_matches_level_by_level_reference():
         found.add(None if s is None else len(s))
     # the words reach shallow and deep moved strings, and fixed ones
     assert None in found and max(d for d in found if d is not None) >= 6
+
+
+def _lift(z):
+    # [sigma(z), d] = (1, [z, b]) for sigma: a -> aca, b -> d, c -> b, d -> c,
+    # so each lift moves its first string two levels deeper
+    sigma = "".join({"a": "aca", "b": "d", "c": "b", "d": "c"}[ch] for ch in z)
+    return ref_commutator(sigma, "d")
+
+
+def _deep_words():
+    z, words = "abac", []
+    for _ in range(5):
+        z = _lift(z)
+        words.append(z)
+    return words
+
+
+def test_section_path_matches_reference():
+    # words of 17 to 4,097 letters that first move a string at levels 4 to 12,
+    # so levels 10 and 12 are reached only through the level-8 sections
+    deep = _deep_words()
+    assert [len(w) for w in deep] == [17, 65, 257, 1025, 4097]
+    # a trivial word whose sections are long and nonempty
+    trivial = deep[3] + "adadadad" + deep[3][::-1]
+    # moved below two vertices: the first vertex wins a tie of lengths, the
+    # shorter string wins over the first vertex
+    tie = deep[3] + "a" + deep[3] + "a"
+    shorter = deep[3] + "a" + deep[4] + "a"
+    for w in deep + [trivial, tie, shorter]:
+        first = ref_find_moved_string(w, 14)
+        for depth in range(15):
+            fixed = np.array_equal(ref_word_permutation(w, depth), np.arange(1 << depth))
+            assert gg.acts_trivially_to_depth(w, depth) == fixed
+            assert gg.find_moved_string(w, depth) == (None if fixed else first)
+    assert [len(gg.find_moved_string(w, 14)) for w in deep] == [4, 6, 8, 10, 12]
+    assert gg.acts_trivially_to_depth(trivial, 14)
+    assert gg.find_moved_string(tie) == "0111111000"
+    assert gg.find_moved_string(shorter) == "1111111000"
+
+
+def test_oracle_rejects_negative_depth():
+    with pytest.raises(ValueError, match="^depth must be non-negative, got -1$"):
+        gg.acts_trivially_to_depth("ab", -1)
+    with pytest.raises(ValueError, match="^max_depth must be non-negative, got -2$"):
+        gg.find_moved_string("ab", -2)
+    assert gg.acts_trivially_to_depth("ab", 0) and gg.find_moved_string("ab", 0) is None
+
+
+def test_oracle_does_not_use_the_solver(monkeypatch):
+    # the oracle cross-checks the solver, so it must not route through it
+    trivial = ["", "adadadad", "bcd", gg.grig_identity_word("abac"), "abab" * 2 + "baba" * 2]
+    moved = ["a", "abab", "adad", _deep_words()[3]]
+
+    def refuse(*args):
+        raise AssertionError("the oracle called the solver")
+
+    for name in ("reduce_word", "_split_reduced", "_is_trivial_reduced"):
+        monkeypatch.setattr(gg, name, refuse)
+    for w in trivial:
+        assert gg.acts_trivially_to_depth(w)
+        assert gg.find_moved_string(w) is None
+    for w in moved:
+        assert not gg.acts_trivially_to_depth(w)
+        assert gg.find_moved_string(w) is not None

@@ -4,7 +4,15 @@ from itertools import product
 
 import pytest
 
-from miflab import CapacityExceeded, CSequence, ParseError, Window, build_window_presentation, relator_count
+from miflab import (
+    CapacityExceeded,
+    CSequence,
+    LimitGroup,
+    ParseError,
+    Window,
+    build_window_presentation,
+    relator_count,
+)
 from miflab.presentations import left_normed_commutator, invert_word
 
 
@@ -156,6 +164,14 @@ def test_left_normed_expansion():
 def test_rejects_non_prime():
     with pytest.raises(ValueError):
         build_window_presentation(4, "1", Window(0, 1))
+
+
+def test_rejects_non_integer_p():
+    for p in (2.0, 3.5, True):
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            build_window_presentation(p, "1", Window(0, 1))
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            LimitGroup(p, "n")
 
 
 def test_rejects_wide_window():
