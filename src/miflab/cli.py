@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 
 from . import grigorchuk, identity_lab, mif_search
@@ -127,10 +128,21 @@ def _check_family(args, identity: str, G, pairs, constants) -> int:
     return EXIT_OK
 
 
+def _catalog_group(args, flag: str):
+    """The catalog group named by `--<flag>`; a missing or bad name is a ParseError."""
+    name = getattr(args, flag)
+    if name is None:
+        raise ParseError(f"--{flag} is required for this check")
+    try:
+        return identity_lab.small_group(name)
+    except ParseError as exc:
+        raise ParseError(f"--{flag}: {exc}") from None
+
+
 def cmd_check(args) -> int:
     if args.id == "direct-product":
-        A = identity_lab.small_group(args.A)
-        B = identity_lab.small_group(args.B)
+        A = _catalog_group(args, "A")
+        B = _catalog_group(args, "B")
         G = identity_lab.direct_product(A, B)
         nb = B.size
         pairs = ((a, b) for a in range(1, A.size) for b in range(1, nb))
@@ -139,10 +151,12 @@ def cmd_check(args) -> int:
             lambda a, b: (a * nb, b),
         )
     if args.id == "wreath":
-        base = identity_lab.small_group(args.base)
-        top = identity_lab.small_group(args.top)
-        # the top must be cyclic: its order is the rotation count
-        data = identity_lab.wreath_product(top.size, base)
+        base = _catalog_group(args, "base")
+        # the top is cyclic: its order is the rotation count
+        top = re.fullmatch(r"[Cc]([1-9][0-9]{0,17})", (args.top or "").strip())
+        if top is None:
+            raise ParseError(f"--top must name a cyclic group C<k>, 1 <= k < 10^18, got {args.top!r}")
+        data = identity_lab.wreath_product(int(top.group(1)), base)
         G = data.group
         pairs = (
             (a, b)
@@ -151,16 +165,21 @@ def cmd_check(args) -> int:
         )
         return _check_family(args, "[[[x,a],a],b]", G, pairs, lambda a, b: (a, a, b))
     if args.id == "factorial":
-        G = identity_lab.small_group(args.group)
-        if args.normal:
-            gens = [G.element_by_label(x.strip()) for x in args.normal.split(",")]
-            N = G.closure(gens)
-        else:
+        G = _catalog_group(args, "group")
+        if not args.normal:
             raise ParseError("--normal is required for the factorial check")
+        N = G.closure(G.element_by_label(x.strip()) for x in args.normal.split(","))
         g = G.element_by_label(args.g) if args.g else next(
-            e for e in sorted(N) if not G.is_identity(e)
+            (e for e in sorted(N) if not G.is_identity(e)), G.identity
         )
-        ok = identity_lab.factorial_identity_check(G, N, g)
+        try:
+            ok = identity_lab.factorial_identity_check(G, N, g)
+        except ValueError as exc:  # N is not normal, or g is not a nontrivial element of N
+            given = f", --g {args.g!r}" if args.g else ""
+            raise ParseError(
+                f"{exc}: --normal {args.normal!r} generates a subgroup of order {len(N)} "
+                f"of {G.name}{given}"
+            ) from None
         payload = {
             "identity": f"[x^{len(N)}!, g]",
             "group": G.name,
@@ -171,7 +190,7 @@ def cmd_check(args) -> int:
         _emit(args, payload, f"{ok}")
         return EXIT_OK
     if args.word:
-        G = identity_lab.small_group(args.group)
+        G = _catalog_group(args, "group")
         word = parse_mixed_word(args.word, G, constants=G.constants())
         verdict = identity_lab.is_mixed_identity(word, G)
         payload = verdict.to_json_dict(G, word)

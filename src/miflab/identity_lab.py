@@ -6,19 +6,23 @@ substitution is tried, and oversized instances are refused rather than
 sampled.  Verdicts are batched: the word is evaluated on whole blocks of
 substitutions at once with numpy gathers on the multiplication table,
 in `itertools.product` order, so the first counterexample found is the
-lexicographically first one.  Products are refused before their table is
-allocated when the n x n int64 table would exceed `PRODUCT_TABLE_BYTES_LIMIT`.
+lexicographically first one.  The canned identities, the factorial one
+`[x^{|N|!}, g]` too, go through the same batched verdict.
 
 A table passed to `FiniteGroup` is checked against every group axiom and then
 made read-only; one of order above `FULL_AXIOM_CHECK_LIMIT` is refused, not
 sampled.  Catalog groups (cyclic, dihedral, symmetric) and direct and wreath
 products of groups are built by a fixed formula, so they are groups by
 construction and their tables are not checked; they are read-only too.
+Cyclic and dihedral tables come from closed forms, symmetric ones from
+composing permutations.  Every built group has one order cap, `MAX_ORDER`,
+checked from the order before any array of the group exists.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -28,9 +32,8 @@ from . import mixed_words as mw
 from .errors import BudgetExceeded, ParseError
 
 FULL_AXIOM_CHECK_LIMIT = 512
-SINGLE_VAR_LIMIT = 10_000
 ASSIGNMENT_LIMIT = 1_000_000
-PRODUCT_TABLE_BYTES_LIMIT = 128 * 2**20  # n*n int64 table of a product group
+MAX_ORDER = 4096  # largest group built; its n*n int64 table takes 128 MiB
 VERDICT_BLOCK = 2**16  # substitutions evaluated per batch
 
 
@@ -243,26 +246,24 @@ class FiniteGroup:
 # -- small-group catalog -----------------------------------------------------
 
 
+def _check_order(name: str, order: int) -> None:
+    """Refuse a group of more than `MAX_ORDER` elements before its table exists."""
+    if order > MAX_ORDER:
+        raise BudgetExceeded(
+            f"{name} has order {order}, over the {MAX_ORDER}-element cap: "
+            f"its table would take {order * order * 8} bytes"
+        )
+
+
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic group order must be positive")
+    _check_order(f"C{n}", n)
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     labels = [f"g{i}" for i in range(n)]
     labels[0] = "e"
     return FiniteGroup._by_construction(table, labels, name=f"C{n}")
-
-
-def _perm_group(perms, labels, name):
-    perms = [tuple(p) for p in perms]
-    index = {p: i for i, p in enumerate(perms)}
-    n = len(perms)
-    table = np.zeros((n, n), dtype=np.int64)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            composed = tuple(p[q[k]] for k in range(len(p)))
-            table[i, j] = index[composed]
-    return FiniteGroup._by_construction(table, labels, name=name)
 
 
 def _cycle_label(perm) -> str:
@@ -288,27 +289,28 @@ def symmetric(n: int) -> FiniteGroup:
     if not (1 <= n <= 5):
         raise ValueError("symmetric groups supported up to S5")
     perms = sorted(permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    # the product p q applies q first
+    table = np.array([[index[tuple(p[k] for k in q)] for q in perms] for p in perms], dtype=np.int64)
     labels = [_cycle_label(p) for p in perms]
-    return _perm_group(perms, labels, name=f"S{n}")
+    return FiniteGroup._by_construction(table, labels, name=f"S{n}")
 
 
 def dihedral(n: int) -> FiniteGroup:
-    """Dihedral group of order 2n (symmetries of the n-gon)."""
+    """Dihedral group of order 2n (symmetries of the n-gon).
+
+    Element f*n + r is (f, r): the rotation by r, after the reflection
+    k -> -k when f = 1.  (f1, r1)(f2, r2) = (f1 ^ f2, r1 + (-1)^f1 r2 mod n).
+    """
     if n < 3:
-        # the point representation degenerates below the triangle
+        # below the triangle the n-gon degenerates
         raise ValueError("dihedral groups need n >= 3 (use C2 or V4 below that)")
-    perms = []
-    labels = []
-    base = list(range(n))
-    for flip in (0, 1):
-        for r in range(n):
-            if flip:
-                perm = tuple((r - k) % n for k in base)
-            else:
-                perm = tuple((r + k) % n for k in base)
-            perms.append(perm)
-            labels.append(f"{'s' if flip else 'r'}{r}" if (flip or r) else "e")
-    return _perm_group(perms, labels, name=f"D{n}")
+    _check_order(f"D{n}", 2 * n)
+    ids = np.arange(2 * n)
+    f, r = ids // n, ids % n
+    table = (f[:, None] ^ f[None, :]) * n + (r[:, None] + (1 - 2 * f[:, None]) * r[None, :]) % n
+    labels = ["e"] + [f"r{i}" for i in range(1, n)] + [f"s{i}" for i in range(n)]
+    return FiniteGroup._by_construction(table, labels, name=f"D{n}")
 
 
 def klein_four() -> FiniteGroup:
@@ -317,48 +319,44 @@ def klein_four() -> FiniteGroup:
     return g
 
 
+_FACTOR = re.compile(r"([CDS])([0-9]+)|V4", re.IGNORECASE)
+_CATALOG = {"C": cyclic, "D": dihedral, "S": symmetric}
+
+
 def small_group(name: str) -> FiniteGroup:
-    """Resolve catalog names: C<n>, D<n>, S<n>, V4, and x-products thereof."""
+    """Resolve catalog names: C<n>, D<n>, S<n>, V4, and x-products thereof.
+
+    A malformed or out-of-range name raises ParseError; a group past
+    `MAX_ORDER` raises BudgetExceeded before its table exists.
+    """
     text = name.strip()
-    if "x" in text:
-        parts = text.split("x")
-        acc = small_group(parts[0])
-        for part in parts[1:]:
-            acc = direct_product(acc, small_group(part))
+    groups = []
+    for part in text.split("x"):
+        m = _FACTOR.fullmatch(part.strip())
+        if m is None:
+            raise ParseError(f"unknown group name {name!r}")
+        if m.group(1) is None:
+            groups.append(klein_four())
+            continue
+        try:
+            groups.append(_CATALOG[m.group(1).upper()](int(m.group(2))))
+        except ValueError as exc:  # C0, D2, S6
+            raise ParseError(f"group name {name!r}: {exc}") from None
+    acc = groups[0]
+    for factor in groups[1:]:
+        acc = direct_product(acc, factor)
+    if len(groups) > 1:
         acc.name = text
-        return acc
-    if text.upper() == "V4":
-        return klein_four()
-    kind, _, num = text[0], text[1:], text[1:]
-    if not num.isdigit():
-        raise ParseError(f"unknown group name {name!r}")
-    n = int(num)
-    if kind in ("C", "c"):
-        return cyclic(n)
-    if kind in ("D", "d"):
-        return dihedral(n)
-    if kind in ("S", "s"):
-        return symmetric(n)
-    raise ParseError(f"unknown group name {name!r}")
+    return acc
 
 
 # -- products ----------------------------------------------------------------
 
 
-def _check_table_bytes(kind: str, order: int) -> None:
-    """Refuse a product whose n x n int64 table would exceed the byte cap."""
-    need = order * order * 8
-    if need > PRODUCT_TABLE_BYTES_LIMIT:
-        raise BudgetExceeded(
-            f"{kind} order {order} needs a {need}-byte table, over the "
-            f"{PRODUCT_TABLE_BYTES_LIMIT}-byte product table cap"
-        )
-
-
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (x, y) has id x*|B| + y."""
-    _check_table_bytes("direct product", a.size * b.size)
     na, nb = a.size, b.size
+    _check_order(f"{a.name}x{b.name}", na * nb)
     xa = np.repeat(np.arange(na), nb)
     yb = np.tile(np.arange(nb), na)
     table = a.table[xa[:, None], xa[None, :]] * nb + b.table[yb[:, None], yb[None, :]]
@@ -387,9 +385,12 @@ def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
     k = top_order
     if k < 1:
         raise ValueError("top order must be positive")
+    name = f"{base.name}wrC{k}"
+    # the order is at least k, so a top past the cap is refused before nb**k is computed
+    _check_order(f"{name}'s top C{k}", k)
     nb = base.size
     total = (nb**k) * k
-    _check_table_bytes("wreath product", total)
+    _check_order(name, total)
 
     def encode(coords, s):
         acc = 0
@@ -416,7 +417,7 @@ def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
         "(" + ",".join(base.labels[b] for b in f) + f";{s})"
         for f, s in zip(coord.tolist(), shift.tolist())
     ]
-    group = FiniteGroup._by_construction(table, labels, name=f"{base.name}wrC{k}")
+    group = FiniteGroup._by_construction(table, labels, name=name)
 
     id_b = base.identity
     first = tuple(
@@ -470,8 +471,6 @@ def is_mixed_identity(word: "mw.MixedWord", group: FiniteGroup) -> MixedIdentity
     ids = word.variable_ids
     nvars = len(ids)
     n = group.size
-    if nvars <= 1 and n > SINGLE_VAR_LIMIT:
-        raise BudgetExceeded(f"group order {n} exceeds the single-variable cap")
     if n**max(nvars, 1) > ASSIGNMENT_LIMIT:
         raise BudgetExceeded(
             f"{n}^{nvars} substitutions exceed the assignment cap"
@@ -520,7 +519,7 @@ def _power_map(group: FiniteGroup, e: int) -> np.ndarray:
 
 
 def factorial_identity_check(group: FiniteGroup, normal_subset, g: int) -> bool:
-    """Verify [x^{n!}, g] = 1 for all x, where n = |N| and g in N \\ {1}.
+    """Decide [x^{n!}, g] = 1 for all x, where n = |N| and g in N \\ {1}.
 
     N must be a normal subgroup containing the nontrivial g; this is the
     canned identity every group with a finite normal subgroup satisfies.
@@ -530,13 +529,5 @@ def factorial_identity_check(group: FiniteGroup, normal_subset, g: int) -> bool:
         raise ValueError("N is not a normal subgroup")
     if g not in sub or group.is_identity(g):
         raise ValueError("g must be a nontrivial element of N")
-    n = len(sub)
-    e = math.factorial(n)
-    for x in group.elements():
-        xe = group.power(x, e)
-        comm = group.mul(
-            group.mul(group.inv(xe), group.inv(g)), group.mul(xe, g)
-        )
-        if not group.is_identity(comm):
-            return False
-    return True
+    x = mw.variable(group, 1, math.factorial(len(sub)))
+    return is_mixed_identity(mw.commutator(x, mw.constant(group, g)), group).holds

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset_enum import CosetTable, enumerate_presentation
-from .errors import ParseError, VerificationError
+from .errors import CapacityExceeded, ParseError, VerificationError
+from .parser import MAX_SYLLABLES
 from .presentations import (
     DEFAULT_MAX_COSETS,
     DEFAULT_MAX_WINDOW_WIDTH,
@@ -180,9 +181,18 @@ class GElement:
         """Square-and-multiply.  For beta == 0 an exponent past the coset
         cap, which bounds every window order, is first reduced modulo the
         element's order, so the letters stay short; a support past the
-        caps raises CapacityExceeded before any letter is built."""
+        caps raises CapacityExceeded before any letter is built.  For
+        beta != 0 no reduction applies: the power writes out |k| shifted
+        copies of the a-part, and one that would write out more than
+        `MAX_SYLLABLES` letters raises CapacityExceeded before any is built."""
         if self.beta == 0 and abs(k) > self.group.max_cosets:
             k %= self.order()
+        letters = abs(k) * len(self.a.letters)
+        if self.beta and letters > MAX_SYLLABLES:
+            raise CapacityExceeded(
+                f"the power ^{k} of {self.render()} would write out {letters} letters, "
+                f"past the limit of {MAX_SYLLABLES}"
+            )
         if k == 0:
             return self.group.identity_element
         base = self if k > 0 else self.inverse()

@@ -52,15 +52,6 @@ class SearchBounds:
             "max_candidates": self.max_candidates,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SearchBounds":
-        return cls(
-            max_support_radius=d["max_support_radius"],
-            max_beta=d["max_beta"],
-            max_word_length=d["max_word_length"],
-            max_candidates=d["max_candidates"],
-        )
-
 
 @dataclass
 class Certificate:

@@ -39,7 +39,8 @@ import re
 from . import mixed_words as mw
 from .errors import CapacityExceeded, ParseError
 
-# Most syllables the parser writes out in one list before reducing it.
+# Most syllables the parser writes out in one list before reducing it, and
+# most letters a limit-group power with a t-part writes out (`GElement.__pow__`).
 MAX_SYLLABLES = 100_000
 
 _TOKEN = re.compile(

@@ -91,6 +91,48 @@ def test_check_output_is_pinned(args, expected):
     assert run_cli("--json", "check", *args) == (0, expected, "")
 
 
+BAD_INPUTS = [
+    # (arguments, exit code, a piece of the error detail)
+    (("check", "--id", "direct-product", "--B", "C2"), 4, "--A is required"),
+    (("check", "--id", "direct-product", "--A", "C2"), 4, "--B is required"),
+    (("check", "--id", "wreath", "--top", "C2"), 4, "--base is required"),
+    (("check", "--id", "wreath", "--base", "C2"), 4, "--top must name a cyclic group"),
+    (("check", "--word", "x"), 4, "--group is required"),
+    (("check", "--id", "factorial", "--normal", "e"), 4, "--group is required"),
+    (("check", "--word", "x", "--group", "C0"), 4, "--group: group name 'C0'"),
+    (("check", "--word", "x", "--group", "D2"), 4, "--group: group name 'D2'"),
+    (("check", "--word", "x", "--group", "S6"), 4, "--group: group name 'S6'"),
+    (("check", "--word", "x", "--group", "C2x"), 4, "--group: unknown group name 'C2x'"),
+    (("check", "--id", "factorial", "--normal", "(12)", "--group", "S3"), 4,
+     "N is not a normal subgroup: --normal '(12)'"),
+    (("check", "--id", "factorial", "--normal", "(123)", "--group", "S3", "--g", "(12)"), 4,
+     "g must be a nontrivial element of N: --normal '(123)' generates a subgroup of order 3 "
+     "of S3, --g '(12)'"),
+    (("check", "--id", "factorial", "--normal", "e", "--group", "S3"), 4,
+     "g must be a nontrivial element of N: --normal 'e'"),
+    (("check", "--id", "wreath", "--base", "C2", "--top", "S3"), 4, "--top must name a cyclic group"),
+    (("check", "--id", "wreath", "--base", "C2", "--top", "C0"), 4, "--top must name a cyclic group"),
+    (("check", "--id", "wreath", "--base", "C2", "--top", "C" + "9" * 5000), 4, "--top must name a cyclic group"),
+    (("check", "--word", "x", "--group", "C" + "9" * 5000), 4, "--group: group name"),
+    (("check", "--word", "x", "--group", "C5000"), 2, "C5000 has order 5000, over the 4096-element cap"),
+    (("check", "--word", "x", "--group", "D2049"), 2, "D2049 has order 4098"),
+    (("check", "--id", "direct-product", "--A", "C5000", "--B", "C1"), 2, "C5000 has order 5000"),
+    (("check", "--id", "direct-product", "--A", "S5", "--B", "S5"), 2, "S5xS5 has order 14400"),
+    (("check", "--id", "wreath", "--base", "C2", "--top", "C13"), 2, "C2wrC13 has order 106496"),
+    (("check", "--id", "wreath", "--base", "C2", "--top", "C99999999999"), 2,
+     "C2wrC99999999999's top C99999999999 has order 99999999999"),
+]
+
+
+@pytest.mark.parametrize("args, code, detail", BAD_INPUTS, ids=[" ".join(a)[:60] for a, _, _ in BAD_INPUTS])
+def test_bad_input_exits_with_a_json_error(args, code, detail):
+    got, out, err = run_cli(*args)
+    assert (got, out) == (code, "")
+    error = json.loads(err)
+    assert error["error"] == {2: "capacity", 4: "parse"}[code]
+    assert detail in error["detail"]
+
+
 def test_grig_subcommands():
     code, out, _ = run_cli("grig", "act", "--word", "a", "--string", "010")
     assert code == 0 and out.strip() == "110"

@@ -1,5 +1,6 @@
 """Finite-group lab: catalog, products, exhaustive identity verdicts."""
 
+import math
 import random
 import tracemalloc
 from itertools import product
@@ -7,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from miflab import BudgetExceeded, small_group
+from miflab import BudgetExceeded, ParseError, small_group
 from miflab import identity_lab as il
 from miflab import mixed_words as mw
 from miflab.parser import parse_mixed_word
@@ -74,6 +75,31 @@ def test_catalog_orders():
     assert small_group("S4").size == 24
     assert small_group("V4").size == 4
     assert small_group("C2xC3").size == 6
+
+
+def permutation_dihedral_table(n):
+    """D_n composed from the n-gon permutations k -> r + k and k -> r - k."""
+    perms = [tuple((r + (1 - 2 * flip) * k) % n for k in range(n)) for flip in (0, 1) for r in range(n)]
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[k] for k in q)] for q in perms] for p in perms])
+
+
+def test_dihedral_formula_matches_the_permutation_tables():
+    for n in range(3, 65):
+        D = il.dihedral(n)
+        assert np.array_equal(D.table, permutation_dihedral_table(n)), n
+        assert D.labels == ["e"] + [f"r{i}" for i in range(1, n)] + [f"s{i}" for i in range(n)]
+
+
+@pytest.mark.parametrize("name", ["C0", "D2", "S6", "C2x", "xC2", "C", "Q8", "C-1", "C2y3", "S"])
+def test_bad_group_names_are_parse_errors(name):
+    with pytest.raises(ParseError):
+        small_group(name)
+
+
+def test_catalog_names_are_case_blind():
+    assert small_group("c2xd3").name == "c2xd3"
+    assert np.array_equal(small_group("s3 x v4").table, small_group("S3xV4").table)
 
 
 def test_direct_product_examples():
@@ -348,6 +374,28 @@ def test_factorial_identity_d4_center():
     assert il.factorial_identity_check(D4, D4.closure(z), z[0])
 
 
+def elementwise_factorial_check(group, N, g):
+    """[x^{|N|!}, g] = 1 for every x, one element at a time."""
+    e = math.factorial(len(N))
+    for x in group.elements():
+        xe = group.power(x, e)
+        comm = group.mul(group.mul(group.inv(xe), group.inv(g)), group.mul(xe, g))
+        if not group.is_identity(comm):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["S4", "D4", "D8", "S3"])
+def test_factorial_verdicts_match_elementwise_reference(name):
+    G = small_group(name)
+    normals = [N for N in G.all_subgroups() if G.is_normal(N) and len(N) > 1]
+    assert len(normals) > 1
+    for N in normals:
+        for g in sorted(N):
+            if not G.is_identity(g):
+                assert il.factorial_identity_check(G, N, g) == elementwise_factorial_check(G, N, g)
+
+
 def test_factorial_identity_rejects_bad_input():
     S4 = small_group("S4")
     N = S4.closure([S4.element_by_label("(12)(34)"), S4.element_by_label("(13)(24)")])
@@ -388,17 +436,46 @@ def test_budget_guards():
         il.is_mixed_identity(word, G)
 
 
-def test_product_table_byte_cap_refuses_before_allocating():
+def test_product_order_cap_refuses_before_allocating():
     S5 = small_group("S5")
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceeded, match=str(il.PRODUCT_TABLE_BYTES_LIMIT)) as err:
+        with pytest.raises(BudgetExceeded, match=f"over the {il.MAX_ORDER}-element cap") as err:
             il.direct_product(S5, S5)  # order 14400: a 1,658,880,000-byte table
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert str(14400 * 14400 * 8) in str(err.value)
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    "build, order",
+    [
+        (lambda: il.cyclic(5000), 5000),
+        (lambda: il.dihedral(2049), 4098),
+        (lambda: small_group("S5xS5"), 14400),
+        (lambda: il.wreath_product(12, il.cyclic(4)), 4**12 * 12),
+        (lambda: il.wreath_product(10**12, il.cyclic(2)), 10**12),
+    ],
+    ids=["C5000", "D2049", "S5xS5", "C4wrC12", "C2wrC10^12"],
+)
+def test_every_group_past_the_order_cap_is_refused_before_allocating(build, order):
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"has order {order}, over the 4096-element cap") as err:
+            build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(order * order * 8) in str(err.value)
+    assert peak < 2**20
+
+
+def test_the_order_cap_admits_its_bound():
+    il._check_order("G", il.MAX_ORDER)  # a 128 MiB table: admitted, not built here
+    with pytest.raises(BudgetExceeded, match="^G has order 4097, over the 4096-element cap"):
+        il._check_order("G", il.MAX_ORDER + 1)
 
 
 def test_subgroup_enumeration_small():

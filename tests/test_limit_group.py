@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,3 +414,35 @@ def test_pow_and_conjugate(default_group):
     # t a_i t^-1 = a_{i+1}; the conjugation helper is g^h = h^-1 g h
     assert t * g * t.inverse() == G.generator(1)
     assert g.conjugate_by(t) == G.generator(-1)
+
+
+def test_wide_powers_with_a_t_part_are_built():
+    # past the window width bound, but beta != 0 decides them nontrivial,
+    # and a later product can cancel the wide letters again
+    G = LimitGroup(2, "n", max_window_width=6)
+    g = G.element([(-1, 1), (1, 1), (2, 1)], -3)
+    assert (g ** 4).a.support == (-10, 2) and not (g ** 4).is_trivial()
+    assert (g ** 4 * g ** -4).is_trivial()
+
+
+def test_power_writing_out_too_many_letters_is_refused(monkeypatch):
+    monkeypatch.setattr(limit_group, "MAX_SYLLABLES", 8)
+    G = LimitGroup(2, "1")
+    x = G.element([(0, 1), (1, 1)], 2)
+    assert len((x ** -4).a.letters) == 8
+    with pytest.raises(CapacityExceeded, match=r"^the power \^-5 of a0 a1 t\^2 would write out 10 letters, past the limit of 8$"):
+        x ** -5
+    # without a t-part the cap does not apply
+    assert len((G.element([(0, 1), (1, 1)]) ** 9).a.letters) == 18
+
+
+def test_huge_power_is_refused_before_any_letter(default_group):
+    g = default_group.element([(0, 1)], 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityExceeded, match="would write out 1000000000 letters, past the limit of 100000$"):
+            g ** 10**9
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -328,8 +328,6 @@ def test_verify_fails_exactly_the_forged_row(default_group):
 def test_bounds_validation():
     with pytest.raises(ValueError):
         ms.SearchBounds(max_beta=-1)
-    b = ms.SearchBounds()
-    assert ms.SearchBounds.from_json_dict(b.to_json_dict()) == b
 
 
 def test_candidate_order_prefix(default_group):
