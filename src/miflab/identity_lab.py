@@ -15,8 +15,11 @@ sampled.  Catalog groups (cyclic, dihedral, symmetric) and direct and wreath
 products of groups are built by a fixed formula, so they are groups by
 construction and their tables are not checked; they are read-only too.
 Cyclic and dihedral tables come from closed forms, symmetric ones from
-composing permutations.  Every built group has one order cap, `MAX_ORDER`,
-checked from the order before any array of the group exists.
+composing permutations; cyclic, dihedral and direct-product tables are
+written in place, with no temporary of the table's size.  Every built
+group has one order cap, `MAX_ORDER`, checked from the order before any
+array of the group exists; `small_group` reads the order of a product
+from its whole name, before any factor is built.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
 
 import numpy as np
@@ -255,12 +259,34 @@ def _check_order(name: str, order: int) -> None:
         )
 
 
-def cyclic(n: int) -> FiniteGroup:
-    if n < 1:
-        raise ValueError("cyclic group order must be positive")
-    _check_order(f"C{n}", n)
+def _catalog_order(kind: str, n: int) -> int:
+    """Order of the catalog group C<n>, D<n> or S<n>; ValueError for an n
+    out of the catalog's range."""
+    if kind == "C":
+        if n < 1:
+            raise ValueError("cyclic group order must be positive")
+        return n
+    if kind == "D":
+        if n < 3:
+            # below the triangle the n-gon degenerates
+            raise ValueError("dihedral groups need n >= 3 (use C2 or V4 below that)")
+        return 2 * n
+    if not (1 <= n <= 5):
+        raise ValueError("symmetric groups supported up to S5")
+    return math.factorial(n)
+
+
+def _fill_addition_table(out: np.ndarray, n: int, sign: int) -> None:
+    """out[i, j] = (i + sign * j) mod n, written in place (no n*n temporary)."""
     idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
+    (np.add if sign > 0 else np.subtract)(idx[:, None], idx[None, :], out=out)
+    np.remainder(out, n, out=out)
+
+
+def cyclic(n: int) -> FiniteGroup:
+    _check_order(f"C{n}", _catalog_order("C", n))
+    table = np.empty((n, n), dtype=np.int64)
+    _fill_addition_table(table, n, 1)
     labels = [f"g{i}" for i in range(n)]
     labels[0] = "e"
     return FiniteGroup._by_construction(table, labels, name=f"C{n}")
@@ -286,8 +312,7 @@ def _cycle_label(perm) -> str:
 
 
 def symmetric(n: int) -> FiniteGroup:
-    if not (1 <= n <= 5):
-        raise ValueError("symmetric groups supported up to S5")
+    _catalog_order("S", n)  # the range check
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # the product p q applies q first
@@ -301,14 +326,15 @@ def dihedral(n: int) -> FiniteGroup:
 
     Element f*n + r is (f, r): the rotation by r, after the reflection
     k -> -k when f = 1.  (f1, r1)(f2, r2) = (f1 ^ f2, r1 + (-1)^f1 r2 mod n).
+    Each n*n block of the table is written in place.
     """
-    if n < 3:
-        # below the triangle the n-gon degenerates
-        raise ValueError("dihedral groups need n >= 3 (use C2 or V4 below that)")
-    _check_order(f"D{n}", 2 * n)
-    ids = np.arange(2 * n)
-    f, r = ids // n, ids % n
-    table = (f[:, None] ^ f[None, :]) * n + (r[:, None] + (1 - 2 * f[:, None]) * r[None, :]) % n
+    _check_order(f"D{n}", _catalog_order("D", n))
+    table = np.empty((2 * n, 2 * n), dtype=np.int64)
+    rotations, reflections = table[:n, :n], table[n:, n:]
+    _fill_addition_table(rotations, n, 1)  # f1 = f2 = 0
+    np.add(rotations, n, out=table[:n, n:])  # f1 = 0, f2 = 1
+    _fill_addition_table(reflections, n, -1)  # f1 = f2 = 1
+    np.add(reflections, n, out=table[n:, :n])  # f1 = 1, f2 = 0
     labels = ["e"] + [f"r{i}" for i in range(1, n)] + [f"s{i}" for i in range(n)]
     return FiniteGroup._by_construction(table, labels, name=f"D{n}")
 
@@ -327,21 +353,29 @@ def small_group(name: str) -> FiniteGroup:
     """Resolve catalog names: C<n>, D<n>, S<n>, V4, and x-products thereof.
 
     A malformed or out-of-range name raises ParseError; a group past
-    `MAX_ORDER` raises BudgetExceeded before its table exists.
+    `MAX_ORDER` raises BudgetExceeded, with the order read from the whole
+    name, before any factor is built.
     """
     text = name.strip()
-    groups = []
+    builders = []
+    order = 1
     for part in text.split("x"):
         m = _FACTOR.fullmatch(part.strip())
         if m is None:
             raise ParseError(f"unknown group name {name!r}")
         if m.group(1) is None:
-            groups.append(klein_four())
+            builders.append(klein_four)
+            order *= 4
             continue
+        kind = m.group(1).upper()
         try:
-            groups.append(_CATALOG[m.group(1).upper()](int(m.group(2))))
+            n = int(m.group(2))
+            order *= _catalog_order(kind, n)
         except ValueError as exc:  # C0, D2, S6
             raise ParseError(f"group name {name!r}: {exc}") from None
+        builders.append(partial(_CATALOG[kind], n))
+    _check_order(text, order)
+    groups = [build() for build in builders]
     acc = groups[0]
     for factor in groups[1:]:
         acc = direct_product(acc, factor)
@@ -354,13 +388,17 @@ def small_group(name: str) -> FiniteGroup:
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Componentwise product; element (x, y) has id x*|B| + y."""
+    """Componentwise product; element (x, y) has id x*|B| + y.
+
+    The table is written in place through its (x, y, x', y') view.
+    """
     na, nb = a.size, b.size
     _check_order(f"{a.name}x{b.name}", na * nb)
-    xa = np.repeat(np.arange(na), nb)
-    yb = np.tile(np.arange(nb), na)
-    table = a.table[xa[:, None], xa[None, :]] * nb + b.table[yb[:, None], yb[None, :]]
-    labels = [f"({a.labels[x]},{b.labels[y]})" for x, y in zip(xa, yb)]
+    table = np.empty((na * nb, na * nb), dtype=np.int64)
+    blocks = table.reshape(na, nb, na, nb)
+    np.multiply(a.table[:, None, :, None], nb, out=blocks)
+    np.add(blocks, b.table[None, :, None, :], out=blocks)
+    labels = [f"({a.labels[x]},{b.labels[y]})" for x in range(na) for y in range(nb)]
     return FiniteGroup._by_construction(table, labels, name=f"{a.name}x{b.name}")
 
 

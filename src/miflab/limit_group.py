@@ -178,13 +178,17 @@ class GElement:
         return GElement(self.group, shift(self.a.inverse(), -self.beta), -self.beta)
 
     def __pow__(self, k: int) -> "GElement":
-        """Square-and-multiply.  For beta == 0 an exponent past the coset
-        cap, which bounds every window order, is first reduced modulo the
-        element's order, so the letters stay short; a support past the
-        caps raises CapacityExceeded before any letter is built.  For
-        beta != 0 no reduction applies: the power writes out |k| shifted
-        copies of the a-part, and one that would write out more than
-        `MAX_SYLLABLES` letters raises CapacityExceeded before any is built."""
+        """Square-and-multiply.  An element with no a-part is t^beta, and
+        its power is t^(beta*k) at once.  For beta == 0 an exponent past
+        the coset cap, which bounds every window order, is first reduced
+        modulo the element's order, so the letters stay short; a support
+        past the caps raises CapacityExceeded before any letter is built.
+        For beta != 0 no reduction applies: the power writes out |k|
+        shifted copies of the a-part, and one that would write out more
+        than `MAX_SYLLABLES` letters raises CapacityExceeded before any is
+        built."""
+        if not self.a.letters:
+            return GElement(self.group, self.a, self.beta * k)
         if self.beta == 0 and abs(k) > self.group.max_cosets:
             k %= self.order()
         letters = abs(k) * len(self.a.letters)
@@ -460,17 +464,25 @@ class LimitGroup:
         """Shortlex normal form in the window group of the word's support.
 
         The canonical word is window-stable: any window containing the
-        support yields the same letters.
+        support yields the same letters.  A word of at most one letter
+        (i, e), 0 < e < p, is its own normal form, with no table: its
+        abelian image e at i is nonzero, so it is nontrivial, and the
+        shortest words with that image are powers of a_i, which merge to
+        the same (i, e).
         """
-        if word.is_empty():
+        if len(word.letters) <= 1:
             return word
         lo, hi = word.support
         table = self.table_for_width(hi - lo)
         return self.aword_from_table(table.normal_form(self._letters_for_table(word, lo)), lo)
 
     def aword_order(self, word: AWord) -> int:
+        """Order of the word in A.  One letter a_i^e, 0 < e < p, has order
+        p with no table: a_i^p is a relator and a_i^e is nontrivial."""
         if word.is_empty():
             return 1
+        if len(word.letters) == 1:
+            return self.p
         lo, hi = word.support
         table = self.table_for_width(hi - lo)
         return table.element_order(self._letters_for_table(word, lo))

@@ -10,9 +10,10 @@ word the driver searches for a witness g = a * t^beta in canonical order
 (increasing support radius, then |beta|, then shortlex a-part, positive
 beta before negative) such that w(g) is nontrivial, and records a
 certificate.  Every recorded value is re-derived after the run (the
-witness-set persistence pass) and by `verify_certificates` from the log's
-text; an exhausted search is reported honestly as inconclusive, not
-escalated.
+witness-set persistence pass, which re-canonicalises through the window
+table only for a value in A of two or more letters) and by
+`verify_certificates` from the log's text; an exhausted search is
+reported honestly as inconclusive, not escalated.
 """
 
 from __future__ import annotations
@@ -276,8 +277,10 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
     The witness set F collects every recorded w_i(g_i).  Once the search
     stops (also on CapacityExceeded, when the partial log is returned
     flagged incomplete) every member is rebuilt without its cached
-    canonical form and re-canonicalised through the window table; a
-    member that has become trivial raises VerificationError (witness-set
+    canonical form and re-canonicalised: a member with beta != 0 is
+    nontrivial at once, a one-letter a-part is its own normal form, and
+    only an a-part of two or more letters goes through the window table;
+    a member that has become trivial raises VerificationError (witness-set
     persistence).  The check is one pass over F, so each word costs one
     search plus one re-canonicalisation.
     """

@@ -178,18 +178,24 @@ def evaluate(word: MixedWord, assignment: dict):
     """Image of the word under the homomorphism fixing constants and
     sending x_i to assignment[i].
 
-    One `group.product` over the syllables' values; a variable syllable
-    x_i^e enters as `group.power(assignment[i], e)`, so a large exponent
-    costs O(log |e|) multiplications.
+    One pass builds the syllables' values and one `group.product` takes
+    them; a variable syllable x_i^e enters as `group.power(assignment[i],
+    e)`, so a large exponent costs O(log |e|) multiplications.  A missing
+    variable raises ValueError naming every missing id; any other
+    KeyError passes through.
     """
     group = word.group
-    missing = [v for v in word.variable_ids if v not in assignment]
-    if missing:
-        raise ValueError(f"assignment missing variables {missing}")
-    return group.product([
-        s[1] if s[0] == CONST else group.power(assignment[s[1]], s[2])
-        for s in word.syllables
-    ])
+    try:
+        values = [
+            s[1] if s[0] == CONST else group.power(assignment[s[1]], s[2])
+            for s in word.syllables
+        ]
+    except KeyError:
+        missing = [v for v in word.variable_ids if v not in assignment]
+        if missing:
+            raise ValueError(f"assignment missing variables {missing}") from None
+        raise
+    return group.product(values)
 
 
 def iota_embed(word: MixedWord, g) -> MixedWord:

@@ -91,7 +91,52 @@ def test_dihedral_formula_matches_the_permutation_tables():
         assert D.labels == ["e"] + [f"r{i}" for i in range(1, n)] + [f"s{i}" for i in range(n)]
 
 
-@pytest.mark.parametrize("name", ["C0", "D2", "S6", "C2x", "xC2", "C", "Q8", "C-1", "C2y3", "S"])
+def broadcast_tables():
+    """Cyclic, dihedral and direct-product tables by whole-array formulas."""
+    def cyclic(n):
+        idx = np.arange(n)
+        return (idx[:, None] + idx[None, :]) % n
+
+    def dihedral(n):
+        ids = np.arange(2 * n)
+        f, r = ids // n, ids % n
+        return (f[:, None] ^ f[None, :]) * n + (r[:, None] + (1 - 2 * f[:, None]) * r[None, :]) % n
+
+    def direct(a, b):
+        na, nb = len(a), len(b)
+        xa, yb = np.repeat(np.arange(na), nb), np.tile(np.arange(nb), na)
+        return a[xa[:, None], xa[None, :]] * nb + b[yb[:, None], yb[None, :]]
+
+    return cyclic, dihedral, direct
+
+
+def test_tables_written_in_place_match_the_broadcast_formulas():
+    cyclic, dihedral, direct = broadcast_tables()
+    for n in range(1, 70):
+        assert np.array_equal(il.cyclic(n).table, cyclic(n)), n
+    for n in range(3, 70):
+        assert np.array_equal(il.dihedral(n).table, dihedral(n)), n
+    for a, b in [("C2", "C3"), ("S3", "V4"), ("D4", "C1"), ("S4", "D5"), ("C5", "S3xC2")]:
+        A, B = small_group(a), small_group(b)
+        P = il.direct_product(A, B)
+        assert np.array_equal(P.table, direct(A.table, B.table)), (a, b)
+        assert P.labels == [f"({x},{y})" for x in A.labels for y in B.labels]
+
+
+@pytest.mark.parametrize("name", ["C2048", "D1024", "S5xS4"])
+def test_tables_are_built_at_their_final_size(name):
+    tracemalloc.start()
+    try:
+        group = small_group(name)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * group.table.nbytes
+
+
+@pytest.mark.parametrize(
+    "name", ["C0", "D2", "S6", "C2x", "xC2", "C", "Q8", "C-1", "C2y3", "S", "S6xC1000", "C5000xD2"]
+)
 def test_bad_group_names_are_parse_errors(name):
     with pytest.raises(ParseError):
         small_group(name)
@@ -455,10 +500,12 @@ def test_product_order_cap_refuses_before_allocating():
         (lambda: il.cyclic(5000), 5000),
         (lambda: il.dihedral(2049), 4098),
         (lambda: small_group("S5xS5"), 14400),
+        (lambda: small_group("C2000xC3"), 6000),
+        (lambda: small_group("C4000xC2"), 8000),
         (lambda: il.wreath_product(12, il.cyclic(4)), 4**12 * 12),
         (lambda: il.wreath_product(10**12, il.cyclic(2)), 10**12),
     ],
-    ids=["C5000", "D2049", "S5xS5", "C4wrC12", "C2wrC10^12"],
+    ids=["C5000", "D2049", "S5xS5", "C2000xC3", "C4000xC2", "C4wrC12", "C2wrC10^12"],
 )
 def test_every_group_past_the_order_cap_is_refused_before_allocating(build, order):
     tracemalloc.start()

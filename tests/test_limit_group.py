@@ -446,3 +446,49 @@ def test_huge_power_is_refused_before_any_letter(default_group):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# -- answers the letters decide -----------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_one_letter_words_are_their_own_normal_form(p):
+    G = LimitGroup(p, "n")
+    table = G.table_for_width(0)
+    for i in range(-3, 4):
+        for e in range(1, p):
+            word = G.aword([(i, e)])
+            reference = G.aword_from_table(table.normal_form(((0, 1),) * e), i)
+            assert G.canonical_aword(word) == reference == word
+            assert G.generator(i, e).order() == p
+
+
+def test_one_letter_answers_build_no_table():
+    G = LimitGroup(5, "n")
+    g = G.generator(-2, 3)
+    assert not g.is_trivial()
+    assert g.render_canonical() == "a-2^3"
+    assert g.order() == 5
+    assert G.cached_tables() == {}
+
+
+def test_powers_without_an_a_part_are_t_powers(monkeypatch):
+    G = LimitGroup(2, "n")
+    elements = (G.identity_element, G.t_power(1), G.t_power(-2), G.t_power(5))
+    folds = {}
+    for g in elements:
+        for k in range(-20, 21):
+            fold = G.identity_element
+            for _ in range(abs(k)):
+                fold = fold * (g if k > 0 else g.inverse())
+            folds[g, k] = fold
+
+    def no_product(self, factors):
+        raise AssertionError("a power of t^b multiplied")
+
+    monkeypatch.setattr(LimitGroup, "product", no_product)
+    big = G.t_power(3) ** 10**12
+    assert big.beta == 3 * 10**12 and big.a.letters == ()
+    for (g, k), fold in folds.items():
+        power = g ** k
+        assert (power.beta, power.a.letters) == (fold.beta, fold.a.letters)

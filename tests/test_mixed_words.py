@@ -238,6 +238,27 @@ def test_missing_assignment_rejected(default_group):
     G = default_group
     with pytest.raises(ValueError):
         evaluate(parse_mixed_word("x1 x2", G), {1: G.generator(0)})
+    with pytest.raises(ValueError, match=r"^assignment missing variables \[2, 3\]$"):
+        evaluate(parse_mixed_word("x3 x1 x2^2", G), {1: G.generator(0)})
+
+
+class _KeyErrorPower:
+    """A stub context whose `power` raises a KeyError of its own."""
+
+    identity_element = 0
+
+    def power(self, g, k):
+        raise KeyError("inside power")
+
+    def product(self, factors):
+        return sum(factors)
+
+
+def test_key_error_inside_power_passes_through():
+    word = mw.MixedWord(_KeyErrorPower(), [mw.var_syllable(1, 2)])
+    with pytest.raises(KeyError, match="inside power") as err:
+        evaluate(word, {1: 1})
+    assert err.value.args == ("inside power",)
 
 
 # -- one product per evaluation ---------------------------------------------------
