@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -23,7 +24,7 @@ from . import mixed_words as mw
 from .errors import BudgetExceeded, CapacityExceeded, MiflabError, ParseError, VerificationError
 from .limit_group import LimitGroup
 from .mif_search import SearchBounds
-from .parser import parse_mixed_word
+from .parser import named_variables, parse_mixed_word
 from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH, Window
 
 EXIT_OK = 0
@@ -75,7 +76,8 @@ def _add_instance_flags(sub):
     sub.add_argument("--p", type=int, default=2, help="prime p (default 2)")
     sub.add_argument("--c", default="n", help="class-bound sequence: 'n' or '1,2,2'")
     _add_cap_flags(sub)
-    sub.add_argument("--cache-dir", default=None, dest="cache_dir",
+    # the library has no disk cache unless given one; only the CLI reads the variable
+    sub.add_argument("--cache-dir", default=os.environ.get("MIFLAB_CACHE"), dest="cache_dir",
                      help="table cache directory (default: $MIFLAB_CACHE)")
 
 
@@ -128,13 +130,14 @@ def _check_family(args, identity: str, G, pairs, constants) -> int:
     return EXIT_OK
 
 
-def _catalog_group(args, flag: str):
-    """The catalog group named by `--<flag>`; a missing or bad name is a ParseError."""
+def _catalog_group(args, flag: str, resolve=identity_lab.small_group):
+    """`resolve` (by default the group) of the catalog name `--<flag>`; a
+    missing or bad name is a ParseError."""
     name = getattr(args, flag)
     if name is None:
         raise ParseError(f"--{flag} is required for this check")
     try:
-        return identity_lab.small_group(name)
+        return resolve(name)
     except ParseError as exc:
         raise ParseError(f"--{flag}: {exc}") from None
 
@@ -190,6 +193,9 @@ def cmd_check(args) -> int:
         _emit(args, payload, f"{ok}")
         return EXIT_OK
     if args.word:
+        # the assignment cap is checked from the name and the text, before any table exists
+        order = _catalog_group(args, "group", identity_lab.small_group_order)
+        identity_lab.check_assignments(order, len(named_variables(args.word)))
         G = _catalog_group(args, "group")
         word = parse_mixed_word(args.word, G, constants=G.constants())
         verdict = identity_lab.is_mixed_identity(word, G)

@@ -23,8 +23,7 @@ a word.  It reads the word letter by letter into the action on tree level
 vertices; the word fixes level 12 iff it fixes level 8 and every section
 fixes level 4.  The `grig` workload of perfbench/run.py, whose `verify_s`
 is nearly all oracle calls (2,401 words, 78,702 letters), measures a
-median `verify_s` of ~0.10 s (~0.27 s with 4096-wide numpy permutations;
-2-vCPU VM, Python 3.11).
+median `verify_s` of ~0.10 s (2-vCPU VM, Python 3.11).
 """
 
 from __future__ import annotations

@@ -15,11 +15,11 @@ sampled.  Catalog groups (cyclic, dihedral, symmetric) and direct and wreath
 products of groups are built by a fixed formula, so they are groups by
 construction and their tables are not checked; they are read-only too.
 Cyclic and dihedral tables come from closed forms, symmetric ones from
-composing permutations; cyclic, dihedral and direct-product tables are
-written in place, with no temporary of the table's size.  Every built
+composing permutations; cyclic, dihedral, direct-product and wreath tables
+are written in place, with no temporary of the table's size.  Every built
 group has one order cap, `MAX_ORDER`, checked from the order before any
-array of the group exists; `small_group` reads the order of a product
-from its whole name, before any factor is built.
+array of the group exists; `small_group_order` reads the order of a
+product from its whole name, before any factor is built.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import permutations, product
 
 import numpy as np
@@ -349,13 +349,8 @@ _FACTOR = re.compile(r"([CDS])([0-9]+)|V4", re.IGNORECASE)
 _CATALOG = {"C": cyclic, "D": dihedral, "S": symmetric}
 
 
-def small_group(name: str) -> FiniteGroup:
-    """Resolve catalog names: C<n>, D<n>, S<n>, V4, and x-products thereof.
-
-    A malformed or out-of-range name raises ParseError; a group past
-    `MAX_ORDER` raises BudgetExceeded, with the order read from the whole
-    name, before any factor is built.
-    """
+def _resolve(name: str) -> tuple[int, list]:
+    """(order, a builder per factor) of a catalog name, checked as in `small_group`."""
     text = name.strip()
     builders = []
     order = 1
@@ -375,12 +370,25 @@ def small_group(name: str) -> FiniteGroup:
             raise ParseError(f"group name {name!r}: {exc}") from None
         builders.append(partial(_CATALOG[kind], n))
     _check_order(text, order)
-    groups = [build() for build in builders]
-    acc = groups[0]
-    for factor in groups[1:]:
-        acc = direct_product(acc, factor)
-    if len(groups) > 1:
-        acc.name = text
+    return order, builders
+
+
+def small_group_order(name: str) -> int:
+    """The order of `small_group(name)`, read from the name alone."""
+    return _resolve(name)[0]
+
+
+def small_group(name: str) -> FiniteGroup:
+    """Resolve catalog names: C<n>, D<n>, S<n>, V4, and x-products thereof.
+
+    A malformed or out-of-range name raises ParseError; a group past
+    `MAX_ORDER` raises BudgetExceeded, with the order read from the whole
+    name, before any factor is built.
+    """
+    _, builders = _resolve(name)
+    acc = reduce(direct_product, [build() for build in builders])
+    if len(builders) > 1:
+        acc.name = name.strip()
     return acc
 
 
@@ -417,8 +425,11 @@ class WreathData:
 def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
     """base wr C_k with the cyclic top rotating coordinates.
 
-    Element ((b_0, ..., b_{k-1}), s); multiplication applies the left
-    factor's rotation to the right factor's coordinates.
+    Element ((b_0, ..., b_{k-1}), s) has id f*k + s, where f is the id of
+    (b_0, ..., b_{k-1}) in the direct power base^k.  Coordinate c of
+    (f, s)(g, u) is f_c g_{(c-s) mod k}, so block (s, u) of the table is
+    the power's table with its columns rotated by s digits, times k, plus
+    (s + u) mod k; each block is written in place.
     """
     k = top_order
     if k < 1:
@@ -427,51 +438,36 @@ def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
     # the order is at least k, so a top past the cap is refused before nb**k is computed
     _check_order(f"{name}'s top C{k}", k)
     nb = base.size
-    total = (nb**k) * k
+    m = nb**k
+    total = m * k
     _check_order(name, total)
-
-    def encode(coords, s):
-        acc = 0
-        for c in coords:
-            acc = acc * nb + c
-        return acc * k + (s % k)
-
-    # element id = (b_0 ... b_{k-1} read in base nb) * k + s
-    ids = np.arange(total)
-    shift = ids % k
-    coord = np.empty((total, k), dtype=np.int64)
-    rem = ids // k
-    for c in reversed(range(k)):
-        coord[:, c] = rem % nb
-        rem //= nb
-    # coordinate c of f * g is f[c] * g[(c - s_f) % k]
-    table = np.zeros((total, total), dtype=np.int64)
-    for c in range(k):
-        table *= nb
-        table += base.table[coord[:, c][:, None], coord.T[(c - shift) % k]]
-    table *= k
-    table += (shift[:, None] + shift[None, :]) % k
+    power = reduce(direct_product, [base] * k).table
+    table = np.empty((total, total), dtype=np.int64)
+    blocks = table.reshape(m, k, m, k)
+    g = np.arange(m)
+    for s in range(k):
+        rotated = g % nb**s * nb ** (k - s) + g // nb**s
+        first = blocks[:, s, :, 0]
+        # mode="clip" writes straight into `out`; the default buffers a copy
+        np.take(power, rotated, axis=1, out=first, mode="clip")
+        np.multiply(first, k, out=first)
+        for u in range(k - 1, -1, -1):  # block u = 0 last: it is the source
+            np.add(first, (s + u) % k, out=blocks[:, s, :, u])
     labels = [
         "(" + ",".join(base.labels[b] for b in f) + f";{s})"
-        for f, s in zip(coord.tolist(), shift.tolist())
+        for f in product(range(nb), repeat=k) for s in range(k)
     ]
-    group = FiniteGroup._by_construction(table, labels, name=name)
-
-    id_b = base.identity
-    first = tuple(
-        encode((b,) + (id_b,) * (k - 1), 0) for b in range(nb)
-    )
-    rest = tuple(
-        encode((id_b,) + others, 0)
-        for others in product(range(nb), repeat=k - 1)
-    ) if k > 1 else (group.identity,)
+    # coordinate 0 has place value nb^(k-1) in base^k, and (e, ..., e) has
+    # id e*(1 + nb + ... + nb^(k-2)) in base^(k-1)
+    place = nb ** (k - 1)
+    rest_identity = base.identity * sum(nb**j for j in range(k - 1))
     return WreathData(
-        group=group,
+        group=FiniteGroup._by_construction(table, labels, name=name),
         top_order=k,
         base_group=base,
         base=tuple(range(0, total, k)),  # shift 0
-        first_factor=first,
-        rest_factor=rest,
+        first_factor=tuple((b * place + rest_identity) * k for b in range(nb)),
+        rest_factor=tuple((base.identity * place + r) * k for r in range(place)),
     )
 
 
@@ -509,10 +505,7 @@ def is_mixed_identity(word: "mw.MixedWord", group: FiniteGroup) -> MixedIdentity
     ids = word.variable_ids
     nvars = len(ids)
     n = group.size
-    if n**max(nvars, 1) > ASSIGNMENT_LIMIT:
-        raise BudgetExceeded(
-            f"{n}^{nvars} substitutions exceed the assignment cap"
-        )
+    check_assignments(n, nvars)
     if nvars == 0:
         val = word.constant_value()
         holds = group.is_identity(val)
@@ -539,6 +532,12 @@ def is_mixed_identity(word: "mw.MixedWord", group: FiniteGroup) -> MixedIdentity
             assignment = {vid: int(digits[vid][first]) for vid in ids}
             return MixedIdentityVerdict(False, assignment, start + first + 1)
     return MixedIdentityVerdict(True, None, total)
+
+
+def check_assignments(order: int, nvars: int) -> None:
+    """Refuse a verdict over more than `ASSIGNMENT_LIMIT` substitutions."""
+    if order ** max(nvars, 1) > ASSIGNMENT_LIMIT:
+        raise BudgetExceeded(f"{order}^{nvars} substitutions exceed the assignment cap")
 
 
 def _power_map(group: FiniteGroup, e: int) -> np.ndarray:

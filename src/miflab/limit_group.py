@@ -11,7 +11,9 @@ windows of equal width isomorphic via index translation), built at most
 once each, and immutable afterwards.  With a cache directory, each
 table's int32 action is also kept on disk as `table-<digest>.npy` (the
 suffix versions the format; files of another format are ignored) and
-goes through the same `CosetTable` checks when it is loaded.
+goes through the same `CosetTable` checks when it is loaded; an entry
+with more cosets than `max_cosets` is refused from its header, before
+its data is read.
 """
 
 from __future__ import annotations
@@ -274,6 +276,16 @@ class GElement:
         return f"GElement({self.render()!r})"
 
 
+def _npy_shape(fh) -> tuple:
+    """The array shape in the header of the `.npy` file `fh`, data unread."""
+    version = np.lib.format.read_magic(fh)
+    read_header = (
+        np.lib.format.read_array_header_1_0 if version == (1, 0)
+        else np.lib.format.read_array_header_2_0
+    )
+    return read_header(fh)[0]
+
+
 class LimitGroup:
     """The limit group G of (p, c): owns the caps and the window-table cache.
 
@@ -295,7 +307,7 @@ class LimitGroup:
         self.c = CSequence.from_spec(c)
         self.max_cosets = max_cosets
         self.max_window_width = max_window_width
-        self.cache_dir = cache_dir if cache_dir is not None else os.environ.get("MIFLAB_CACHE")
+        self.cache_dir = cache_dir  # None: no disk cache
         self._tables: dict[int, CosetTable] = {}
 
     # -- element constructors -------------------------------------------
@@ -406,14 +418,25 @@ class LimitGroup:
     def _load_cached(self, width: int, pres) -> CosetTable | None:
         """The cached table of `width`, or None if there is no cache entry.
 
-        An entry that is not a readable int32 `.npy` array, or whose action
-        `CosetTable` refuses, raises VerificationError naming the file.
+        An entry of more than `max_cosets` cosets raises CapacityExceeded,
+        as enumerating it would, with the count read from the `.npy`
+        header before the data.  An entry that is not a readable int32
+        `.npy` array, or whose action `CosetTable` refuses, raises
+        VerificationError naming the file.
         """
         path = self._cache_path(width)
         if not path or not os.path.exists(path):
             return None
         try:
             with open(path, "rb") as fh:
+                shape = _npy_shape(fh)
+                if len(shape) == 2 and shape[1] > self.max_cosets:
+                    raise CapacityExceeded(
+                        f"the cached table of window {pres.window} (p={self.p}, "
+                        f"c={self.c.spec()}) has {shape[1]} cosets, over "
+                        f"max_cosets={self.max_cosets} (cache file {path})"
+                    )
+                fh.seek(0)
                 action = np.load(fh, allow_pickle=False)
         except (OSError, ValueError, EOFError) as exc:  # unreadable, truncated or not .npy
             raise VerificationError(f"corrupt coset table cache file {path}: {exc}") from exc

@@ -147,16 +147,14 @@ class _Parser:
             return mw.MixedWord(self.group, ())
         if kind == "paren":
             return self._constant(val)
-        head = val[0]
-        rest = val[1:]
-        if head == "x" and (rest == "" or re.fullmatch(r"\d+", rest)):
-            vid = 1 if rest == "" else int(rest)
+        vid = _variable_id(val)
+        if vid is not None:
             if vid < 1:
                 raise ParseError(f"variable ids start at 1: {val!r}")
             return mw.variable(self.group, vid)
         if self.constants is None:
-            if head == "a" and re.fullmatch(r"-?\d+", rest):
-                return mw.constant(self.group, self.group.generator(int(rest)))
+            if val[0] == "a" and re.fullmatch(r"-?\d+", val[1:]):
+                return mw.constant(self.group, self.group.generator(int(val[1:])))
             if val == "t":
                 return mw.constant(self.group, self.group.t_power(1))
             raise ParseError(f"unknown generator {val!r} in {self.text!r}")
@@ -166,6 +164,25 @@ class _Parser:
         if self.constants is None or name not in self.constants:
             raise ParseError(f"unbound constant {name!r} in {self.text!r}")
         return mw.constant(self.group, self.constants[name])
+
+
+def _variable_id(name: str) -> int | None:
+    """The id of the variable a name token denotes: 1 for `x`, i for `x<i>`
+    (digits only); None for a name that is not a variable."""
+    if name == "x":
+        return 1
+    if name[0] == "x" and name[1:].isdecimal():
+        return int(name[1:])
+    return None
+
+
+def named_variables(text: str) -> set[int]:
+    """The ids of the variables `text` names, from its tokens alone.  The
+    parsed word has no others, but may have fewer: a variable can cancel."""
+    return {
+        vid for kind, val in tokenize(text)
+        if kind == "name" and (vid := _variable_id(val)) is not None
+    }
 
 
 def _refuse(syllables: int, what: str):

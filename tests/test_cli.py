@@ -4,9 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from miflab import LimitGroup, Window
+from miflab.cli import main
 
 
 def run_cli(*args):
@@ -278,7 +282,7 @@ def test_exit_code_capacity():
 
 
 def test_drive_writes_the_partial_log_at_the_capacity_wall(tmp_path):
-    from miflab import LimitGroup, mif_search
+    from miflab import mif_search
 
     certs = tmp_path / "certs.jsonl"
     code, out, _ = run_cli(
@@ -310,8 +314,6 @@ def test_verify_honours_the_caps(tmp_path):
 
 
 def _width_one_cache_file(tmp_path):
-    from miflab import LimitGroup
-
     return LimitGroup(2, "1,2", cache_dir=str(tmp_path))._cache_path(1)
 
 
@@ -366,6 +368,47 @@ def test_relabelled_cache_is_refused_not_reordered(tmp_path):
     code, out, err = run_cli(*args)
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "verification"
+
+
+def test_a_cached_table_obeys_the_coset_cap(tmp_path):
+    # the verdict under a cap does not depend on what an earlier run left on disk
+    capped = ("order", "--window", "0..3", "--max-cosets", "100", "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(*capped)
+    assert (code, out) == (2, "") and "max_cosets=100 " in json.loads(err)["detail"]
+    assert run_cli("order", "--window", "0..3", "--cache-dir", str(tmp_path)) == (0, "1024\n", "")
+    code, out, err = run_cli(*capped)
+    assert (code, out) == (2, "")
+    error = json.loads(err)
+    assert error["error"] == "capacity"
+    path = LimitGroup(2, "n", cache_dir=str(tmp_path))._cache_path(3)
+    assert error["detail"] == (
+        f"the cached table of window 0..3 (p=2, c=n) has 1024 cosets, over "
+        f"max_cosets=100 (cache file {path})"
+    )
+
+
+def test_only_the_cli_reads_the_cache_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("MIFLAB_CACHE", str(tmp_path))
+    assert LimitGroup(2, "1,2").window_order(Window(0, 2)) == 16
+    assert os.listdir(tmp_path) == []
+    assert run_cli("order", "--c", "1,2", "--window", "0..2") == (0, "16\n", "")
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        os.path.basename(LimitGroup(2, "1,2", cache_dir=str(tmp_path))._cache_path(w))
+        for w in range(3)
+    )
+
+
+def test_check_word_refuses_the_assignments_before_building_the_group(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["check", "--word", "[x,x2]", "--group", "S5xS4"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == '{"error": "capacity", "detail": "2880^2 substitutions exceed the assignment cap"}\n'
+    assert peak < 2**20
 
 
 def test_exit_code_parse_error():

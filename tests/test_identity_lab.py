@@ -1,8 +1,10 @@
 """Finite-group lab: catalog, products, exhaustive identity verdicts."""
 
+import hashlib
 import math
 import random
 import tracemalloc
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -123,11 +125,20 @@ def test_tables_written_in_place_match_the_broadcast_formulas():
         assert P.labels == [f"({x},{y})" for x in A.labels for y in B.labels]
 
 
-@pytest.mark.parametrize("name", ["C2048", "D1024", "S5xS4"])
-def test_tables_are_built_at_their_final_size(name):
+@pytest.mark.parametrize(
+    "build",
+    [
+        partial(small_group, "C2048"),
+        partial(small_group, "D1024"),
+        partial(small_group, "S5xS4"),
+        lambda: il.wreath_product(8, il.cyclic(2)).group,
+    ],
+    ids=["C2048", "D1024", "S5xS4", "C2wrC8"],
+)
+def test_tables_are_built_at_their_final_size(build):
     tracemalloc.start()
     try:
-        group = small_group(name)
+        group = build()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -241,6 +252,43 @@ def test_wreath_orders():
 def test_wreath_table_matches_scalar_fill(k, base):
     B = small_group(base)
     assert np.array_equal(il.wreath_product(k, B).group.table, scalar_wreath_table(k, B))
+
+
+def relabelled_c3():
+    """C3 with every id moved up by one, so its identity has id 1."""
+    shift = [1, 2, 0]  # old id -> new id
+    back = [2, 0, 1]  # new id -> old id
+    table = [[shift[(back[i] + back[j]) % 3] for j in range(3)] for i in range(3)]
+    return il.FiniteGroup(table, labels=["b", "e", "a"], name="C3r")
+
+
+def wreath_digest(data):
+    """SHA-256 over the table, inverses, base, factor tuples and labels."""
+    G = data.group
+    h = hashlib.sha256()
+    for part in (G.table, G.inverse_table, data.base, data.first_factor, data.rest_factor):
+        h.update(np.asarray(part, dtype=np.int64).tobytes())
+        h.update(b"|")
+    h.update("\n".join(G.labels).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "k, base, digest",
+    [
+        (6, "C2", "5632749d79435f185a66bb428d0322c23d42154d69c95f8c9bebdaee835ff3d2"),
+        (2, "S3", "77e5740bcc9aed7e9b52c0cc8dac6a58b80da32770227a439b39e379ba8934cd"),
+        (3, "C3", "9e69f850cffa827476d7b47ddb7703e9514e3443df655efb32f1f33dcfa9e6f0"),
+        (1, None, "38e52fd17fada773237eb2d02feb30b4233c2b1c5e1b5289cf0bbd96d8b3830f"),
+        (2, None, "e2487e00f7bd7b862369ebf54c7bf31c6ea0f0540ffd955daff956805e547b79"),
+        (3, None, "87d9a863961542faca83dd5fe351b997f636b8b1e2c68b32dbb2bd059afb2cf6"),
+    ],
+    ids=["C2wrC6", "S3wrC2", "C3wrC3", "C3rwrC1", "C3rwrC2", "C3rwrC3"],
+)
+def test_wreath_products_are_pinned(k, base, digest):
+    # C3r has its identity at id 1, so the factor tuples cannot assume id 0
+    B = small_group(base) if base else relabelled_c3()
+    assert wreath_digest(il.wreath_product(k, B)) == digest
 
 
 def test_wreath_base_decomposition():
