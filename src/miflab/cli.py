@@ -142,6 +142,19 @@ def _catalog_group(args, flag: str, resolve=identity_lab.small_group):
         raise ParseError(f"--{flag}: {exc}") from None
 
 
+def _split_labels(text: str) -> list[str]:
+    """The labels of a comma-separated list, split only at commas outside
+    parentheses, so a product label such as `((12),e)` stays whole."""
+    labels, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            labels.append(text[start:i])
+            start = i + 1
+    labels.append(text[start:])
+    return labels
+
+
 def cmd_check(args) -> int:
     if args.id == "direct-product":
         A = _catalog_group(args, "A")
@@ -171,7 +184,7 @@ def cmd_check(args) -> int:
         G = _catalog_group(args, "group")
         if not args.normal:
             raise ParseError("--normal is required for the factorial check")
-        N = G.closure(G.element_by_label(x.strip()) for x in args.normal.split(","))
+        N = G.closure(G.element_by_label(x.strip()) for x in _split_labels(args.normal))
         g = G.element_by_label(args.g) if args.g else next(
             (e for e in sorted(N) if not G.is_identity(e)), G.identity
         )

@@ -4,9 +4,12 @@ Groups are multiplication tables on element ids 0..n-1 with optional
 labels.  A "true" verdict from `is_mixed_identity` is a proof: every
 substitution is tried, and oversized instances are refused rather than
 sampled.  Verdicts are batched: the word is evaluated on whole blocks of
-substitutions at once with numpy gathers on the multiplication table,
-in `itertools.product` order, so the first counterexample found is the
-lexicographically first one.  The canned identities, the factorial one
+substitutions at once, in `itertools.product` order, so the first
+counterexample found is the lexicographically first one.  Each syllable
+costs one 1-D gather on the multiplication table per block: a constant c
+reads column c, a variable reads the flat cells acc*n + v.  A variable
+power x^e with e other than 1 or -1 reads a power map, built with e
+reduced mod |G| (Lagrange).  The canned identities, the factorial one
 `[x^{|N|!}, g]` too, go through the same batched verdict.
 
 A table passed to `FiniteGroup` is checked against every group axiom and then
@@ -203,21 +206,28 @@ class FiniteGroup:
             frontier = nxt
         return frozenset(found)
 
+    def _members(self, subset) -> tuple[np.ndarray, np.ndarray]:
+        """(sorted ids, membership mask) of `subset`."""
+        members = np.array(sorted(set(subset)), dtype=np.int64)
+        mask = np.zeros(self.size, dtype=bool)
+        mask[members] = True
+        return members, mask
+
     def is_subgroup(self, subset) -> bool:
-        sub = set(subset)
-        if self.identity not in sub:
+        """A finite subset is a subgroup iff it holds 1 and is closed under
+        products; checked one row of products a*S at a time."""
+        members, mask = self._members(subset)
+        if not mask[self.identity]:
             return False
-        return all(self.mul(a, b) in sub for a in sub for b in sub)
+        return all(mask[self.table[a, members]].all() for a in members)
 
     def is_normal(self, subset) -> bool:
-        sub = set(subset)
-        if not self.is_subgroup(sub):
+        """A subgroup N is normal iff g h g^-1 lies in N for every g and
+        h in N; checked one row of conjugates g h g^-1, over all g, per h."""
+        if not self.is_subgroup(subset):
             return False
-        return all(
-            self.mul(self.mul(g, h), self.inv(g)) in sub
-            for g in self.elements()
-            for h in sub
-        )
+        members, mask = self._members(subset)
+        return all(mask[self.table[self.table[:, h], self.inverse_table]].all() for h in members)
 
     def center(self) -> list[int]:
         return [
@@ -354,7 +364,7 @@ def _resolve(name: str) -> tuple[int, list]:
     text = name.strip()
     builders = []
     order = 1
-    for part in text.split("x"):
+    for part in re.split("[xX]", text):
         m = _FACTOR.fullmatch(part.strip())
         if m is None:
             raise ParseError(f"unknown group name {name!r}")
@@ -497,7 +507,13 @@ class MixedIdentityVerdict:
 def is_mixed_identity(word: "mw.MixedWord", group: FiniteGroup) -> MixedIdentityVerdict:
     """Exhaustively decide whether word = 1 holds under every substitution.
 
-    The counterexample, when one exists, is the lexicographically first
+    Each block of substitutions costs one 1-D gather per syllable after the
+    first: the running product `acc` starts as the first syllable's values,
+    a constant c multiplies through column c of the table, and a variable
+    value v through the flat cell acc*n + v.  A variable x_i^e substitutes
+    the digits of x_i themselves for e = 1, their inverses for e = -1 and
+    a power map, with e reduced mod |G|, for any other e.  The
+    counterexample, when one exists, is the lexicographically first
     assignment in element-id order.
     """
     if word.group is not group:
@@ -511,26 +527,41 @@ def is_mixed_identity(word: "mw.MixedWord", group: FiniteGroup) -> MixedIdentity
         holds = group.is_identity(val)
         return MixedIdentityVerdict(holds, None if holds else {}, 1)
     table = group.table
+    cells = table.ravel()
+    inverse = group.inverse_table
     powers = {
-        s[2]: _power_map(group, s[2]) for s in word.syllables if s[0] == mw.VAR
+        s[2]: _power_map(group, s[2])
+        for s in word.syllables if s[0] == mw.VAR and s[2] not in (1, -1)
     }
+    first, *rest = word.syllables
     total = n**nvars
     # substitution k assigns ids[p] the base-n digit of k at place nvars-1-p
     place = {vid: n ** (nvars - 1 - p) for p, vid in enumerate(ids)}
+
+    def values(s, digits):
+        """The value vector of variable syllable s on a block with these digits."""
+        x = digits[s[1]]
+        return x if s[2] == 1 else inverse[x] if s[2] == -1 else powers[s[2]][x]
+
     for start in range(0, total, VERDICT_BLOCK):
         flat = np.arange(start, min(start + VERDICT_BLOCK, total))
-        digits = {vid: flat // place[vid] % n for vid in ids}
-        acc = np.full(flat.shape, group.identity)
-        for s in word.syllables:
+        # one variable: n <= MAX_ORDER < VERDICT_BLOCK, so its digits are `flat`
+        digits = {ids[0]: flat} if nvars == 1 else {vid: flat // place[vid] % n for vid in ids}
+        # `acc` is always an array of its own: the in-place steps below never
+        # write into `digits`, `flat` or a power map
+        acc = np.full(flat.shape, first[1]) if first[0] == mw.CONST else values(first, digits).copy()
+        for s in rest:
             if s[0] == mw.CONST:
-                acc = table[acc, s[1]]
+                acc = table[:, s[1]][acc]
             else:
-                acc = table[acc, powers[s[2]][digits[s[1]]]]
+                np.multiply(acc, n, out=acc)
+                np.add(acc, values(s, digits), out=acc)
+                acc = cells.take(acc)
         bad = np.flatnonzero(acc != group.identity)
         if bad.size:
-            first = int(bad[0])
-            assignment = {vid: int(digits[vid][first]) for vid in ids}
-            return MixedIdentityVerdict(False, assignment, start + first + 1)
+            hit = int(bad[0])
+            assignment = {vid: int(digits[vid][hit]) for vid in ids}
+            return MixedIdentityVerdict(False, assignment, start + hit + 1)
     return MixedIdentityVerdict(True, None, total)
 
 
@@ -541,11 +572,15 @@ def check_assignments(order: int, nvars: int) -> None:
 
 
 def _power_map(group: FiniteGroup, e: int) -> np.ndarray:
-    """x -> x^e for every element x, by repeated squaring on whole vectors."""
+    """x -> x^e for every element x, by repeated squaring on whole vectors.
+
+    x^|G| = 1 (Lagrange), so x^e = x^(e mod |G|): a negative or huge e,
+    such as the factorial identity's |N|!, costs at most log2 |G| squarings.
+    """
     table = group.table
-    cur = group.inverse_table if e < 0 else np.arange(group.size)
+    cur = np.arange(group.size)
     acc = np.full(group.size, group.identity)
-    k = abs(e)
+    k = e % group.size
     while k:
         if k & 1:
             acc = table[acc, cur]

@@ -9,8 +9,9 @@ Grammar (whitespace separates items; items multiply left to right):
            | 'x' | 'x' int      variable x_1 resp. x_i
            | '[' word (',' word)+ ']'    n-ary left-normed commutator
            | '1'                identity
-           | constant name      (finite-group mode: a bound label,
-                                 parenthesised names like "(12)" allowed)
+           | constant name      (finite-group mode: a bound label;
+                                 a parenthesised name such as "(12)" or
+                                 "((12),e)" runs to its balancing ')')
 
 Parsing returns a reduced MixedWord over the given context; a word with
 no variables can be collapsed to a group element.
@@ -57,13 +58,37 @@ _TOKEN = re.compile(
 
 
 def tokenize(text: str):
+    """(kind, text) of each token.  A "paren" token is a parenthesised
+    label: the pattern matches a flat one such as `(12)` whole; a '(' it
+    leaves unmatched starts a nested label such as `((12),e)`, which runs to
+    the ')' that balances it, and the scan resumes after that."""
     tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r} in {text!r}")
-        tokens.append((kind, m.group()))
-    return tokens
+    pos = 0
+    while True:
+        for m in _TOKEN.finditer(text, pos):
+            kind = m.lastgroup
+            if kind == "bad":
+                if m.group() != "(":
+                    raise ParseError(f"unexpected character {m.group()!r} in {text!r}")
+                pos = _balanced_end(text, m.start())
+                tokens.append(("paren", text[m.start():pos]))
+                break
+            tokens.append((kind, m.group()))
+        else:
+            return tokens
+
+
+def _balanced_end(text: str, start: int) -> int:
+    """The index just past the ')' that balances the '(' at `start`."""
+    depth = 0
+    for i in range(start, len(text)):
+        if text[i] == "(":
+            depth += 1
+        elif text[i] == ")":
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    raise ParseError(f"unbalanced '(' at {start} in {text!r}")
 
 
 class _Parser:

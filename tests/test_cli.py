@@ -88,11 +88,34 @@ def test_check_word_with_witness():
             '{"counterexample": {"x1": "(23)"}, "group": "S3", "substitutions_checked": 2, '
             '"verdict": false, "word": "x^-1 (12) x (12)"}\n',
         ),
+        (
+            # a product label has a comma inside its parentheses
+            ("--id", "factorial", "--group", "S3xC2", "--normal", "(e,g1)"),
+            '{"g": "(e,g1)", "group": "S3xC2", "identity": "[x^2!, g]", "normal_order": 2, "verdict": true}\n',
+        ),
+        (
+            ("--word", "[x,((12),e)]", "--group", "S3xC2"),
+            '{"counterexample": {"x1": "((23),e)"}, "group": "S3xC2", "substitutions_checked": 3, '
+            '"verdict": false, "word": "x^-1 ((12),e) x ((12),e)"}\n',
+        ),
     ],
-    ids=["C2xS3", "S3xC3", "C2wrC6", "S3-word"],
+    ids=["C2xS3", "S3xC3", "C2wrC6", "S3-word", "S3xC2-factorial", "S3xC2-word"],
 )
 def test_check_output_is_pinned(args, expected):
     assert run_cli("--json", "check", *args) == (0, expected, "")
+
+
+def test_printed_labels_go_back_to_check():
+    # the word and the labels a check prints are valid input to the next one
+    code, out, _ = run_cli("--json", "check", "--word", "[x,((12),e)]", "--group", "S3xC2")
+    data = json.loads(out)
+    code, again, _ = run_cli("--json", "check", "--word", data["word"], "--group", "S3xC2")
+    assert code == 0 and again == out
+    witness = data["counterexample"]["x1"]
+    code, _, err = run_cli(
+        "--json", "check", "--id", "factorial", "--group", "S3xC2", "--normal", f"{witness},(e,g1)",
+    )
+    assert code == 4 and "generates a subgroup of order 4 of S3xC2" in json.loads(err)["detail"]
 
 
 BAD_INPUTS = [

@@ -156,6 +156,9 @@ def test_bad_group_names_are_parse_errors(name):
 def test_catalog_names_are_case_blind():
     assert small_group("c2xd3").name == "c2xd3"
     assert np.array_equal(small_group("s3 x v4").table, small_group("S3xV4").table)
+    assert small_group("C2XC3").name == "C2XC3"
+    assert np.array_equal(small_group("C2XC3").table, small_group("c2xc3").table)
+    assert il.small_group_order("S3 X v4") == 24
 
 
 def test_direct_product_examples():
@@ -380,18 +383,22 @@ def test_center_identity_property():
 
 def test_batch_verdicts_match_scalar_loop_on_random_words():
     rng = random.Random(2024)
-    groups = [small_group(name) for name in ("C5", "V4", "S3", "D4", "C2xC3")]
+    groups = [small_group(name) for name in ("C5", "V4", "S3", "D4", "C2xC3", "S3xC2")]
+    groups.append(il.wreath_product(3, il.cyclic(2)).group)
     exponents = [1, -1, 2, -2, 3, -3, 7, 24, -24]
 
     def random_word(G, nvars, length):
+        # the power maps reduce exponents mod |G|: these are 1, -1, 0 and 1 there
+        big = [G.size + 1, -(G.size + 1), G.size, 10**30 + 1]
         syllables = []
         for _ in range(length):
             if nvars and rng.random() < 0.6:
-                syllables.append(mw.var_syllable(rng.randint(1, nvars), rng.choice(exponents)))
+                syllables.append(mw.var_syllable(rng.randint(1, nvars), rng.choice(exponents + big)))
             else:
                 syllables.append(mw.const_syllable(rng.randrange(G.size)))
         return mw.reduce(G, syllables)
 
+    variable_first = 0
     for trial in range(300):
         G = rng.choice(groups)
         nvars = rng.randint(0, 3)
@@ -400,6 +407,7 @@ def test_batch_verdicts_match_scalar_loop_on_random_words():
         else:
             # left-normed commutators hold or fail far more often past the first substitution
             word = mw.left_normed([random_word(G, nvars, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))])
+        variable_first += bool(word.syllables) and word.syllables[0][0] == mw.VAR
         verdict = il.is_mixed_identity(word, G)
         holds, counterexample, checked = scalar_verdict(word, G)
         assert verdict.holds == holds, (trial, word)
@@ -407,6 +415,8 @@ def test_batch_verdicts_match_scalar_loop_on_random_words():
         assert verdict.substitutions_checked == checked, (trial, word)
         if counterexample:
             assert all(type(v) is int for v in verdict.counterexample.values())
+    # the accumulator starts from a variable's values as well as a constant's
+    assert variable_first > 0
 
 
 def test_batch_verdict_counterexample_beyond_first_block():
@@ -487,6 +497,40 @@ def test_factorial_verdicts_match_elementwise_reference(name):
         for g in sorted(N):
             if not G.is_identity(g):
                 assert il.factorial_identity_check(G, N, g) == elementwise_factorial_check(G, N, g)
+
+
+def test_factorial_identity_on_a_large_normal_subgroup():
+    # |N|! for the 1,024 rotations of D1024 has ~8,800 bits; the power map
+    # reduces it mod |G| = 2,048 to 0
+    D1024 = small_group("D1024")
+    N = D1024.closure([D1024.element_by_label("r1")])
+    assert len(N) == 1024
+    assert il.factorial_identity_check(D1024, N, D1024.element_by_label("r1"))
+
+
+@pytest.mark.parametrize("name", ["S4", "D4", "S3xC2"])
+def test_factorial_inputs_match_scalar_definitions(name):
+    # the subgroup and normality tests and the power maps, against their definitions
+    G = small_group(name)
+    n = G.size
+    for e in [0, 1, -1, 2, -5, n - 1, n, n + 1, -(n + 1), 10**30 + 1, -math.factorial(30)]:
+        assert il._power_map(G, e).tolist() == [G.power(x, e) for x in G.elements()], e
+    rng = random.Random(name)
+    subgroups = G.all_subgroups()
+    # every subgroup, unions of two (mostly not subgroups) and random subsets
+    subsets = [set(N) for N in subgroups]
+    subsets += [set(rng.choice(subgroups)) | set(rng.choice(subgroups)) for _ in range(20)]
+    subsets += [{G.identity} | set(rng.sample(range(G.size), rng.randint(1, G.size - 1))) for _ in range(20)]
+    subsets += [set(range(1, G.size))]  # no identity
+    for sub in subsets:
+        is_subgroup = G.identity in sub and all(G.mul(a, b) in sub for a in sub for b in sub)
+        is_normal = is_subgroup and all(
+            G.mul(G.mul(g, h), G.inv(g)) in sub for g in G.elements() for h in sub
+        )
+        assert G.is_subgroup(sub) == is_subgroup, sorted(sub)
+        assert G.is_normal(sub) == is_normal, sorted(sub)
+    assert any(G.is_subgroup(sub) and not G.is_normal(sub) for sub in subsets)
+    assert any(not G.is_subgroup(sub) and G.identity in sub for sub in subsets)
 
 
 def test_factorial_identity_rejects_bad_input():

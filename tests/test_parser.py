@@ -69,6 +69,12 @@ def test_finite_group_constants():
     assert w.variable_ids == (1,)
     el = parse_mixed_word("(12) (12)", S3, constants=S3.constants())
     assert el.is_empty()
+    # a product label nests parentheses and holds a comma
+    G = small_group("S3xC2")
+    a, z = G.element_by_label("((12),e)"), G.element_by_label("(e,g1)")
+    w = parse_mixed_word("[x,((12),e)] (e,g1)^3", G, constants=G.constants())
+    assert w == mw.commutator(mw.variable(G), mw.constant(G, a)).concat(mw.constant(G, z))
+    assert parse_mixed_word("((12),e)(e,g1)", G, constants=G.constants()).constant_value() == G.mul(a, z)
 
 
 def test_parse_errors(default_group):
@@ -79,6 +85,10 @@ def test_parse_errors(default_group):
     S3 = small_group("S3")
     with pytest.raises(ParseError):
         parse_mixed_word("(99)", S3, constants=S3.constants())
+    S3xC2 = small_group("S3xC2")
+    for bad in ["[x,((12),e)", "((12),e", "(e,g1))"]:
+        with pytest.raises(ParseError):
+            parse_mixed_word(bad, S3xC2, constants=S3xC2.constants())
     with pytest.raises(ParseError):
         parse_element("x a0", G)
 
