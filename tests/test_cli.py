@@ -108,6 +108,7 @@ def test_check_output_is_pinned(args, expected):
 def test_printed_labels_go_back_to_check():
     # the word and the labels a check prints are valid input to the next one
     code, out, _ = run_cli("--json", "check", "--word", "[x,((12),e)]", "--group", "S3xC2")
+    assert code == 0
     data = json.loads(out)
     code, again, _ = run_cli("--json", "check", "--word", data["word"], "--group", "S3xC2")
     assert code == 0 and again == out

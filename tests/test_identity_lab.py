@@ -388,7 +388,7 @@ def test_batch_verdicts_match_scalar_loop_on_random_words():
     exponents = [1, -1, 2, -2, 3, -3, 7, 24, -24]
 
     def random_word(G, nvars, length):
-        # the power maps reduce exponents mod |G|: these are 1, -1, 0 and 1 there
+        # the power maps reduce exponents mod |G|: the first three are 1, -1 and 0 there
         big = [G.size + 1, -(G.size + 1), G.size, 10**30 + 1]
         syllables = []
         for _ in range(length):
