@@ -24,7 +24,7 @@ from . import mixed_words as mw
 from .errors import BudgetExceeded, CapacityExceeded, MiflabError, ParseError, VerificationError
 from .limit_group import LimitGroup
 from .mif_search import SearchBounds
-from .parser import named_variables, parse_mixed_word
+from .parser import named_variables, parse_mixed_word, split_labels
 from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH, Window
 
 EXIT_OK = 0
@@ -142,19 +142,6 @@ def _catalog_group(args, flag: str, resolve=identity_lab.small_group):
         raise ParseError(f"--{flag}: {exc}") from None
 
 
-def _split_labels(text: str) -> list[str]:
-    """The labels of a comma-separated list, split only at commas outside
-    parentheses, so a product label such as `((12),e)` stays whole."""
-    labels, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        depth += (ch == "(") - (ch == ")")
-        if ch == "," and depth == 0:
-            labels.append(text[start:i])
-            start = i + 1
-    labels.append(text[start:])
-    return labels
-
-
 def cmd_check(args) -> int:
     if args.id == "direct-product":
         A = _catalog_group(args, "A")
@@ -184,7 +171,7 @@ def cmd_check(args) -> int:
         G = _catalog_group(args, "group")
         if not args.normal:
             raise ParseError("--normal is required for the factorial check")
-        N = G.closure(G.element_by_label(x.strip()) for x in _split_labels(args.normal))
+        N = G.closure(G.element_by_label(x) for x in split_labels(args.normal))
         g = G.element_by_label(args.g) if args.g else next(
             (e for e in sorted(N) if not G.is_identity(e)), G.identity
         )

@@ -214,20 +214,31 @@ class FiniteGroup:
         return members, mask
 
     def is_subgroup(self, subset) -> bool:
+        return self._is_closed(*self._members(subset))
+
+    def _is_closed(self, members: np.ndarray, mask: np.ndarray) -> bool:
         """A finite subset is a subgroup iff it holds 1 and is closed under
         products; checked one row of products a*S at a time."""
-        members, mask = self._members(subset)
         if not mask[self.identity]:
             return False
         return all(mask[self.table[a, members]].all() for a in members)
 
     def is_normal(self, subset) -> bool:
-        """A subgroup N is normal iff g h g^-1 lies in N for every g and
-        h in N; checked one row of conjugates g h g^-1, over all g, per h."""
-        if not self.is_subgroup(subset):
-            return False
+        """A subgroup N is normal iff gN = Ng for every g outside N.  Both
+        cosets have |N| elements, so it is enough that gN lies in Ng, and
+        Ng = (g^-1 N)^-1 as N is closed under inverses: both are read from
+        rows of the table, one g at a time."""
         members, mask = self._members(subset)
-        return all(mask[self.table[self.table[:, h], self.inverse_table]].all() for h in members)
+        if not self._is_closed(members, mask):
+            return False
+        right = np.zeros(self.size, dtype=bool)
+        for g in np.flatnonzero(~mask):
+            coset = self.inverse_table[self.table[self.inverse_table[g], members]]
+            right[coset] = True
+            if not right[self.table[g, members]].all():
+                return False
+            right[coset] = False
+        return True
 
     def center(self) -> list[int]:
         return [

@@ -48,7 +48,7 @@ _TOKEN = re.compile(
     r"""
     (?P<lbrack>\[) | (?P<rbrack>\]) | (?P<comma>,)
     | (?P<pow>\^-?\d+)
-    | (?P<paren>\([^()]*\))
+    | (?P<paren>\()
     | (?P<name>[A-Za-z](?:-?\d+|\w*)?)
     | (?P<one>1)
     | (?P<bad>\S)
@@ -59,23 +59,30 @@ _TOKEN = re.compile(
 
 def tokenize(text: str):
     """(kind, text) of each token.  A "paren" token is a parenthesised
-    label: the pattern matches a flat one such as `(12)` whole; a '(' it
-    leaves unmatched starts a nested label such as `((12),e)`, which runs to
-    the ')' that balances it, and the scan resumes after that."""
+    label, flat such as `(12)` or nested such as `((12),e)`: it runs from
+    its '(' to the ')' that balances it."""
     tokens = []
     pos = 0
-    while True:
-        for m in _TOKEN.finditer(text, pos):
-            kind = m.lastgroup
-            if kind == "bad":
-                if m.group() != "(":
-                    raise ParseError(f"unexpected character {m.group()!r} in {text!r}")
-                pos = _balanced_end(text, m.start())
-                tokens.append(("paren", text[m.start():pos]))
-                break
-            tokens.append((kind, m.group()))
+    while (m := _TOKEN.search(text, pos)):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r} in {text!r}")
+        pos = _balanced_end(text, m.start()) if kind == "paren" else m.end()
+        tokens.append((kind, text[m.start():pos]))
+    return tokens
+
+
+def split_labels(text: str) -> list[str]:
+    """The items of a comma-separated list of labels, split at the comma
+    tokens only, so a comma inside a label such as `((12),e)` stays in it;
+    whitespace between tokens is dropped."""
+    labels = [""]
+    for kind, val in tokenize(text):
+        if kind == "comma":
+            labels.append("")
         else:
-            return tokens
+            labels[-1] += val
+    return labels
 
 
 def _balanced_end(text: str, start: int) -> int:

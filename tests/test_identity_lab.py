@@ -529,6 +529,9 @@ def test_factorial_inputs_match_scalar_definitions(name):
         )
         assert G.is_subgroup(sub) == is_subgroup, sorted(sub)
         assert G.is_normal(sub) == is_normal, sorted(sub)
+        # an iterator is read once
+        assert G.is_subgroup(iter(sub)) == is_subgroup, sorted(sub)
+        assert G.is_normal(iter(sub)) == is_normal, sorted(sub)
     assert any(G.is_subgroup(sub) and not G.is_normal(sub) for sub in subsets)
     assert any(not G.is_subgroup(sub) and G.identity in sub for sub in subsets)
 

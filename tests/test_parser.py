@@ -75,6 +75,9 @@ def test_finite_group_constants():
     w = parse_mixed_word("[x,((12),e)] (e,g1)^3", G, constants=G.constants())
     assert w == mw.commutator(mw.variable(G), mw.constant(G, a)).concat(mw.constant(G, z))
     assert parse_mixed_word("((12),e)(e,g1)", G, constants=G.constants()).constant_value() == G.mul(a, z)
+    # a list of labels splits at the commas outside them
+    assert parser.split_labels("((12),e), (e,g1)") == ["((12),e)", "(e,g1)"]
+    assert parser.split_labels("(12)(34),(13)(24),r1,") == ["(12)(34)", "(13)(24)", "r1", ""]
 
 
 def test_parse_errors(default_group):
