@@ -6,8 +6,8 @@ its flags, and --seed affects only the sampled selftest subcommand.
 Each subcommand takes only the flags it reads.
 
 Exit codes: 0 success, 2 capacity/budget exceeded, 3 verification
-failure, 4 parse error (also a usage error, and a missing or unwritable
-file).
+failure, 4 parse error (also a usage error, and a file that cannot be
+read, written or decoded as UTF-8).
 """
 
 from __future__ import annotations
@@ -268,18 +268,19 @@ def cmd_drive(args) -> int:
         result = mif_search.drive(group, args.count, bounds)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if args.out:
-        try:
-            fh = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ParseError(
-                f"drive finished with {len(result.certificates)} certificates, but the log "
-                f"was not written: cannot open {args.out!r}: {exc.strerror}"
-            ) from exc
-        with fh:
-            mif_search.write_certificates(result, group, fh)
-    else:
-        mif_search.write_certificates(result, group, sys.stdout)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                mif_search.write_certificates(result, group, fh)
+        else:
+            mif_search.write_certificates(result, group, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:  # opening, writing or closing the log
+        target = repr(args.out) if args.out else "stdout"
+        raise ParseError(
+            f"drive finished with {len(result.certificates)} certificates, but the log "
+            f"was not written: cannot write {target}: {exc.strerror or exc}"
+        ) from exc
     return EXIT_OK if result.complete else EXIT_CAPACITY
 
 
@@ -290,6 +291,10 @@ def cmd_verify(args) -> int:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {args.certificates!r}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"cannot read {args.certificates!r}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from exc
     report = mif_search.verify_certificates(
         text, max_cosets=args.max_cosets, max_window_width=args.max_window_width
     )

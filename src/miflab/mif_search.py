@@ -18,6 +18,7 @@ reported honestly as inconclusive, not escalated.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass, field
 from itertools import islice
@@ -63,18 +64,6 @@ class Certificate:
     evaluation_normal_form: str | None
     bounds: SearchBounds
     candidates_tried: int
-
-    def to_json_dict(self, group: LimitGroup) -> dict:
-        return {
-            "index": self.index,
-            "word": self.word,
-            "status": self.status,
-            "witness": self.witness,
-            "evaluation_normal_form": self.evaluation_normal_form,
-            "bounds": self.bounds.to_json_dict(),
-            "candidates_tried": self.candidates_tried,
-            "instance": {"p": group.p, "c": group.c.spec()},
-        }
 
 
 @dataclass
@@ -325,24 +314,56 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
     return DriveResult(certificates, complete, reason, witness_set)
 
 
+_COMPACT = (",", ":")
+
+# Keys in sorted order, as `json.dumps(..., sort_keys=True)` writes them.
+_ROW = (
+    '{"bounds":%s,"candidates_tried":%d,"evaluation_normal_form":%s,"index":%d,'
+    '"instance":%s,"status":%s,"witness":%s,"word":%s}\n'
+)
+
+
 def write_certificates(result: DriveResult, group: LimitGroup, fh) -> None:
-    """JSON-lines dump: one certificate per line plus a trailing run summary."""
+    """JSON-lines dump: one certificate per line plus a trailing run summary.
+
+    Each row is compact JSON with sorted keys and ASCII escapes, formatted
+    from `_ROW`, the one place the row layout lives.  The `instance`
+    fragment is encoded once per call and each distinct `bounds` once; the
+    string-or-null fields go through `json.dumps`, the two counts through
+    `%d`.  Rows are written one at a time, so no whole-log string is built.
+    """
+    dumps = json.dumps  # looked up once, not on each of the four calls per row
+    instance = dumps({"p": group.p, "c": group.c.spec()}, sort_keys=True, separators=_COMPACT)
+    encoded_bounds = {}
     for cert in result.certificates:
-        fh.write(json.dumps(cert.to_json_dict(group), sort_keys=True, separators=(",", ":")))
-        fh.write("\n")
+        bounds = encoded_bounds.get(cert.bounds)
+        if bounds is None:
+            bounds = encoded_bounds[cert.bounds] = dumps(
+                cert.bounds.to_json_dict(), sort_keys=True, separators=_COMPACT
+            )
+        fh.write(
+            _ROW % (
+                bounds,
+                cert.candidates_tried,
+                dumps(cert.evaluation_normal_form),
+                cert.index,
+                instance,
+                dumps(cert.status),
+                dumps(cert.witness),
+                dumps(cert.word),
+            )
+        )
     summary = {
         "run_complete": result.complete,
         "certificates": len(result.certificates),
     }
     if result.reason:
         summary["reason"] = result.reason
-    fh.write(json.dumps(summary, sort_keys=True, separators=(",", ":")))
+    fh.write(dumps(summary, sort_keys=True, separators=_COMPACT))
     fh.write("\n")
 
 
 def certificates_to_lines(result: DriveResult, group: LimitGroup) -> str:
-    import io
-
     buf = io.StringIO()
     write_certificates(result, group, buf)
     return buf.getvalue()
@@ -369,8 +390,9 @@ def verify_certificates(
     given caps.  Per group, each distinct witness text is parsed once, and
     each distinct non-commutator item text of the words (`a0`, `t^-1`,
     `x^2`) is built once, through one `items` memo that every word of the
-    group shares; each word is still reduced from its own text.  A CapacityExceeded is raised, not recorded: a row
-    that cannot be checked within the caps has not failed.
+    group shares; each word is still reduced from its own text.  A
+    CapacityExceeded is raised, not recorded: a row that cannot be checked
+    within the caps has not failed.
     """
     report = VerifyReport(checked=0, witnesses_ok=0)
     groups: dict = {}

@@ -478,6 +478,42 @@ def test_missing_or_unwritable_file_is_a_parse_error(tmp_path):
     assert data["error"] == "parse" and str(unwritable) in data["detail"]
     assert "finished with 2 certificates, but the log was not written" in data["detail"]
 
+    not_utf8 = tmp_path / "utf16.jsonl"
+    not_utf8.write_bytes(b"\xff\xfe{\x00}\x00\n\x00")
+    code, out, err = run_cli("verify", str(not_utf8))
+    assert code == 4 and out == ""
+    data = json.loads(err)
+    assert data["error"] == "parse" and str(not_utf8) in data["detail"]
+    assert "not UTF-8" in data["detail"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_log_device_is_a_parse_error():
+    code, out, err = run_cli("drive", "--count", "5", "--out", "/dev/full")
+    assert (code, out) == (4, "")
+    assert json.loads(err) == {
+        "error": "parse",
+        "detail": "drive finished with 5 certificates, but the log was not written: "
+        "cannot write '/dev/full': No space left on device",
+    }
+
+
+def test_a_failing_stdout_is_a_parse_error(monkeypatch, capsys):
+    class FullStdout:
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    assert main(["drive", "--count", "3"]) == 4
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "parse",
+        "detail": "drive finished with 3 certificates, but the log was not written: "
+        "cannot write stdout: No space left on device",
+    }
+
 
 def test_selftest_seeded():
     code, out, _ = run_cli("--json", "selftest", "--seed", "3", "--samples", "50")

@@ -349,7 +349,69 @@ def test_drive_500_certificate_log_is_pinned(default_group):
     assert hashlib.sha256(lines.encode()).hexdigest() == DRIVE_500_SHA256
 
 
-DRIVE_3000_SHA256 = "5a2e044a18f30e449172731724e469eac0c0ec4e4ef841a7db6da8c7715b644b"
+def _reference_log(result, group):
+    """The log as a general JSON encoder writes it: each row a dict, keys
+    sorted, compact separators, ASCII escapes."""
+
+    def line(data):
+        return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+    rows = [
+        line({
+            "index": cert.index,
+            "word": cert.word,
+            "status": cert.status,
+            "witness": cert.witness,
+            "evaluation_normal_form": cert.evaluation_normal_form,
+            "bounds": {
+                "max_support_radius": cert.bounds.max_support_radius,
+                "max_beta": cert.bounds.max_beta,
+                "max_word_length": cert.bounds.max_word_length,
+                "max_candidates": cert.bounds.max_candidates,
+            },
+            "candidates_tried": cert.candidates_tried,
+            "instance": {"p": group.p, "c": group.c.spec()},
+        })
+        for cert in result.certificates
+    ]
+    summary = {"run_complete": result.complete, "certificates": len(result.certificates)}
+    if result.reason:
+        summary["reason"] = result.reason
+    return "".join(rows) + line(summary)
+
+
+def test_certificate_rows_match_a_general_json_encoder(default_group):
+    c12 = LimitGroup(3, "1,2")
+    odd = ms.SearchBounds(max_support_radius=1, max_beta=2, max_word_length=9, max_candidates=7)
+    exhausted = ms.drive(default_group, 3, ms.SearchBounds(max_candidates=1))
+    assert ms.SEARCH_EXHAUSTED in {c.status for c in exhausted.certificates}
+    text = 'a "quoted" \\ back\nslash, é and ∞'
+    bounds = ms.SearchBounds()
+    hand_built = ms.DriveResult(
+        [
+            ms.Certificate(1, text, ms.WITNESS_FOUND, text + " w", "∞" + text, bounds, 12),
+            ms.Certificate(2, "x", ms.SEARCH_EXHAUSTED, None, None, odd, 0),
+            ms.Certificate(3, text, ms.SEARCH_EXHAUSTED, None, None, bounds, 100_000),
+        ],
+        complete=False,
+        reason='stopped: "width" é\\∞\nnext',
+        witness_set=[],
+    )
+    for result, group in [
+        (ms.drive(default_group, 500), default_group),
+        (ms.drive(c12, 200), c12),
+        (exhausted, default_group),
+        (ms.drive(default_group, 40, odd), default_group),
+        (hand_built, default_group),
+    ]:
+        written = ms.certificates_to_lines(result, group)
+        assert written.isascii()
+        assert written.splitlines(keepends=True) == _reference_log(result, group).splitlines(
+            keepends=True
+        )
+
+
+DRIVE_3000_SHA256 ="5a2e044a18f30e449172731724e469eac0c0ec4e4ef841a7db6da8c7715b644b"
 
 
 def test_one_letter_values_are_not_traced(monkeypatch):
