@@ -25,7 +25,9 @@ pres = build_window_presentation(3, "2", Window(0, 1))
 print(pres.to_text())
 table = enumerate_presentation(pres)
 print("order:", table.coset_count)
-comm = ((0, -1), (1, -1), (0, 1), (1, 1))
+# tables read column words: a_i is column 2i and its inverse 2i + 1, so
+# [a_0, a_1] = a_0^-1 a_1^-1 a_0 a_1 is (1, 3, 0, 2)
+comm = (1, 3, 0, 2)
 print("order of [a_0, a_1]:", table.element_order(comm))
 
 print("=== how fast the windows grow: p = 2, c_n = n ===")

@@ -89,10 +89,12 @@ def _add_search_flags(sub):
 
 
 def _emit(args, payload: dict, text: str | None = None):
-    if args.json or text is None:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
+    """Print the result; output that cannot be written is a ParseError naming stdout."""
+    try:
+        print(json.dumps(payload, sort_keys=True) if args.json or text is None else text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise ParseError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 # -- subcommands -----------------------------------------------------------------

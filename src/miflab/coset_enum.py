@@ -32,9 +32,11 @@ column), and each relator is compiled to the column lists it walks, so a
 scan step is a single index operation.
 
 The completed table is the regular representation of the presented
-group: cosets are group elements, and tracing a word from the identity
-coset multiplies by that word.  Column order is a_0 < a_0^-1 < a_1 <
-a_1^-1 < ... (column 2*pos for a generator, 2*pos+1 for its inverse).
+group: cosets are group elements, coset 0 is the identity, and tracing a
+word from it multiplies by that word.  Column order is a_0 < a_0^-1 < a_1
+< a_1^-1 < ... (column 2*pos for a generator, 2*pos+1 for its inverse).
+Tables take and return column words, sequences of those columns; only
+relators, in (pos, sign) letters, are converted, by `_cyclically_reduced`.
 The table is kept once, as an int32 array, and the same array is the
 on-disk cache format.  `CosetTable` checks every action it is given,
 built or loaded: entries in range, inverse column pairs, canonical
@@ -51,17 +53,6 @@ import numpy as np
 
 from .errors import CapacityExceeded, VerificationError
 from .presentations import DEFAULT_MAX_COSETS, Presentation
-
-Letters = tuple  # sequence of (position, sign)
-
-
-def column(pos: int, sign: int) -> int:
-    return 2 * pos + (0 if sign > 0 else 1)
-
-
-def letters_to_columns(letters) -> tuple[int, ...]:
-    return tuple(column(pos, s) for pos, s in letters)
-
 
 @dataclass(frozen=True)
 class EnumStats:
@@ -89,11 +80,13 @@ class CosetTable:
     inverse pairs, or whose numbering is not the canonical breadth-first
     one.
     `parent[c]` and `via[c]` are the least (preimage, column) pair of c,
-    where the sweep in column order first reaches it; the numbering is
-    canonical iff parent[c] < c for c >= 1 and the keys
-    parent * ncols + via strictly increase.  `word(c)` and `words()`
-    derive shortlex words from them.  `stats` holds the counters of the
-    enumeration that built the table, and is None for one loaded from disk.
+    where the sweep in column order from coset 0, the identity, first
+    reaches it; the numbering is canonical iff parent[c] < c for c >= 1
+    and the keys parent * ncols + via strictly increase.  `word(c)` and
+    `words()` derive shortlex column words from them; `trace`,
+    `normal_form` and `element_order` take column words.  `stats` holds
+    the counters of the enumeration that built the table, and is None for
+    one loaded from disk.
     """
 
     def __init__(self, presentation: Presentation, action, stats: EnumStats | None = None):
@@ -114,7 +107,6 @@ class CosetTable:
         action.flags.writeable = False
         self.stats = stats
         self.coset_count = n
-        self.identity_coset = 0
         idx = np.arange(n, dtype=np.int32)
         for x in range(0, ncols, 2):
             if not np.array_equal(action[x + 1][action[x]], idx):
@@ -138,51 +130,47 @@ class CosetTable:
 
     # -- canonical shortlex words ------------------------------------
 
-    def word(self, coset: int) -> Letters:
-        """Shortlex word of `coset`: its parent chain, read backwards."""
+    def word(self, coset: int) -> tuple[int, ...]:
+        """Shortlex column word of `coset`: its parent chain, read backwards."""
         parent, via = self._parent, self._via
         out = []
-        while coset != self.identity_coset:
-            x = via[coset]
-            out.append((x >> 1, -1 if x & 1 else 1))
+        while coset:
+            out.append(via[coset])
             coset = parent[coset]
         out.reverse()
         return tuple(out)
 
-    def words(self) -> tuple[Letters, ...]:
-        """Shortlex word of every coset, in coset order (built on each call)."""
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """Shortlex column word of every coset, in coset order (built on each call)."""
         return tuple(map(self.word, range(self.coset_count)))
 
     # -- queries ------------------------------------------------------
 
-    def trace(self, coset: int, letters) -> int:
+    def trace(self, word, coset: int = 0) -> int:
+        """The image of `coset` (the identity coset 0 by default) under `word`."""
         cols = self._rows
-        for pos, s in letters:
-            coset = cols[column(pos, s)][coset]
+        for x in word:
+            coset = cols[x][coset]
         return coset
 
-    def trace_word(self, letters) -> int:
-        return self.trace(self.identity_coset, letters)
+    def normal_form(self, word) -> tuple[int, ...]:
+        return self.word(self.trace(word))
 
-    def normal_form(self, letters) -> Letters:
-        return self.word(self.trace_word(letters))
-
-    def element_order(self, letters) -> int:
-        """Least k >= 1 with u^k at the identity coset.
+    def element_order(self, word) -> int:
+        """Least k >= 1 with word^k at the identity coset.
 
         Every column is a permutation (the constructor checks the inverse
-        pairs, and the action is read-only), so u permutes the cosets and
-        the orbit of the identity coset closes within `coset_count` steps.
+        pairs, and the action is read-only), so the word permutes the cosets
+        and the orbit of the identity coset closes within `coset_count` steps.
         """
-        c = self.identity_coset
+        c = 0
         k = 0
         cols = self._rows
-        word = letters_to_columns(letters)
         while True:
             for x in word:
                 c = cols[x][c]
             k += 1
-            if c == self.identity_coset:
+            if not c:
                 return k
 
     # -- validation ---------------------------------------------------

@@ -66,18 +66,20 @@ class FiniteGroup:
             )
         self._setup(table, labels, name)
         self._validate()
+        self._invert()
 
     @classmethod
     def _by_construction(cls, table: np.ndarray, labels, name: str) -> "FiniteGroup":
         """A table built by a fixed group formula: a group without a check."""
         group = cls.__new__(cls)
         group._setup(table, labels, name)
+        group._invert()
         return group
 
     # -- construction checks ---------------------------------------------
 
     def _setup(self, table: np.ndarray, labels, name: str) -> None:
-        """Own `table` read-only; find the identity and the inverse table."""
+        """Own `table` read-only and find the identity."""
         table.flags.writeable = False
         self.table = table
         self.size = int(table.shape[0])
@@ -86,7 +88,11 @@ class FiniteGroup:
         if len(self.labels) != self.size:
             raise ValueError("label count does not match group size")
         self.identity = self._find_identity()
-        self.inverse_table = self._find_inverses()
+
+    def _invert(self) -> None:
+        """The read-only inverse table from the power map: x^(|G|-1) = x^-1
+        (Lagrange).  It needs a group, so a given table is checked first."""
+        self.inverse_table = _power_map(self, -1)
         self.inverse_table.flags.writeable = False
 
     def _find_identity(self) -> int:
@@ -96,15 +102,6 @@ class FiniteGroup:
             if np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx):
                 return e
         raise ValueError(f"{self.name}: no identity element")
-
-    def _find_inverses(self) -> np.ndarray:
-        inv = np.full(self.size, -1, dtype=np.int64)
-        rows, cols = np.nonzero(self.table == self.identity)
-        for a, b in zip(rows, cols):
-            inv[a] = b
-        if np.any(inv < 0):
-            raise ValueError(f"{self.name}: some element has no inverse")
-        return inv
 
     def _validate(self) -> None:
         n = self.size

@@ -6,6 +6,9 @@ supported computation lands in a finite window group whose coset table
 supplies canonical forms.  G adds a stable letter t acting by the shift
 a_i -> a_{i+1}, and every G-element has the normal form a * t^beta.
 
+Tables take and return column words; `LimitGroup` alone translates
+AWords to and from them.
+
 Window tables are cached per support width (shift equivariance makes
 windows of equal width isomorphic via index translation), built at most
 once each, and immutable afterwards.  With a cache directory, each
@@ -471,17 +474,21 @@ class LimitGroup:
 
     # -- word-level engine -------------------------------------------------
 
-    def _letters_for_table(self, word: AWord, lo: int):
-        """Translate an AWord into table letters relative to window start lo."""
-        out = []
-        for i, e in word.letters:
-            out.extend(((i - lo, 1),) * e)
-        return tuple(out)
+    def _columns(self, word: AWord, lo: int) -> list[int]:
+        """Column word of `word` in the table of a window from lo: a_i^e is
+        e copies of column 2(i - lo)."""
+        return [2 * (i - lo) for i, e in word.letters for _ in range(e)]
 
-    def aword_from_table(self, letters, lo: int) -> AWord:
-        """Translate table letters relative to window start lo into an AWord
-        (the inverse of `_letters_for_table`)."""
-        return AWord(self.p, tuple((pos + lo, 1 if s > 0 else self.p - 1) for pos, s in letters))
+    def _aword(self, columns, lo: int) -> AWord:
+        """AWord of a column word of the table of a window from lo: column x
+        is a_{(x >> 1) + lo}, to the exponent 1 if x is even and p - 1 if odd."""
+        p = self.p
+        return AWord(p, tuple(((x >> 1) + lo, p - 1 if x & 1 else 1) for x in columns))
+
+    def window_awords(self, radius: int) -> list[AWord]:
+        """Every element of B([-radius, radius]) as its shortlex AWord, in
+        the coset order of the window's table."""
+        return [self._aword(w, -radius) for w in self.table_for_width(2 * radius).words()]
 
     def canonical_aword(self, word: AWord) -> AWord:
         """Shortlex normal form in the window group of the word's support.
@@ -497,7 +504,7 @@ class LimitGroup:
             return word
         lo, hi = word.support
         table = self.table_for_width(hi - lo)
-        return self.aword_from_table(table.normal_form(self._letters_for_table(word, lo)), lo)
+        return self._aword(table.normal_form(self._columns(word, lo)), lo)
 
     def aword_order(self, word: AWord) -> int:
         """Order of the word in A.  One letter a_i^e, 0 < e < p, has order
@@ -508,4 +515,4 @@ class LimitGroup:
             return self.p
         lo, hi = word.support
         table = self.table_for_width(hi - lo)
-        return table.element_order(self._letters_for_table(word, lo))
+        return table.element_order(self._columns(word, lo))

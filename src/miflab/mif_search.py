@@ -161,15 +161,13 @@ def candidate_elements(group: LimitGroup, bounds: SearchBounds):
     """Candidates g = a * t^beta in canonical order.
 
     Order: support radius ascending; within a radius, |beta| ascending;
-    within that, shortlex a-part (the window table's coset order), with
+    within that, shortlex a-part (`LimitGroup.window_awords` order), with
     +beta before -beta.  A-parts whose canonical support fits a smaller
     radius already appeared there and are skipped.
     """
     for radius in range(bounds.max_support_radius + 1):
-        table = group.table_for_width(2 * radius)
         words = []
-        for letters in table.words():
-            word = group.aword_from_table(letters, -radius)
+        for word in group.window_awords(radius):
             if radius > 0:
                 sup = word.support
                 if sup is None or (sup[0] > -radius and sup[1] < radius):

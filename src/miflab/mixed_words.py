@@ -4,10 +4,10 @@ A mixed word alternates constant syllables (nontrivial ambient-group
 elements) and variable syllables (x_i with a nonzero integer exponent).
 The ambient group is any context object providing `mul`, `product` (of a
 sequence of elements, left to right), `inv`, `power`, `is_identity`,
-`identity_element`, `render_element` and `element_key`; both the
-limit-group instances and the finite-group lab satisfy this, so one word
-calculus serves both.  Constants of one word all belong to a
-single context; mixing contexts is an error.
+`render_element` and `element_key`; both the limit-group instances and
+the finite-group lab satisfy this, so one word calculus serves both.
+Constants of one word all belong to a single context; mixing contexts is
+an error.
 """
 
 from __future__ import annotations

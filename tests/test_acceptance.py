@@ -151,20 +151,18 @@ def test_criterion_05_finite_radical_property():
     G = _c12()
     checked = 0
     for N in (0, 1):
-        table = G.table_for_width(2 * N)  # B([-N, N]), letters relative to -N
-        join = G.table_for_width(4 * N + 1)  # B([-N, 3N+1]), the same letters
+        table = G.table_for_width(2 * N)  # B([-N, N]), columns relative to -N
+        join = G.table_for_width(4 * N + 1)  # B([-N, 3N+1]), the same columns
         # the window group as a multiplication-table group, for subgroup search
         n = table.coset_count
-        mul = [[table.trace(a, table.word(b)) for b in range(n)] for a in range(n)]
+        mul = [[table.trace(table.word(b), a) for b in range(n)] for a in range(n)]
         fg = il.FiniteGroup(mul, name=f"B[-{N},{N}]")
-        home = [join.trace_word(table.word(c)) for c in range(n)]
-        shifted = [
-            join.trace_word(tuple((pos + 2 * N + 1, s) for pos, s in table.word(c)))
-            for c in range(n)
-        ]
+        home = [join.trace(table.word(c)) for c in range(n)]
+        # a_i -> a_{i+2N+1} moves column x to x + 2(2N+1)
+        shifted = [join.trace(tuple(x + 2 * (2 * N + 1) for x in table.word(c))) for c in range(n)]
         for subgroup in fg.all_subgroups():
             meet = {home[c] for c in subgroup} & {shifted[c] for c in subgroup}
-            assert meet == {join.identity_coset}
+            assert meet == {0}  # the identity coset
             checked += 1
     _ok(5, f"H meets its shift by 2N+1 trivially for all {checked} subgroups, N <= 1", t0)
 

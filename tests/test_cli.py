@@ -507,12 +507,15 @@ def test_a_failing_stdout_is_a_parse_error(monkeypatch, capsys):
             pass
 
     monkeypatch.setattr(sys, "stdout", FullStdout())
-    assert main(["drive", "--count", "3"]) == 4
-    assert json.loads(capsys.readouterr().err) == {
-        "error": "parse",
-        "detail": "drive finished with 3 certificates, but the log was not written: "
-        "cannot write stdout: No space left on device",
-    }
+    full = "cannot write stdout: No space left on device"
+    drive = f"drive finished with 3 certificates, but the log was not written: {full}"
+    for argv, detail in [
+        (["drive", "--count", "3"], drive),
+        (["grig", "trivial", "--word", "ab"], full),
+        (["--json", "order", "--window", "0..1"], full),
+    ]:
+        assert main(argv) == 4
+        assert json.loads(capsys.readouterr().err) == {"error": "parse", "detail": detail}
 
 
 def test_selftest_seeded():

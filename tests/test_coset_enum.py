@@ -22,6 +22,11 @@ from miflab.coset_enum import CosetTable, EnumStats, _enumerate, scan_relators
 from miflab.presentations import RelatorLabel, invert_word
 
 
+def _cols(letters):
+    """Column word of (pos, sign) letters: a_pos is column 2*pos, its inverse 2*pos + 1."""
+    return tuple(2 * pos + (sign < 0) for pos, sign in letters)
+
+
 # -- independent oracles ----------------------------------------------------------
 #
 # Unitriangular 3x3 matrices over F_3, as tuples (x, y, z) standing for
@@ -77,7 +82,7 @@ def test_order_27_window_group():
     assert table.coset_count == 27
     # [a_0, a_1] has order 3, matching the commutator of elementary matrices
     comm = ((0, -1), (1, -1), (0, 1), (1, 1))
-    assert table.element_order(comm) == 3
+    assert table.element_order(_cols(comm)) == 3
     witness = u3_eval(comm, {0: (1, 0, 0), 1: (0, 1, 0)})
     k = 1
     acc = witness
@@ -100,8 +105,8 @@ def test_rank_three_abelian_window():
     table = enumerate_presentation(pres)
     assert table.coset_count == 8
     # a_1 a_0 a_1 -> a_0 (positions are window-relative: index + 1)
-    nf = table.normal_form(((2, 1), (1, 1), (2, 1)))
-    assert nf == ((1, 1),)
+    nf = table.normal_form(_cols(((2, 1), (1, 1), (2, 1))))
+    assert nf == _cols(((1, 1),))
 
 
 # -- the trivial examples -----------------------------------------------------------
@@ -114,24 +119,24 @@ def _tiny_table(p, c, lo, hi):
 def test_single_involution():
     table = _tiny_table(2, "1", 0, 0)
     assert table.coset_count == 2
-    assert table.element_order(((0, 1),)) == 2
+    assert table.element_order(_cols(((0, 1),))) == 2
     assert table.element_order(()) == 1
-    assert table.normal_form(((0, 1), (0, 1), (0, 1))) == ((0, 1),)
+    assert table.normal_form(_cols(((0, 1), (0, 1), (0, 1)))) == _cols(((0, 1),))
     assert table.normal_form(()) == ()
 
 
 def test_klein_four():
     table = _tiny_table(2, "1", 0, 1)
     assert table.coset_count == 4
-    assert table.trace_word(((0, 1), (0, 1))) == table.identity_coset
-    assert table.trace_word(()) == table.identity_coset
+    assert table.trace(_cols(((0, 1), (0, 1)))) == 0
+    assert table.trace(()) == 0
 
 
 def test_multiply_inverse_word():
     table = _tiny_table(3, "2", 0, 1)
     u = ((0, 1), (1, 1))
     v = ((1, -1), (0, -1))
-    assert table.trace(table.trace_word(u), v) == table.identity_coset
+    assert table.trace(_cols(v), table.trace(_cols(u))) == 0
 
 
 # -- invariants ------------------------------------------------------------------------
@@ -189,10 +194,10 @@ def test_shortlex_words_bfs_layering():
     table = _tiny_table(2, "1,2", 0, 2)
     # stored words trace back to their own coset
     for coset, word in enumerate(table.words()):
-        assert table.trace_word(word) == coset
+        assert table.trace(word) == coset
     # coset numbering ascends in shortlex order of the canonical words
     def rank(word):
-        return (len(word), tuple(2 * pos + (0 if s > 0 else 1) for pos, s in word))
+        return (len(word), word)
 
     ranks = [rank(w) for w in table.words()]
     assert ranks == sorted(ranks)
@@ -213,7 +218,7 @@ def test_shortlex_words_bfs_layering():
 
 
 def _reference_words(action, root=0):
-    """Shortlex words by a plain queue BFS from `root` over the columns, in column order."""
+    """Shortlex column words by a plain queue BFS from `root` over the columns, in column order."""
     cols = [col.tolist() for col in action]
     words = [None] * len(cols[0])
     words[root] = ()
@@ -222,7 +227,7 @@ def _reference_words(action, root=0):
         for x, col in enumerate(cols):
             nxt = col[cur]
             if words[nxt] is None:
-                words[nxt] = words[cur] + ((x >> 1, -1 if x & 1 else 1),)
+                words[nxt] = words[cur] + (x,)
                 queue.append(nxt)
     return tuple(words)
 
@@ -250,10 +255,10 @@ def test_words_match_reference_bfs_also_after_relabelling(p, c, w):
 
 def test_normal_form_idempotent_and_separating():
     table = _tiny_table(2, "1,2", 0, 2)
-    u = ((0, 1), (2, 1), (0, 1))
+    u = _cols(((0, 1), (2, 1), (0, 1)))
     nf = table.normal_form(u)
     assert table.normal_form(nf) == nf
-    assert table.trace_word(nf) == table.trace_word(u)
+    assert table.trace(nf) == table.trace(u)
 
 
 def test_capacity_exceeded():
@@ -295,7 +300,7 @@ def test_coincidence_generator_identification():
     pres = _handmade(2, [((0, 1),) * 3, ((1, 1),) * 3, ((0, 1), (1, 1))])
     table = enumerate_presentation(pres)
     assert table.coset_count == 3
-    assert table.trace_word(((0, 1),)) == table.trace_word(((1, -1),))
+    assert table.trace(_cols(((0, 1),))) == table.trace(_cols(((1, -1),)))
 
 
 def test_action_round_trip():
@@ -325,8 +330,8 @@ def test_table_keeps_one_copy():
     assert retained / table.coset_count < 100
     # scalar queries hand out Python ints, never numpy scalars
     word = table.word(table.coset_count - 1)
-    assert all(type(pos) is int and type(s) is int for pos, s in word)
-    assert type(table.trace_word(word)) is int
+    assert all(type(x) is int for x in word)
+    assert type(table.trace(word)) is int
 
 
 # -- relator reduction and canonical tables ---------------------------------------------

@@ -142,7 +142,7 @@ def test_tables_are_built_at_their_final_size(build):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * group.table.nbytes
+    assert peak < 1.10 * group.table.nbytes
 
 
 @pytest.mark.parametrize(

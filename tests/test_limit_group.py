@@ -182,9 +182,9 @@ def test_retraction_consistency_sampled(c12_group):
         canon_small = G.canonical_aword(word)
         # recompute inside the wider window [-1, 3] by tracing there directly
         big = G.table_for_width(4)
-        coset = big.trace_word(G._letters_for_table(word, -1))
+        coset = big.trace(G._columns(word, -1))
         canon_big = AWord(
-            G.p, tuple((pos - 1, 1 if s > 0 else G.p - 1) for pos, s in big.word(coset))
+            G.p, tuple(((x >> 1) - 1, G.p - 1 if x & 1 else 1) for x in big.word(coset))
         )
         assert canon_small == canon_big
         assert canon_small.is_empty() == canon_big.is_empty()
@@ -448,6 +448,22 @@ def test_huge_power_is_refused_before_any_letter(default_group):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("p,c", [(2, "n"), (3, "1,2")])
+def test_window_awords_list_each_element_once_in_normal_form(p, c):
+    """Odd columns of the p = 3 tables read back as exponent p - 1.
+    B([-2, 2]) of (2, "n") has width 4, past the default coset cap."""
+    G = LimitGroup(p, c)
+    for r in range(3):
+        if (p, c, r) == (2, "n", 2):
+            with pytest.raises(CapacityExceeded):
+                G.window_awords(r)
+            continue
+        words = G.window_awords(r)
+        assert words[0].is_empty()
+        assert len(set(words)) == len(words) == G.window_order(Window(-r, r))
+        assert all(G.canonical_aword(u) == u for u in words)
+
+
 # -- answers the letters decide -----------------------------------------------------
 
 
@@ -458,7 +474,7 @@ def test_one_letter_words_are_their_own_normal_form(p):
     for i in range(-3, 4):
         for e in range(1, p):
             word = G.aword([(i, e)])
-            reference = G.aword_from_table(table.normal_form(((0, 1),) * e), i)
+            reference = G._aword(table.normal_form((0,) * e), i)
             assert G.canonical_aword(word) == reference == word
             assert G.generator(i, e).order() == p
 

@@ -421,9 +421,9 @@ def test_one_letter_values_are_not_traced(monkeypatch):
     traces = [0]
     normal_form = CosetTable.normal_form
 
-    def counted(self, letters):
+    def counted(self, word):
         traces[0] += 1
-        return normal_form(self, letters)
+        return normal_form(self, word)
 
     monkeypatch.setattr(CosetTable, "normal_form", counted)
     group = LimitGroup(2, "n")
