@@ -489,7 +489,10 @@ def _enumerate(
                         if uf[alpha] != alpha:
                             break
                     continue
-                # HLT scan of the relator at alpha, defining cosets as needed
+                # HLT scan of the relator at alpha, defining cosets as needed.
+                # The forward scan stops short of the end (i <= j): the trace
+                # above met an undefined entry, and a fresh coset has only its
+                # inverse entry, which a freely reduced relator never reads next.
                 f = b = alpha
                 i = 0
                 j = last
@@ -500,10 +503,6 @@ def _enumerate(
                             break
                         f = n
                         i += 1
-                    if i > j:
-                        if f != b:
-                            live -= _coincide(cols, uf, f, b)
-                        break
                     while j >= i:
                         n = bwd[j][b]
                         if not n:

@@ -9,9 +9,11 @@ scratch and only freshly merged constants are canonicalised.  For each
 word the driver searches for a witness g = a * t^beta in canonical order
 (increasing support radius, then |beta|, then shortlex a-part, positive
 beta before negative) such that w(g) is nontrivial, and records a
-certificate.  Every recorded value is re-derived after the run (the
-witness-set persistence pass, which re-canonicalises through the window
-table only for a value in A of two or more letters) and by
+certificate.  The searches of one run share the candidates' shells: the
+beta = 0 candidates of each support radius, built the first time a
+search reaches that radius.  Every recorded value is re-derived after
+the run (the witness-set persistence pass, which re-canonicalises through
+the window table only for a value in A of two or more letters) and by
 `verify_certificates` from the log's text; an exhausted search is
 reported honestly as inconclusive, not escalated.
 """
@@ -157,60 +159,36 @@ def enumerate_words(group: LimitGroup, count: int, max_word_length: int = 16):
 # -- candidate enumeration -------------------------------------------------------
 
 
-def candidate_elements(group: LimitGroup, bounds: SearchBounds):
+def candidate_elements(group: LimitGroup, bounds: SearchBounds, shells: list | None = None):
     """Candidates g = a * t^beta in canonical order.
 
     Order: support radius ascending; within a radius, |beta| ascending;
     within that, shortlex a-part (`LimitGroup.window_awords` order), with
     +beta before -beta.  A-parts whose canonical support fits a smaller
     radius already appeared there and are skipped.
+
+    `shells` is a list that many searches of one group may share: entry r
+    holds the beta = 0 candidates of radius r, built when a search first
+    reaches r; the +-beta candidates are built from their a-parts on
+    demand.  A radius whose window is refused is not kept, so every search
+    that reaches it raises again.
     """
+    if shells is None:
+        shells = []
     for radius in range(bounds.max_support_radius + 1):
-        words = []
-        for word in group.window_awords(radius):
-            if radius > 0:
+        if radius == len(shells):
+            shell = []
+            for word in group.window_awords(radius):
                 sup = word.support
-                if sup is None or (sup[0] > -radius and sup[1] < radius):
-                    continue
-            words.append(word)
-        for abs_beta in range(bounds.max_beta + 1):
-            for word in words:
-                yield GElement(group, word, abs_beta)
-                if abs_beta:
-                    yield GElement(group, word, -abs_beta)
-
-
-class SharedCandidates:
-    """`candidate_elements(group, bounds)` entered once and kept, so many
-    searches can share it.
-
-    Every iteration yields the same candidates in the same order; the
-    generator is advanced only past what an earlier iteration already
-    pulled.  An error it raises (a window past the caps) is raised again
-    to every later iteration that reaches that point.
-    """
-
-    def __init__(self, group: LimitGroup, bounds: SearchBounds):
-        self._source = candidate_elements(group, bounds)
-        self._kept = []
-        self._error = None
-
-    def __iter__(self):
-        kept = self._kept
-        i = 0
-        while True:
-            if i == len(kept):
-                if self._error is not None:
-                    raise self._error
-                try:
-                    kept.append(next(self._source))
-                except StopIteration:
-                    return
-                except Exception as exc:
-                    self._error = exc
-                    raise
-            yield kept[i]
-            i += 1
+                if radius == 0 or (sup is not None and radius in (-sup[0], sup[1])):
+                    shell.append(GElement(group, word, 0))
+            shells.append(shell)
+        shell = shells[radius]
+        yield from shell
+        for abs_beta in range(1, bounds.max_beta + 1):
+            for g in shell:
+                yield GElement(group, g.a, abs_beta)
+                yield GElement(group, g.a, -abs_beta)
 
 
 @dataclass
@@ -222,27 +200,24 @@ class FindResult:
 
 
 def find_witness(
-    word: "mw.MixedWord", bounds: SearchBounds, *, candidates=None
+    word: "mw.MixedWord", bounds: SearchBounds, *, shells: list | None = None
 ) -> FindResult:
     """First candidate (canonical order) on which the word evaluates away
     from the identity.  Each candidate is evaluated once; the recorded
     value is re-derived by the drive's witness-set persistence pass and by
     `verify_certificates`, not here.
 
-    `candidates` is the candidate order of `candidate_elements(word.group,
-    bounds)` to search, such as a `SharedCandidates` that many words
-    share; by default a fresh one.  At most `bounds.max_candidates` of
-    them are pulled.
+    The candidates are those of `candidate_elements(word.group, bounds,
+    shells)`, so searches that pass one `shells` list build each beta = 0
+    candidate once; at most `bounds.max_candidates` of them are pulled.
     """
     group = word.group
     if word.is_empty():
         raise ValueError("empty word has no witness")
     if any(v != 1 for v in word.variable_ids):
         raise ValueError("witness search expects a single-variable word")
-    if candidates is None:
-        candidates = candidate_elements(group, bounds)
     tried = 0
-    for g in islice(candidates, bounds.max_candidates):
+    for g in islice(candidate_elements(group, bounds, shells), bounds.max_candidates):
         tried += 1
         value = mw.evaluate(word, {1: g})
         if not value.is_trivial():
@@ -258,8 +233,10 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
 
     Each word is searched before the next one is enumerated, so a
     CapacityExceeded met while enumerating keeps every certificate made
-    before it, like one met while searching.  All words search one
-    `SharedCandidates`, so each candidate is built once per run.
+    before it, like one met while searching.  All words search with one
+    `shells` list, so each radius's window is listed once per run and each
+    beta = 0 candidate built once; the run stops at the first
+    CapacityExceeded, so no search meets a refused radius twice.
 
     The witness set F collects every recorded w_i(g_i).  Once the search
     stops (also on CapacityExceeded, when the partial log is returned
@@ -276,11 +253,11 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
     witness_set = []
     complete = True
     reason = None
-    candidates = SharedCandidates(group, bounds)
+    shells = []
     try:
         words = iter_words(group, count, bounds.max_word_length)
         for i, (word, _) in enumerate(words, start=1):
-            result = find_witness(word, bounds, candidates=candidates)
+            result = find_witness(word, bounds, shells=shells)
             if result.status == WITNESS_FOUND:
                 certificates.append(
                     Certificate(

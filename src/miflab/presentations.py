@@ -13,8 +13,9 @@ Conventions, fixed globally:
 
 Relator order is deterministic: power relators by generator index, then
 commutator relators lexicographically by (spread, index tuple).  Tuples
-with i_0 = i_1 are skipped (freely trivial); duplicates by exact letter
-sequence are emitted once.
+with i_0 = i_1 are skipped (freely trivial).  No relator repeats: a
+left-normed commutator's letters determine its index tuple, each tuple is
+visited once, and power relators carry no inverse letters.
 """
 
 from __future__ import annotations
@@ -230,24 +231,17 @@ def build_window_presentation(
 
     relators: list[Relator] = []
     labels: list[RelatorLabel] = []
-    seen: set[Relator] = set()
 
     for pos in range(ngens):
-        rel = ((pos, 1),) * p
-        relators.append(rel)
+        relators.append(((pos, 1),) * p)
         labels.append(RelatorLabel("power", index=lo + pos))
-        seen.add(rel)
 
     for d in range(1, window.width + 1):
         weight = c[d] + 1
         for tup in _tuples_with_spread(lo, hi, weight, d):
             if tup[0] == tup[1]:
                 continue
-            rel = left_normed_commutator(tuple(i - lo for i in tup))
-            if rel in seen:
-                continue
-            seen.add(rel)
-            relators.append(rel)
+            relators.append(left_normed_commutator(tuple(i - lo for i in tup)))
             labels.append(
                 RelatorLabel("commutator", spread=d, weight=weight, indices=tup)
             )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from miflab import LimitGroup, Window
+from miflab.limit_group import AWord
 from miflab.cli import main
 
 
@@ -211,6 +212,9 @@ def test_search():
     assert data["status"] == "WitnessFound" and data["witness"] == "a0"
     # the exponent is raised in place and reduced by each candidate's order
     assert run_cli("search", "--word", "x^1000000000") == (0, "witness t\n", "")
+    code, out, _ = run_cli("--json", "search", "--word", "x x^-1")
+    assert code == 0
+    assert json.loads(out) == {"status": "TrivialInFreeProduct", "word": "x x^-1"}
 
 
 def test_search_refuses_a_word_in_two_variables():
@@ -522,6 +526,19 @@ def test_selftest_seeded():
     code, out, _ = run_cli("--json", "selftest", "--seed", "3", "--samples", "50")
     assert code == 0
     assert json.loads(out)["failures"] == []
+
+
+def test_selftest_laws_reach_the_tables(monkeypatch, capsys):
+    """A canonical form that keeps only its first letter breaks both laws."""
+    canonical = LimitGroup.canonical_aword
+
+    def truncated(self, word):
+        return AWord(self.p, canonical(self, word).letters[:1])
+
+    monkeypatch.setattr(LimitGroup, "canonical_aword", truncated)
+    assert main(["--json", "selftest", "--seed", "3", "--samples", "50"]) == 3
+    failures = set(json.loads(capsys.readouterr().out)["failures"])
+    assert {"associativity", "inverse"} <= failures
 
 
 @pytest.mark.parametrize(

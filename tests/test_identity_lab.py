@@ -181,6 +181,22 @@ def test_group_axiom_validation_rejects_bad_table():
         il.FiniteGroup(bad)
 
 
+@pytest.mark.parametrize(
+    "table, labels, message",
+    [
+        ([[0, 1]], None, "multiplication table must be square"),
+        ([[0, 1], [1, 2]], None, "group: table entries out of range"),
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], None, "group: row 1 is not a permutation"),
+        ([[0]], ["e", "f"], "label count does not match group size"),
+    ],
+    ids=["not-square", "out-of-range", "row-not-a-permutation", "label-count"],
+)
+def test_malformed_tables_are_refused(table, labels, message):
+    with pytest.raises(ValueError) as info:
+        il.FiniteGroup(table, labels)
+    assert str(info.value) == message
+
+
 # -- products are groups by construction ------------------------------------------
 
 

@@ -1,9 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports or keeps private.
 
 No linter runs in the test suite, so this parses each module of
 `src/miflab` (except the package's `__init__.py`, which imports to
 re-export) and fails on an imported name that the module never reads.
-Names in quoted annotations count as read.
+Names in quoted annotations count as read.  A private name (one leading
+underscore, not a dunder) defined in a module, as a module-level name,
+function, method or class, must also be read there, as a name or as an
+attribute: a helper only tests call is dead code.
 """
 
 import ast
@@ -58,3 +61,40 @@ def test_every_imported_name_is_used(path):
     read = _read(tree)
     unused = sorted(f"{name} (line {line})" for name, line in _imported(tree).items() if name not in read)
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.setdefault(node.name, node.lineno)
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name):
+                names.setdefault(target.id, node.lineno)
+    return {name: line for name, line in names.items() if _private(name)}
+
+
+def _loaded(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_private_name_is_read_in_its_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = _loaded(tree)
+    dead = sorted(
+        f"{name} (line {line})" for name, line in _private_definitions(tree).items() if name not in read
+    )
+    assert not dead, f"{path.name} defines private names it never reads: {', '.join(dead)}"

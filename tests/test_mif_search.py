@@ -295,6 +295,25 @@ def _forged(rows, i, field, value):
     return rows[:i] + [json.dumps(data, sort_keys=True)] + rows[i + 1:]
 
 
+def test_verify_checks_each_row_kind(default_group):
+    """A SearchExhausted row and a TrivialInFreeProduct row of the word `1`
+    (which older logs can carry) pass; a TrivialInFreeProduct row of a
+    nonempty word and a row of unknown status fail at their lines."""
+    rows = ms.certificates_to_lines(ms.drive(default_group, 6), default_group).splitlines()
+    rows = _forged(rows, 1, "status", ms.SEARCH_EXHAUSTED)
+    rows = _forged(rows, 1, "witness", None)
+    rows = _forged(rows, 2, "status", ms.TRIVIAL_IN_FREE_PRODUCT)
+    rows = _forged(rows, 2, "word", "1")
+    rows = _forged(rows, 3, "status", ms.TRIVIAL_IN_FREE_PRODUCT)
+    rows = _forged(rows, 4, "status", "Proved")
+    report = ms.verify_certificates(rows)
+    assert report.failures == [
+        (4, "word is not trivial in the free product"),
+        (5, "unknown status 'Proved'"),
+    ]
+    assert report.checked == 6 and report.witnesses_ok == 2
+
+
 def test_verify_fails_exactly_the_forged_row(default_group):
     """Every row shares the item memo of its group, and a forged row still
     fails on its own text."""
@@ -452,14 +471,14 @@ def test_drive_work_is_linear_in_the_word_count(monkeypatch):
 
 
 def test_drive_builds_the_candidates_once_per_run(monkeypatch):
-    entered = [0]
+    listed = Counter()
     walks = Counter()
     evaluations = [0]
-    candidates, words, evaluate = ms.candidate_elements, CosetTable.words, mw.evaluate
+    window_awords, words, evaluate = LimitGroup.window_awords, CosetTable.words, mw.evaluate
 
-    def counted_candidates(group, bounds):
-        entered[0] += 1
-        return candidates(group, bounds)
+    def counted_window_awords(self, radius):
+        listed[radius] += 1
+        return window_awords(self, radius)
 
     def counted_words(self):
         walks[id(self)] += 1
@@ -469,12 +488,13 @@ def test_drive_builds_the_candidates_once_per_run(monkeypatch):
         evaluations[0] += 1
         return evaluate(word, assignment)
 
-    monkeypatch.setattr(ms, "candidate_elements", counted_candidates)
+    monkeypatch.setattr(LimitGroup, "window_awords", counted_window_awords)
     monkeypatch.setattr(CosetTable, "words", counted_words)
     monkeypatch.setattr(mw, "evaluate", counted_evaluate)
     result = ms.drive(LimitGroup(2, "n"), 800)
     assert result.complete and len(result.certificates) == 800
-    assert entered[0] == 1
+    # each radius's shell is built once, for all 800 searches
+    assert listed and max(listed.values()) == 1
     assert walks and max(walks.values()) == 1
     # one evaluation per candidate tried
     assert evaluations[0] == sum(c.candidates_tried for c in result.certificates)
@@ -482,15 +502,20 @@ def test_drive_builds_the_candidates_once_per_run(monkeypatch):
 
 def test_shared_candidates_repeat_the_order_and_its_errors(default_group):
     bounds = ms.SearchBounds(max_support_radius=2, max_beta=1)
-    shared = ms.SharedCandidates(default_group, bounds)
-    first = [g.render() for g in islice(shared, 12)]
-    assert [g.render() for g in islice(shared, 20)][:12] == first
-    assert first == [g.render() for g in islice(ms.candidate_elements(default_group, bounds), 12)]
+
+    def pull(group, n, shells):
+        return [g.render() for g in islice(ms.candidate_elements(group, bounds, shells), n)]
+
+    shells = []
+    first = pull(default_group, 12, shells)
+    assert pull(default_group, 20, shells)[:12] == first
+    assert first == pull(default_group, 12, None)
     narrow = LimitGroup(2, "n", max_window_width=1)
-    shared = ms.SharedCandidates(narrow, bounds)
+    shells = []
     for _ in range(2):  # the radius-1 window (width 2) is refused every time
         with pytest.raises(CapacityExceeded, match="window width 2"):
-            list(shared)
+            pull(narrow, 100, shells)
+        assert len(shells) == 1
 
 
 def _patch_search(monkeypatch, words_searched, stop_with=None, forget=True):

@@ -62,7 +62,7 @@ def test_weight_two_window():
     pres = build_window_presentation(2, "1", Window(0, 1))
     texts = [pres.relator_text(i) for i in range(len(pres.relators))]
     assert texts == ["a0 a0", "a1 a1", "[a0,a1]", "[a1,a0]"]
-    assert len(pres.relators) == 4  # both commutator orders survive exact dedup
+    assert len(pres.relators) == 4  # [a0,a1] and [a1,a0] are distinct relators
 
 
 def test_weight_three_relators_p3():
@@ -107,6 +107,16 @@ def test_relators_match_oracle_exactly():
 
 
 # -- invariants ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("c", ["n", "1", "2", "1,2", "1,3"])
+def test_relators_are_pairwise_distinct(p, c):
+    # a left-normed commutator's letters determine its index tuple, and
+    # power relators carry no inverse letters, so the build needs no dedup
+    for width in range(5):
+        relators = build_window_presentation(p, c, Window(0, width)).relators
+        assert len(set(relators)) == len(relators), (p, c, width)
 
 
 def test_determinism():
