@@ -352,6 +352,10 @@ def verify_certificates(
 ) -> VerifyReport:
     """Independent re-check of a certificate stream.
 
+    `lines` is the log's text, split at "\n" only (a raw U+2028 inside a
+    JSON string stays in its row), or an iterable of its `str` lines.  Each
+    stripped row is decoded in one `raw_decode` call and must end where
+    the JSON value does; a BOM or trailing data makes it "not valid JSON".
     Every word is re-parsed from its row's text and re-evaluated from
     scratch; re-parse failures, trivial evaluations, and malformed rows
     (also rows that are not JSON objects) are failures.  Only an object
@@ -365,9 +369,10 @@ def verify_certificates(
     given caps.  Per group, each distinct witness text is parsed once, and
     each distinct non-commutator item text of the words (`a0`, `t^-1`,
     `x^2`) is built once, through one `items` memo that every word of the
-    group shares; each word is still reduced from its own text.  A
-    CapacityExceeded is raised, not recorded: a row that cannot be checked
-    within the caps has not failed.
+    group shares; each word is still reduced from its own text, its items
+    joined at their seams, so only constants that merge there are tested
+    for the identity.  A CapacityExceeded is raised, not recorded: a row
+    that cannot be checked within the caps has not failed.
     """
     report = VerifyReport(checked=0, witnesses_ok=0)
     groups: dict = {}
@@ -377,14 +382,19 @@ def verify_certificates(
     summarised = False
     lineno = 0
     if isinstance(lines, str):
-        lines = lines.splitlines()
+        lines = lines.split("\n")
+        if not lines[-1]:  # the empty piece after a final newline is no line
+            lines.pop()
+    decode = json.JSONDecoder().raw_decode
     for lineno, raw in enumerate(lines, start=1):
         raw = raw.strip()
         if not raw:
             continue
         try:
-            data = json.loads(raw)
+            data, end = decode(raw)
         except json.JSONDecodeError:
+            end = -1
+        if end != len(raw):
             report.failures.append((lineno, "not valid JSON"))
             continue
         if not isinstance(data, dict):

@@ -8,6 +8,15 @@ sequence of elements, left to right), `inv`, `power`, `is_identity`,
 the finite-group lab satisfy this, so one word calculus serves both.
 Constants of one word all belong to a single context; mixing contexts is
 an error.
+
+Two reduced words interact only at their seam (Lyndon & Schupp,
+*Combinatorial Group Theory*, ch. IV): `extend` joins a reduced piece to
+a reduced list by merging or cancelling there, and tests only merged
+constants for the identity.  Every join of reduced pieces goes through it
+(`MixedWord.concat`, `commutator`, the parser's words and powers);
+`reduce` is for syllable lists that are not reduced, such as the
+substitutions `iota_embed` and `sub_commutator` write out.  `push` and
+`extend` share one merge rule (`_join`).
 """
 
 from __future__ import annotations
@@ -66,7 +75,9 @@ class MixedWord:
     def concat(self, other: "MixedWord") -> "MixedWord":
         if other.group is not self.group:
             raise ValueError("cannot mix ambient contexts")
-        return reduce(self.group, self.syllables + other.syllables)
+        stack = list(self.syllables)
+        extend(self.group, stack, other.syllables)
+        return MixedWord(self.group, stack)
 
     def inverse(self) -> "MixedWord":
         out = []
@@ -107,38 +118,72 @@ class MixedWord:
         return f"MixedWord({self.render()!r})"
 
 
-def push(group, stack: list, s) -> None:
-    """Append syllable s to the reduced syllable list `stack`, merging it
-    with the last syllable or cancelling both at the seam, so the list
-    stays reduced.  Only the end of the list changes: for a nontrivial s
-    its length grows by one (appended), stays (merged into a new last
-    syllable) or shrinks by one (cancelled).
+def _join(group, stack: list, s) -> bool:
+    """Join the nontrivial syllable s to the end of the reduced list
+    `stack`: merge it with a like last syllable, cancel both, or append
+    it.  True when the two cancelled, so the new end of the list may meet
+    the syllable after s.  Only a merged constant is tested for the
+    identity (by the ambient context; for limit groups that is the window
+    engine)."""
+    if stack:
+        last = stack[-1]
+        if s[0] == CONST:
+            if last[0] == CONST:
+                el = group.mul(last[1], s[1])
+                if group.is_identity(el):
+                    stack.pop()
+                    return True
+                stack[-1] = (CONST, el)
+                return False
+        elif last[0] == VAR and last[1] == s[1]:
+            exp = last[2] + s[2]
+            if exp == 0:
+                stack.pop()
+                return True
+            stack[-1] = (VAR, s[1], exp)
+            return False
+    stack.append(s)
+    return False
 
-    Constant triviality is decided by the ambient context (for limit
-    groups that is the window engine).
+
+def push(group, stack: list, s) -> None:
+    """Append syllable s, which may be trivial, to the reduced syllable
+    list `stack`, so the list stays reduced.  A trivial s is dropped; any
+    other is joined at the seam (`_join`).  Only the end of the list
+    changes: for a nontrivial s its length grows by one (appended), stays
+    (merged into a new last syllable) or shrinks by one (cancelled).  A
+    constant s after a constant is not tested on its own: the merge leaves
+    the last syllable as it was if s is trivial.
     """
     if s[0] == CONST:
-        el = s[1]
-        if stack and stack[-1][0] == CONST:
-            el = group.mul(stack.pop()[1], el)
-        if not group.is_identity(el):
-            stack.append((CONST, el))
-    else:
-        _, vid, exp = s
-        if exp == 0:
+        if (not stack or stack[-1][0] != CONST) and group.is_identity(s[1]):
             return
-        if stack and stack[-1][0] == VAR and stack[-1][1] == vid:
-            exp += stack.pop()[2]
-            if exp == 0:
-                return
-        stack.append((VAR, vid, exp))
+    elif s[2] == 0:
+        return
+    _join(group, stack, s)
+
+
+def extend(group, stack: list, syllables) -> None:
+    """Append the reduced syllable sequence `syllables` to the reduced list
+    `stack`, so the list stays reduced.
+
+    Two reduced words interact only where they meet: the first syllable
+    is joined at the seam, and while the seam cancels the next one is
+    joined to the new end; the rest is appended as it is.  So only merged
+    constants are tested for the identity.
+    """
+    for i, s in enumerate(syllables):
+        if not _join(group, stack, s):
+            stack.extend(syllables[i + 1:])
+            return
 
 
 def reduce(group, syllables) -> MixedWord:
     """Unique reduced form: merge adjacent like syllables, drop trivial ones.
 
     Merging is confluent, so a single left-to-right pass of `push`
-    suffices.
+    suffices.  For syllables that are pieces already reduced, `extend`
+    joins them at their seams instead.
     """
     stack: list = []
     for s in syllables:
@@ -158,10 +203,10 @@ def commutator(u: MixedWord, v: MixedWord) -> MixedWord:
     """[u, v] = u^-1 v^-1 u v at the word level."""
     if u.group is not v.group:
         raise ValueError("cannot mix ambient contexts")
-    return reduce(
-        u.group,
-        u.inverse().syllables + v.inverse().syllables + u.syllables + v.syllables,
-    )
+    stack = list(u.inverse().syllables)
+    for part in (v.inverse().syllables, u.syllables, v.syllables):
+        extend(u.group, stack, part)
+    return MixedWord(u.group, stack)
 
 
 def left_normed(words) -> MixedWord:

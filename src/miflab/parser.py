@@ -13,24 +13,29 @@ Grammar (whitespace separates items; items multiply left to right):
                                  a parenthesised name such as "(12)" or
                                  "((12),e)" runs to its balancing ')')
 
+Integers are ASCII digits only (`a٣` is an error, not `a3`); any Unicode
+whitespace separates items.
+
 Parsing returns a reduced MixedWord over the given context; a word with
-no variables can be collapsed to a group element.
+no variables can be collapsed to a group element.  Each item is reduced
+on its own and joined to the word so far at their seam (`mw.extend`), so
+only constants that merge there are tested for the identity.
 
 Every item that is not a commutator (an atom token plus its optional
 `^k`, such as `a0`, `t^-1` or `x^2`) is built once per distinct text
 and kept in the `items` memo, which maps the item text to its reduced
-syllables; later occurrences of the same text reuse them.  By default
-each parse has its own memo.  A caller that parses many texts over one
-context, such as `verify_certificates`, passes one dict to all of them,
-so each distinct item is built once; the dict must only ever see that one
-group and binding map.  A commutator item is built afresh, from items
-looked up the same way.  An item that fails to parse leaves no entry.
+syllables; the word loop looks each later occurrence up itself.  By
+default each parse has its own memo.  A caller that parses many texts
+over one context, such as `verify_certificates`, passes one dict to all
+of them, so each distinct item is built once; the dict must only ever see
+that one group and binding map.  A commutator item is built afresh, from
+items looked up the same way.  An item that fails to parse leaves no
+entry.
 
 The parser bounds every syllable list it writes out by `MAX_SYLLABLES`:
 a word power or a commutator step that would pass it raises
 CapacityExceeded before its list is built, and so does a word once its
-items, before reduction, pass it (the list then holds at most one item
-more than the limit).
+items, counted as written out before reduction, pass it.
 """
 
 from __future__ import annotations
@@ -51,10 +56,13 @@ _TOKEN = re.compile(
     | (?P<paren>\()
     | (?P<name>[A-Za-z](?:-?\d+|\w*)?)
     | (?P<one>1)
-    | (?P<bad>\S)
+    | (?P<bad>(?u:\S))
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
+# the token kinds an item's atom can be; an item of any other kind is a
+# commutator or an error
+_ATOMS = ("name", "paren", "one")
 
 
 def tokenize(text: str):
@@ -124,14 +132,39 @@ class _Parser:
         return ""
 
     def parse_word(self, stop=()) -> "mw.MixedWord":
-        syllables = []
-        while True:
-            kind, _ = self.peek()
-            if kind is None or kind in stop:
-                return mw.reduce(self.group, syllables)
-            syllables.extend(self.parse_item())
-            if len(syllables) > MAX_SYLLABLES:
-                _refuse(len(syllables), "the word")
+        """The reduced word up to a token in `stop` or the end.  Each item is
+        joined to the word so far at their seam (`mw.extend`).  An atom
+        whose text (with its `^k`) is in `items` is resolved here; any other
+        item goes through `parse_item`.  The word is refused once its items,
+        as written out before reduction, pass MAX_SYLLABLES."""
+        group, items, tokens = self.group, self.items, self.tokens
+        end = len(tokens)
+        pos = self.pos
+        stack = []
+        written = 0
+        while pos < end:
+            kind, val = tokens[pos]
+            if kind in stop:
+                break
+            syllables = None
+            if kind in _ATOMS:
+                after = pos + 1
+                if after < end and tokens[after][0] == "pow":
+                    val += tokens[after][1]
+                    after += 1
+                syllables = items.get(val)
+                if syllables is not None:
+                    pos = after
+            if syllables is None:
+                self.pos = pos
+                syllables = self.parse_item()
+                pos = self.pos
+            written += len(syllables)
+            if written > MAX_SYLLABLES:
+                _refuse(written, "the word")
+            mw.extend(group, stack, syllables)
+        self.pos = pos
+        return mw.MixedWord(group, stack)
 
     def parse_item(self) -> tuple:
         """The reduced syllables of the next item.  A commutator is built
@@ -141,7 +174,7 @@ class _Parser:
         if kind == "lbrack":
             word = self.parse_commutator()
             return _word_power(word, self.take_power()).syllables
-        if kind not in ("name", "paren", "one"):
+        if kind not in _ATOMS:
             raise ParseError(f"unexpected token {val!r} in {self.text!r}")
         power = self.take_power()
         text = val + power
@@ -200,10 +233,10 @@ class _Parser:
 
 def _variable_id(name: str) -> int | None:
     """The id of the variable a name token denotes: 1 for `x`, i for `x<i>`
-    (digits only); None for a name that is not a variable."""
+    (ASCII digits only); None for a name that is not a variable."""
     if name == "x":
         return 1
-    if name[0] == "x" and name[1:].isdecimal():
+    if name[0] == "x" and name[1:].isascii() and name[1:].isdecimal():
         return int(name[1:])
     return None
 
@@ -244,8 +277,11 @@ def _word_power(word: "mw.MixedWord", power: str) -> "mw.MixedWord":
     n = len(word.syllables)
     if n * abs(k) > MAX_SYLLABLES:
         _refuse(n * abs(k), f"the power ^{k} of a {n}-syllable word")
-    base = word if k > 0 else word.inverse()
-    return mw.reduce(group, base.syllables * abs(k))
+    base = (word if k > 0 else word.inverse()).syllables
+    stack = []
+    for _ in range(abs(k)):
+        mw.extend(group, stack, base)
+    return mw.MixedWord(group, stack)
 
 
 def parse_mixed_word(

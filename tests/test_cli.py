@@ -143,6 +143,9 @@ BAD_INPUTS = [
     (("check", "--id", "wreath", "--base", "C2", "--top", "C0"), 4, "--top must name a cyclic group"),
     (("check", "--id", "wreath", "--base", "C2", "--top", "C" + "9" * 5000), 4, "--top must name a cyclic group"),
     (("check", "--word", "x", "--group", "C" + "9" * 5000), 4, "--group: group name"),
+    (("search", "--word", "a\u0663"), 4, "unexpected character '\u0663'"),
+    (("search", "--word", "x\u0662"), 4, "unexpected character '\u0662'"),
+    (("search", "--word", "t^\u0663"), 4, "unexpected character '^'"),
     (("check", "--word", "x", "--group", "C5000"), 2, "C5000 has order 5000, over the 4096-element cap"),
     (("check", "--word", "x", "--group", "D2049"), 2, "D2049 has order 4098"),
     (("check", "--id", "direct-product", "--A", "C5000", "--B", "C1"), 2, "C5000 has order 5000"),
@@ -286,6 +289,20 @@ def test_verify_fails_a_log_without_a_summary(tmp_path):
         "witnesses_ok": 3,
         "failures": [{"line": 4, "reason": "the log ends without a run summary after 3 certificate rows"}],
     }
+
+
+def test_verify_keeps_a_line_separator_inside_its_row(tmp_path):
+    """A raw U+2028 in a word string is whitespace to the parser and no line
+    end to `verify`."""
+    certs = tmp_path / "certs.jsonl"
+    run_cli("drive", "--count", "5", "--out", str(certs))
+    lines = certs.read_text(encoding="utf-8").split("\n")
+    word = json.loads(lines[2])["word"]
+    lines[2] = lines[2].replace(f'"word":"{word}"', f'"word":"{word}\u2028"')
+    certs.write_text("\n".join(lines), encoding="utf-8")
+    code, out, _ = run_cli("--json", "verify", str(certs))
+    assert code == 0
+    assert json.loads(out) == {"checked": 5, "witnesses_ok": 5, "failures": []}
 
 
 def test_verify_lists_a_row_that_is_not_an_object(tmp_path):

@@ -263,6 +263,65 @@ def test_verify_fails_a_log_without_a_summary(default_group):
     assert ms.verify_certificates(lines + lines).ok
 
 
+def _log_with_line_separators(group):
+    """A valid `drive(5)` log whose third word holds a raw U+2028, U+2029
+    and U+0085: JSON allows them in a string, and the parser reads them as
+    whitespace."""
+    lines = ms.certificates_to_lines(ms.drive(group, 5), group).split("\n")
+    word = json.loads(lines[2])["word"]
+    lines[2] = lines[2].replace(f'"word":"{word}"', f'"word":"\u2028{word}\u2029\x85"')
+    assert not lines[2].isascii()
+    return "\n".join(lines)
+
+
+def test_verify_splits_text_at_newlines_only(default_group):
+    text = _log_with_line_separators(default_group)
+    assert len(text.splitlines()) == 9  # str.splitlines breaks the third row three times
+    for lines in (text, text.split("\n")):
+        report = ms.verify_certificates(lines)
+        assert (report.checked, report.witnesses_ok, report.failures) == (5, 5, [])
+    # a log without its final newline, and with CRLF line ends
+    assert ms.verify_certificates(text.rstrip("\n")).ok
+    assert ms.verify_certificates(text.replace("\n", "\r\n")).ok
+
+
+def test_verify_decodes_each_row_whole(default_group):
+    *rows, summary = ms.certificates_to_lines(ms.drive(default_group, 3), default_group).splitlines()
+    for bad in ["\ufeff" + rows[1], rows[1] + " {}", rows[1] + rows[1], rows[1] + "]", '"x" 1', "nul"]:
+        report = ms.verify_certificates([rows[0], bad, rows[2], summary])
+        assert report.checked == 2
+        assert report.failures == [
+            (2, "not valid JSON"),
+            (4, "run summary counts 3 certificates, the log has 2"),
+        ]
+
+
+def test_verify_tests_only_merged_constants_for_the_identity(monkeypatch):
+    """Each word is reduced by joining its reduced items at their seams, so
+    only a constant merged there is tested for the identity; tracing
+    through the window tables is unchanged."""
+    group = LimitGroup(2, "n")
+    lines = ms.certificates_to_lines(ms.drive(group, 800), group)
+    calls = Counter()
+
+    def counted(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(LimitGroup, "is_identity")
+    counted(CosetTable, "normal_form")
+    report = ms.verify_certificates(lines)
+    assert report.ok and report.witnesses_ok == 800
+    # 1,563 when every syllable of every word was tested
+    assert calls["is_identity"] <= 600
+    assert calls["normal_form"] == 142
+
+
 def test_verify_fails_a_row_whose_instance_is_malformed(default_group):
     lines = ms.certificates_to_lines(ms.drive(default_group, 3), default_group).splitlines()
     for field, value, reason in [

@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from miflab import (
     CapacityExceeded,
@@ -217,6 +217,116 @@ def test_reduce_invariants(instance_key, pieces, assignment):
     assert mw.reduce(G, syl).syllables == syl
     sigma = {vid: G.element(letters, beta) for vid, (_, letters, beta) in zip((1, 2), assignment)}
     assert evaluate(w, sigma) == _evaluate_raw(G, raw, sigma)
+
+
+# -- joining reduced pieces at their seam ------------------------------------------
+
+
+class _CountingGroup:
+    """The group, with its `is_identity` calls counted."""
+
+    def __init__(self, group):
+        self.group = group
+        self.identity_tests = 0
+
+    def __getattr__(self, name):
+        return getattr(self.group, name)
+
+    def is_identity(self, element):
+        self.identity_tests += 1
+        return self.group.is_identity(element)
+
+
+def _is_trivial(G, s):
+    return G.is_identity(s[1]) if s[0] == mw.CONST else s[2] == 0
+
+
+def _like(s1, s2):
+    return s1[0] == s2[0] == mw.CONST or (s1[0] == s2[0] == mw.VAR and s1[1] == s2[1])
+
+
+def _rewrite_reduce(G, syllables):
+    """Reference: drop the first trivial syllable or merge the first like
+    pair, until neither is left (no stack, no seam)."""
+    syl = list(syllables)
+    while True:
+        i = next((i for i, s in enumerate(syl) if _is_trivial(G, s)), None)
+        if i is not None:
+            del syl[i]
+            continue
+        i = next((i for i in range(len(syl) - 1) if _like(syl[i], syl[i + 1])), None)
+        if i is None:
+            return syl
+        s1, s2 = syl[i], syl[i + 1]
+        merged = (mw.CONST, G.mul(s1[1], s2[1])) if s1[0] == mw.CONST else (mw.VAR, s1[1], s1[2] + s2[2])
+        syl[i:i + 2] = [merged]
+
+
+# (2,"n") constants with t-parts up to t^+-2, and the S3 constants by index;
+# both include the identity, and a0 a0 = t t^-1 = 1 merge to it.  Merged
+# constants spread over wider windows; past width 2 they are refused before
+# a table is built, and such examples are skipped.
+_T_SPEC = st.tuples(
+    st.just("c"), st.lists(st.tuples(st.integers(0, 1), st.just(1)), max_size=2), st.integers(-2, 2)
+)
+_S3_SPEC = st.tuples(st.just("s"), st.integers(0, 5))
+_T_GROUP = LimitGroup(2, "n", max_window_width=2)
+_S3_GROUP = small_group("S3")
+
+
+def _raw(G, specs):
+    return [
+        mw.const_syllable(G.element(spec[1], spec[2])) if spec[0] == "c"
+        else mw.const_syllable(spec[1]) if spec[0] == "s"
+        else mw.var_syllable(spec[1], spec[2])
+        for spec in specs
+    ]
+
+
+def _pieces(instance, const_spec):
+    pieces = st.lists(st.one_of(const_spec, _VAR_SPEC), max_size=6)
+    return st.tuples(st.just(instance), pieces, pieces)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(_pieces("2-n", _T_SPEC), _pieces("S3", _S3_SPEC)),
+    st.sampled_from(["free", "inverse", "inverse then free"]),
+)
+def test_extend_matches_reduce_of_the_concatenation(pieces, join):
+    """`extend` of a reduced piece onto a reduced list gives `reduce` of the
+    two written out, which is the rewriting normal form; only constants
+    merged at the seam are tested for the identity, at most one more than
+    the pairs it cancels."""
+    instance, specs_u, specs_v = pieces
+    G = _T_GROUP if instance == "2-n" else _S3_GROUP
+    raw_u = _raw(G, specs_u)
+    try:
+        u = mw.reduce(G, raw_u)
+        v = mw.reduce(G, _raw(G, specs_v))
+        if join == "inverse":  # u u^-1 cascades to the empty word
+            v = u.inverse()
+        elif join == "inverse then free":
+            v = mw.reduce(G, u.inverse().syllables + v.syllables)
+        expected = mw.reduce(G, u.syllables + v.syllables)
+        assert u == mw.MixedWord(G, _rewrite_reduce(G, raw_u))
+        assert expected == mw.MixedWord(G, _rewrite_reduce(G, u.syllables + v.syllables))
+    except CapacityExceeded:
+        assume(False)
+    counting = _CountingGroup(G)
+    stack = list(u.syllables)
+    mw.extend(counting, stack, v.syllables)
+    assert mw.MixedWord(G, stack) == expected
+    cancelled = (len(u.syllables) + len(v.syllables) - len(stack)) // 2
+    assert counting.identity_tests <= cancelled + 1
+    if join == "inverse":
+        assert not stack
+    # concat and push agree with it
+    assert u.concat(v) == expected
+    pushed = list(u.syllables)
+    for s in v.syllables:
+        mw.push(G, pushed, s)
+    assert mw.MixedWord(G, pushed) == expected
 
 
 def test_alternation_invariant(default_group):

@@ -22,6 +22,8 @@ def test_whitespace_concatenation(default_group):
     G = default_group
     assert parse_element("a0   a1", G) == G.generator(0) * G.generator(1)
     assert parse_element("a0 a1", G) == parse_element("a0\ta1", G)
+    # any Unicode whitespace separates items
+    assert parse_mixed_word("x\u2028a0\u00a0x", G) == parse_mixed_word("x a0 x", G)
 
 
 def test_commutators_nary(default_group):
@@ -60,6 +62,12 @@ def test_word_powers_and_commutators_are_bounded(monkeypatch, default_group):
         parse_mixed_word("[x,a0]^-3", G)
     with pytest.raises(CapacityExceeded, match="the word would write out 9 "):
         parse_mixed_word("x " * 9, G)
+    # a word counts its items as written out, also those that cancel
+    assert parse_mixed_word("x x^-1 " * 4, G).is_empty()
+    with pytest.raises(CapacityExceeded, match="^the word would write out 9 "):
+        parse_mixed_word("x x^-1 " * 4 + "x", G)
+    with pytest.raises(CapacityExceeded, match="^the word would write out 10 "):
+        parse_mixed_word("a0 a0 [x,a0] [x,a0]", G)
     assert parse_mixed_word("x^1000000000", G).render() == "x^1000000000"
 
 
@@ -85,6 +93,11 @@ def test_parse_errors(default_group):
     for bad in ["a0 ^", "[a0]", "x0", "q7", "a0 )", "[a0, a1"]:
         with pytest.raises(ParseError):
             parse_mixed_word(bad, G)
+    # an int of the grammar is ASCII digits, not Arabic-Indic ones
+    for bad in ["a\u0663", "x\u0662", "t^\u0663"]:
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_mixed_word(bad, G)
+    assert parser._variable_id("x\u0662") is None
     S3 = small_group("S3")
     with pytest.raises(ParseError):
         parse_mixed_word("(99)", S3, constants=S3.constants())
