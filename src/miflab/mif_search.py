@@ -352,10 +352,11 @@ def verify_certificates(
 ) -> VerifyReport:
     """Independent re-check of a certificate stream.
 
-    `lines` is the log's text, split at "\n" only (a raw U+2028 inside a
-    JSON string stays in its row), or an iterable of its `str` lines.  Each
-    stripped row is decoded in one `raw_decode` call and must end where
-    the JSON value does; a BOM or trailing data makes it "not valid JSON".
+    `lines` is the log's text, split at "\\n" only (a raw U+2028 inside a
+    JSON string stays in its row), or an iterable of its `str` lines (a
+    bytes line raises TypeError).  Each stripped row is decoded in one
+    `raw_decode` call and must end where the JSON value does; a BOM or
+    trailing data makes it "not valid JSON".
     Every word is re-parsed from its row's text and re-evaluated from
     scratch; re-parse failures, trivial evaluations, and malformed rows
     (also rows that are not JSON objects) are failures.  Only an object

@@ -18,8 +18,10 @@ whitespace separates items.
 
 Parsing returns a reduced MixedWord over the given context; a word with
 no variables can be collapsed to a group element.  Each item is reduced
-on its own and joined to the word so far at their seam (`mw.extend`), so
-only constants that merge there are tested for the identity.
+on its own.  Once all items of a word are read (so a syntax error anywhere
+in it is met before any join), each is joined to the word so far at their
+seam (`mw.extend`), and only constants that merge there are tested for
+the identity.
 
 Every item that is not a commutator (an atom token plus its optional
 `^k`, such as `a0`, `t^-1` or `x^2`) is built once per distinct text
@@ -132,15 +134,16 @@ class _Parser:
         return ""
 
     def parse_word(self, stop=()) -> "mw.MixedWord":
-        """The reduced word up to a token in `stop` or the end.  Each item is
-        joined to the word so far at their seam (`mw.extend`).  An atom
+        """The reduced word up to a token in `stop` or the end.  An atom
         whose text (with its `^k`) is in `items` is resolved here; any other
-        item goes through `parse_item`.  The word is refused once its items,
-        as written out before reduction, pass MAX_SYLLABLES."""
-        group, items, tokens = self.group, self.items, self.tokens
+        item goes through `parse_item`.  All items are read first, and the
+        word is refused once they, as written out before reduction, pass
+        MAX_SYLLABLES; then each is joined to the word so far at their seam
+        (`mw.extend`)."""
+        items, tokens = self.items, self.tokens
         end = len(tokens)
         pos = self.pos
-        stack = []
+        pieces = []
         written = 0
         while pos < end:
             kind, val = tokens[pos]
@@ -159,17 +162,21 @@ class _Parser:
                 self.pos = pos
                 syllables = self.parse_item()
                 pos = self.pos
+            pieces.append(syllables)
             written += len(syllables)
             if written > MAX_SYLLABLES:
                 _refuse(written, "the word")
-            mw.extend(group, stack, syllables)
         self.pos = pos
+        group = self.group
+        stack = []
+        for syllables in pieces:
+            mw.extend(group, stack, syllables)
         return mw.MixedWord(group, stack)
 
     def parse_item(self) -> tuple:
-        """The reduced syllables of the next item.  A commutator is built
-        afresh; any other item is looked up by its text in `items` and built
-        only if it is not there."""
+        """The reduced syllables of the next item, built afresh.  An item
+        that is not a commutator is stored in `items` under its text;
+        `parse_word` looks it up there before it calls this."""
         kind, val = self.take()
         if kind == "lbrack":
             word = self.parse_commutator()
@@ -177,10 +184,7 @@ class _Parser:
         if kind not in _ATOMS:
             raise ParseError(f"unexpected token {val!r} in {self.text!r}")
         power = self.take_power()
-        text = val + power
-        syllables = self.items.get(text)
-        if syllables is None:
-            syllables = self.items[text] = self._build_item(kind, val, power)
+        syllables = self.items[val + power] = self._build_item(kind, val, power)
         return syllables
 
     def _build_item(self, kind: str, val: str, power: str) -> tuple:

@@ -146,6 +146,8 @@ BAD_INPUTS = [
     (("search", "--word", "a\u0663"), 4, "unexpected character '\u0663'"),
     (("search", "--word", "x\u0662"), 4, "unexpected character '\u0662'"),
     (("search", "--word", "t^\u0663"), 4, "unexpected character '^'"),
+    # a0 a7 spans width 7, past the default cap, but the syntax error comes first
+    (("search", "--word", "a0 a7 ]"), 4, "unexpected token ']'"),
     (("check", "--word", "x", "--group", "C5000"), 2, "C5000 has order 5000, over the 4096-element cap"),
     (("check", "--word", "x", "--group", "D2049"), 2, "D2049 has order 4098"),
     (("check", "--id", "direct-product", "--A", "C5000", "--B", "C1"), 2, "C5000 has order 5000"),

@@ -296,6 +296,24 @@ def test_verify_decodes_each_row_whole(default_group):
         ]
 
 
+def test_verify_refuses_bytes_rows(default_group):
+    lines = ms.certificates_to_lines(ms.drive(default_group, 3), default_group).splitlines()
+    with pytest.raises(TypeError, match="not bytes"):
+        ms.verify_certificates([line.encode() for line in lines])
+
+
+def test_verify_records_a_syntax_error_behind_a_wide_constant(default_group):
+    """All items of a word are read before they are joined, so a row whose
+    word holds a constant past the width cap and then a syntax error fails
+    at its line; it does not abort the check."""
+    lines = ms.certificates_to_lines(ms.drive(default_group, 5), default_group).splitlines()
+    report = ms.verify_certificates(_forged(lines, 2, "word", "a0 a7 ]"))
+    assert report.checked == 5 and report.witnesses_ok == 4
+    assert report.failures == [(3, "ParseError: unexpected token ']' in 'a0 a7 ]'")]
+    with pytest.raises(CapacityExceeded):
+        ms.verify_certificates(_forged(lines, 2, "word", "a0 a7"))
+
+
 def test_verify_tests_only_merged_constants_for_the_identity(monkeypatch):
     """Each word is reduced by joining its reduced items at their seams, so
     only a constant merged there is tested for the identity; tracing

@@ -98,6 +98,13 @@ def test_parse_errors(default_group):
         with pytest.raises(ParseError, match="unexpected character"):
             parse_mixed_word(bad, G)
     assert parser._variable_id("x\u0662") is None
+    # every item of a word is read before any is joined: a0 a7 spans width 7,
+    # past the default cap of 6, but the stray ']' is met first
+    with pytest.raises(CapacityExceeded):
+        parse_mixed_word("a0 a7", G)
+    for bad in ["a0 a7 ]", "a0 a7 q7", "[x, a0] a7 ]"]:
+        with pytest.raises(ParseError):
+            parse_mixed_word(bad, G)
     S3 = small_group("S3")
     with pytest.raises(ParseError):
         parse_mixed_word("(99)", S3, constants=S3.constants())
@@ -121,7 +128,7 @@ class _FoldParser(_Parser):
             kind, _ = self.peek()
             if kind is None or kind in stop:
                 return acc
-            acc = acc.concat(mw.MixedWord(self.group, self.parse_item()))
+            acc = mw.reduce(self.group, acc.syllables + tuple(self.parse_item()))
 
 
 def _outcome(parse):
