@@ -317,6 +317,8 @@ def cmd_selftest(args) -> int:
     window [lo, lo+2], and canon(g)*g^-1 is trivial.  A random g whose
     abelian image is nonzero must not test trivial (oracle soundness).
     """
+    if args.samples < 0:
+        raise ParseError(f"--samples must be non-negative, got {args.samples}")
     rng = random.Random(args.seed)
     group = _group(args)
 

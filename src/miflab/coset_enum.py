@@ -37,11 +37,16 @@ word from it multiplies by that word.  Column order is a_0 < a_0^-1 < a_1
 < a_1^-1 < ... (column 2*pos for a generator, 2*pos+1 for its inverse).
 Tables take and return column words, sequences of those columns; only
 relators, in (pos, sign) letters, are converted, by `_cyclically_reduced`.
-The table is kept once, as an int32 array, and the same array is the
-on-disk cache format.  `CosetTable` checks every action it is given,
-built or loaded: entries in range, inverse column pairs, canonical
-breadth-first numbering.  The shortlex word of a coset is read off its
-parent chain (each coset's least (preimage, column) pair) on demand.
+The table is kept once, as a row-major int32 array (each column of the
+action contiguous), and the same array is the on-disk cache format.  It
+is built in place: the lift writes the pair action into the array that
+becomes the table, and the renumbering rewrites that array one row at a
+time, so building a lifted table peaks at under twice its size (1.6-1.8x
+on (3, "2") w3, (2, "1,2") w5 and (3, "1,2") w4, under tracemalloc).
+`CosetTable` checks every action it is given, built or loaded: entries
+in range, inverse column pairs, canonical breadth-first numbering.  The
+shortlex word of a coset is read off its parent chain (each coset's least
+(preimage, column) pair) on demand.
 """
 
 from __future__ import annotations
@@ -53,6 +58,8 @@ import numpy as np
 
 from .errors import CapacityExceeded, VerificationError
 from .presentations import DEFAULT_MAX_COSETS, Presentation
+
+BFS_BLOCK = 2**14  # candidates the renumbering sweep examines per numpy pass
 
 @dataclass(frozen=True)
 class EnumStats:
@@ -71,10 +78,11 @@ class EnumStats:
 class CosetTable:
     """Complete coset action of a window-group presentation.
 
-    `action[x][c]` (one int32 array) is the image of coset c under column
-    x; the table keeps that array (an int32 array it is given is kept as
-    it is) and makes it read-only, so the action stays the one that was
-    checked.  The constructor, for built and loaded tables alike, refuses
+    `action[x][c]` (one row-major int32 array) is the image of coset c
+    under column x; the table keeps that array (a row-major int32 array it
+    is given is kept as it is, any other is copied to one) and makes it
+    read-only, so the action stays the one that was checked.  The
+    constructor, for built and loaded tables alike, refuses
     with VerificationError an action that is not a 2-D integer array with
     one row per column and entries in [0, n), whose columns are not
     inverse pairs, or whose numbering is not the canonical breadth-first
@@ -86,10 +94,17 @@ class CosetTable:
     `words()` derive shortlex column words from them; `trace`,
     `normal_form` and `element_order` take column words.  `stats` holds
     the counters of the enumeration that built the table, and is None for
-    one loaded from disk.
+    one loaded from disk; `relators`, if given, are the presentation's
+    scan relators, as that enumeration computed them.
     """
 
-    def __init__(self, presentation: Presentation, action, stats: EnumStats | None = None):
+    def __init__(
+        self,
+        presentation: Presentation,
+        action,
+        stats: EnumStats | None = None,
+        relators: list[tuple[int, ...]] | None = None,
+    ):
         def corrupt(why: str) -> VerificationError:
             return VerificationError(f"corrupt coset table: {why}")
 
@@ -103,23 +118,36 @@ class CosetTable:
         if action.min() < 0 or action.max() >= n:
             raise corrupt(f"an entry lies outside [0, {n})")
         self.presentation = presentation
-        self.action = action = action.astype(np.int32, copy=False)
+        self.action = action = np.ascontiguousarray(action, dtype=np.int32)
         action.flags.writeable = False
         self.stats = stats
+        self._relators = relators
         self.coset_count = n
+        # one int64 scratch vector serves every per-row pass below
+        scratch = np.empty(n, dtype=np.int64)
+        inverse = scratch.view(np.int32)[:n]
         idx = np.arange(n, dtype=np.int32)
         for x in range(0, ncols, 2):
-            if not np.array_equal(action[x + 1][action[x]], idx):
+            # entries are in range (checked above); "clip" writes `out` unbuffered
+            np.take(action[x + 1], action[x], out=inverse, mode="clip")
+            if not np.array_equal(inverse, idx):
                 raise corrupt(f"columns {x} and {x + 1} are not inverse permutations")
         # the least (preimage, column) key of each coset; the preimage of c
         # under column x is its image under the partner column x ^ 1
-        key = action[1] * np.int64(ncols)
+        key = action[1].astype(np.int64)
+        key *= ncols
         for x in range(1, ncols):
-            np.minimum(key, action[x ^ 1] * np.int64(ncols) + x, out=key)
-        self.parent = (key // ncols).astype(np.int32)
-        self.via = (key % ncols).astype(np.int32)
+            np.multiply(action[x ^ 1], ncols, out=scratch)
+            scratch += x
+            np.minimum(key, scratch, out=key)
+        np.floor_divide(key, ncols, out=scratch)
+        unreached = np.any(scratch[1:] >= idx[1:])
+        del idx
+        self.parent = scratch.astype(np.int32)
+        np.remainder(key, ncols, out=scratch)
+        self.via = scratch.astype(np.int32)
         self.parent[0] = self.via[0] = -1
-        if np.any(self.parent[1:] >= idx[1:]) or np.any(np.diff(key[1:]) <= 0):
+        if unreached or np.any(key[2:] <= key[1:-1]):
             raise corrupt(
                 "cosets are unreachable from the identity or not in canonical breadth-first order"
             )
@@ -127,6 +155,14 @@ class CosetTable:
         self._rows = [memoryview(row) for row in action]
         self._parent = memoryview(self.parent)
         self._via = memoryview(self.via)
+
+    @property
+    def scan_relators(self) -> list[tuple[int, ...]]:
+        """`scan_relators(presentation)`: kept from the enumeration that
+        built the table, else computed on first use and kept."""
+        if self._relators is None:
+            self._relators = scan_relators(self.presentation)
+        return self._relators
 
     # -- canonical shortlex words ------------------------------------
 
@@ -185,7 +221,7 @@ class CosetTable:
         """
         idx = np.arange(self.coset_count, dtype=np.int32)
         bad = 0
-        for rel in scan_relators(self.presentation):
+        for rel in self.scan_relators:
             v = idx
             for x in rel:
                 v = self.action[x][v]
@@ -193,33 +229,41 @@ class CosetTable:
         return bad
 
 
-def _bfs(columns: np.ndarray, n: int, root: int) -> np.ndarray:
-    """Breadth-first sweep from `root` over points 0..n-1, where the
-    (columns, points) array `columns` maps c to columns[x][c] under column x.
+def _bfs(columns: np.ndarray, root: int) -> np.ndarray:
+    """Breadth-first sweep from `root` over the points 0..n-1 of the
+    (columns, n) array `columns`, which maps c to columns[x][c] under
+    column x.
 
     Returns the points reached, in order of first discovery by
-    (discoverer's place in that order, column).  Runs one BFS level per
-    numpy pass.
+    (discoverer's place in that order, column).  The returned array is
+    also the queue: one numpy pass examines the candidates of the next
+    BFS_BLOCK // ncols discoverers, so the temporaries stay bounded
+    whatever the size of a BFS level.
     """
-    ncols = len(columns)
+    ncols, n = columns.shape
     seen = np.zeros(n, dtype=bool)
     seen[root] = True
-    first = np.empty(n, dtype=np.int64)  # first place of a candidate in `found`
-    level = np.array([root], dtype=np.int64)
-    reached = [level]
-    while ncols:  # without columns only the root is reached
+    first = np.empty(n, dtype=np.int32)  # first place of a candidate in its block
+    order = np.empty(n, dtype=np.int32)
+    order[0] = root
+    head, tail = 0, 1
+    step = max(1, BFS_BLOCK // ncols) if ncols else 0  # without columns only the root is reached
+    while head < tail and step:
         # candidates in order of (discoverer, column)
-        found = columns[:, level].T.ravel()
-        fresh = np.flatnonzero(~seen[found])
+        stop = min(head + step, tail)
+        found = columns[:, order[head:stop]].T.ravel()
+        head = stop
+        fresh = np.flatnonzero(~seen[found]).astype(np.int32)  # the dtype of `first`
         if not fresh.size:
-            break
+            continue
         cand = found[fresh]
         first[cand] = found.size
         np.minimum.at(first, cand, fresh)
-        level = found[fresh[first[cand] == fresh]]
-        seen[level] = True
-        reached.append(level)
-    return np.concatenate(reached)
+        new = cand[first[cand] == fresh]
+        seen[new] = True
+        order[tail : tail + new.size] = new
+        tail += new.size
+    return order[:tail]
 
 
 def _freely_reduced(columns) -> list[int]:
@@ -354,7 +398,7 @@ def enumerate_presentation(
             raise ValueError(f"the presentation of window {pres.window} has no retraction")
         if (
             below.presentation.generator_count != ngens - 1
-            or scan_relators(below.presentation) != kept
+            or below.scan_relators != kept
         ):
             q = below.presentation
             raise ValueError(
@@ -364,7 +408,7 @@ def enumerate_presentation(
         sub = below.action
     # the working tables are freed before the CosetTable checks its action
     action, stats = _table(pres, ngens, rels, max_cosets, sub)
-    return CosetTable(pres, action, stats)
+    return CosetTable(pres, action, stats, rels)
 
 
 def _retract_relators(ngens: int, rels) -> list | None:
@@ -414,16 +458,29 @@ def _table(
 
 
 def _renumbered(image: np.ndarray, root: int, count: int) -> np.ndarray:
-    """`image` restricted to the `count` points reached from `root`,
-    renumbered in the order the BFS in column order reaches them."""
-    order = _bfs(image, image.shape[1], root)
+    """The row-major `image` restricted to the `count` points reached from
+    `root`, renumbered in the order the BFS in column order reaches them.
+
+    The rows are renumbered one at a time into the front of `image`'s own
+    buffer, so the work beside it is a few vectors of one entry per point;
+    the result is that buffer itself when every point is reached, else a
+    copy of its front.
+    """
+    ncols, n = image.shape
+    order = _bfs(image, root)
     if len(order) != count:
         raise VerificationError(
             f"{count - len(order)} of {count} cosets are unreachable from the identity"
         )
-    new = np.empty(image.shape[1], dtype=np.int32)
-    new[order] = np.arange(count)
-    return new[image[:, order]]
+    new = np.empty(n, dtype=np.int32)
+    new[order] = np.arange(count, dtype=np.int32)
+    flat = image.reshape(-1)
+    for x in range(ncols):
+        # row x is read whole before its result overwrites the front of it;
+        # every index is in range, and under mode "raise" `out` is buffered
+        np.take(new, image[x].take(order), out=flat[x * count : (x + 1) * count], mode="clip")
+    front = flat[: ncols * count].reshape(ncols, count)
+    return front if count == n else front.copy()
 
 
 def _enumerate(
@@ -439,7 +496,8 @@ def _enumerate(
     ncols = 2 * ngens
     limit = max_cosets // sub_order
 
-    # column-major table: cols[x][c] is the image of coset c under column x.
+    # working table, one list per column: cols[x][c] is the image of coset c
+    # under column x.
     # Coset 0 is a sink that stands for "undefined": every column maps it to
     # itself, so a trace through an undefined entry ends at 0.  The identity
     # coset is 1, and the generators of H fix it.

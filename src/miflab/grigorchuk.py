@@ -36,6 +36,8 @@ from itertools import product
 
 import numpy as np
 
+from .errors import BudgetExceeded
+
 KLEIN = ("b", "c", "d")
 # bc = cb = d, bd = db = c, cd = dc = b; equal letters cancel
 _KLEIN_MUL = {
@@ -60,6 +62,8 @@ ORACLE_DEPTH = 12
 KEY_DEPTH = 8
 # words the solver remembers (verify_grig_identity(16) decides 3,909)
 SOLVER_CACHE_SIZE = 2**14
+# most reduced words verify_grig_identity checks (max_len 22 has 885,731)
+MAX_IDENTITY_WORDS = 1_000_000
 
 
 def reduce_word(word: str) -> str:
@@ -418,13 +422,24 @@ def verify_grig_identity(max_len: int) -> IdentityReport:
     the bucket.  The neighbours of sphere n - 1 lie in spheres n - 2 to n,
     so only those keys are kept.
 
-    `violations` holds the shortlex-least word of each element that breaks
-    the identity, in shortlex order.  Every reduced word of length
-    <= max_len names an element of the ball, so all `words_checked` of
-    them are covered; `elements_checked` counts the elements.
+    A ball of more than MAX_IDENTITY_WORDS reduced words raises
+    BudgetExceeded before the walk.  `violations` holds the shortlex-least
+    word of each element that breaks the identity, in shortlex order.
+    Every reduced word of length <= max_len names an element of the ball,
+    so all `words_checked` of them are covered; `elements_checked` counts
+    the elements.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
+    # the count passes 3^(max_len // 2), so a max_len past twice the cap's
+    # bit length is refused before any power of 3 is formed
+    cap = MAX_IDENTITY_WORDS
+    if max_len > 2 * cap.bit_length() or reduced_word_count(max_len) > cap:
+        largest = max(n for n in range(2 * cap.bit_length()) if reduced_word_count(n) <= cap)
+        raise BudgetExceeded(
+            f"the ball of radius {max_len} has more than {cap} reduced words to check; "
+            f"max_len {largest} is the largest within the cap"
+        )
     letters = _level_letters(KEY_DEPTH)
     root = _IDENTITY
     sphere = [("", root)]

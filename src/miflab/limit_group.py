@@ -292,7 +292,9 @@ def _npy_shape(fh) -> tuple:
 class LimitGroup:
     """The limit group G of (p, c): owns the caps and the window-table cache.
 
-    Construct one directly; two groups never share tables.
+    Construct one directly; two groups never share tables.  A p past
+    `max_cosets` raises CapacityExceeded before p is tested for primality;
+    a p that is not prime raises ValueError.
     """
 
     def __init__(
@@ -304,6 +306,12 @@ class LimitGroup:
         max_window_width: int = DEFAULT_MAX_WINDOW_WIDTH,
         cache_dir: str | None = None,
     ):
+        # B([0,0]) has order p, so no table under the cap holds it; this is
+        # checked first, as the primality test takes sqrt(p) divisions
+        if isinstance(p, int) and p > max_cosets:
+            raise CapacityExceeded(
+                f"p={p} exceeds max_cosets={max_cosets} for window 0..0, a group of order p"
+            )
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
         self.p = p

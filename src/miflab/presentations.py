@@ -31,6 +31,8 @@ Relator = tuple[Letter, ...]
 # default caps of every engine and CLI command
 DEFAULT_MAX_WINDOW_WIDTH = 6
 DEFAULT_MAX_COSETS = 1_000_000
+# most letters the commutator relators of one presentation may have in all
+MAX_RELATOR_LETTERS = 2**21
 
 
 def is_prime(n: int) -> bool:
@@ -162,6 +164,23 @@ def left_normed_commutator(positions) -> Relator:
     return w
 
 
+def _commutator_letters(width: int, weight: int, spread: int) -> int:
+    """Letters of the weight-`weight` commutator relators of spread
+    `spread` in a window of the given width, counted without building them.
+
+    Tuples of exact spread d over a run of d + 1 values number
+    g(k) = (d+1)^k - 2 d^k + (d-1)^k; there are width + 1 - d such runs;
+    the tuples with i_0 = i_1 are those of length k - 1, doubled in front.
+    Each relator has 3 * 2^(k-1) - 2 letters.
+    """
+
+    def g(k: int) -> int:
+        return (spread + 1) ** k - 2 * spread**k + (spread - 1) ** k
+
+    count = (width + 1 - spread) * (g(weight) - g(weight - 1))
+    return count * (3 * 2 ** (weight - 1) - 2)
+
+
 def _tuples_with_spread(lo: int, hi: int, length: int, spread: int):
     """All index tuples in [lo, hi]^length with max pairwise distance exactly
     `spread`, in lexicographic order.  Branches that already exceed the spread
@@ -218,6 +237,10 @@ def build_window_presentation(
     Relators: a_i^p for every window index, plus one left-normed commutator
     of weight c_d + 1 for every index tuple of exact spread d (1 <= d <=
     window width) whose first two entries differ.
+
+    Raises CapacityExceeded, before any relator is built, if the commutator
+    relators would have more than MAX_RELATOR_LETTERS letters in all; the
+    letters are counted from (c_d, d, width) alone.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -226,6 +249,21 @@ def build_window_presentation(
         raise CapacityExceeded(
             f"window width {window.width} exceeds the configured bound {max_width}"
         )
+    letters = 0
+    for d in range(1, window.width + 1):
+        weight = c[d] + 1
+        # one relator of this weight has 3 * 2^(weight-1) - 2 letters: compare
+        # exponents first, so a huge weight is refused without forming 2^weight
+        if weight - 1 >= MAX_RELATOR_LETTERS.bit_length():
+            letters = MAX_RELATOR_LETTERS + 1
+        else:
+            letters += _commutator_letters(window.width, weight, d)
+        if letters > MAX_RELATOR_LETTERS:
+            raise CapacityExceeded(
+                f"the commutator relators of window {window} (p={p}, c={c.spec()}) would "
+                f"have more than {MAX_RELATOR_LETTERS} letters, at spread {d} "
+                f"(weight {weight}: 3*2^{weight - 1}-2 letters each)"
+            )
     lo, hi = window.lo, window.hi
     ngens = window.width + 1
 

@@ -487,6 +487,60 @@ def test_bad_flag_values_are_parse_errors(args, detail):
     assert json.loads(err) == {"error": "parse", "detail": detail}
 
 
+
+HUGE_PRIME = "99999999999999999989"
+
+
+def _huge_p_log(tmp_path):
+    """A 3-row drive log whose rows claim p = HUGE_PRIME."""
+    log = tmp_path / "huge-p.jsonl"
+    code, out, _ = run_cli("drive", "--count", "3")
+    assert code == 0
+    log.write_text(out.replace('"p":2}', '"p":%s}' % HUGE_PRIME))
+    return str(log)
+
+
+# inputs that once ran without bound or ended in a traceback; each is refused
+# from its flags before the work: p past the coset cap before the primality
+# test, relator letters from (c, width) before any tuple, the Grigorchuk ball
+# from its word count
+@pytest.mark.parametrize(
+    "args, code, error, detail",
+    [
+        (("order", "--p", HUGE_PRIME, "--window", "0..1"), 2, "capacity",
+         f"p={HUGE_PRIME} exceeds max_cosets=1000000 for window 0..0, a group of order p"),
+        (("search", "--word", "[x,a0]", "--p", HUGE_PRIME), 2, "capacity", f"p={HUGE_PRIME} exceeds"),
+        (("drive", "--count", "3", "--p", HUGE_PRIME), 2, "capacity", f"p={HUGE_PRIME} exceeds"),
+        (("verify", "HUGE_P_LOG"), 2, "capacity", f"p={HUGE_PRIME} exceeds"),
+        (("order", "--c", "99999999999999", "--window", "0..3"), 2, "capacity",
+         "the commutator relators of window 0..1 (p=2, c=99999999999999) would have more than "
+         "2097152 letters, at spread 1 (weight 100000000000000: 3*2^99999999999999-2 letters each)"),
+        (("order", "--c", "3000000", "--window", "0..1"), 2, "capacity",
+         "the commutator relators of window 0..1 (p=2, c=3000000) would have more than"),
+        (("order", "--c", "12", "--window", "0..1"), 2, "capacity",
+         "the commutator relators of window 0..1 (p=2, c=12) would have more than 2097152 "
+         "letters, at spread 1 (weight 13: 3*2^12-2 letters each)"),
+        (("grig", "verify-identity", "--max-len", "40"), 2, "capacity",
+         "the ball of radius 40 has more than 1000000 reduced words to check; "
+         "max_len 22 is the largest within the cap"),
+        (("selftest", "--samples", "-1"), 4, "parse", "--samples must be non-negative, got -1"),
+    ],
+    ids=[
+        "order-huge-p", "search-huge-p", "drive-huge-p", "verify-huge-p", "order-huge-c",
+        "order-deep-c", "order-c12", "grig-max-len-40", "selftest-negative-samples",
+    ],
+)
+def test_unbounded_inputs_are_refused_at_once(tmp_path, args, code, error, detail):
+    args = tuple(_huge_p_log(tmp_path) if a == "HUGE_P_LOG" else a for a in args)
+    # a timeout, not a wall-time assertion: each of these ran past 20 s unbounded
+    proc = subprocess.run(
+        [sys.executable, "-m", "miflab.cli", "--json", *args],
+        capture_output=True, text=True, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (code, "")
+    data = json.loads(proc.stderr)
+    assert data["error"] == error and data["detail"].startswith(detail)
+
 def test_missing_or_unwritable_file_is_a_parse_error(tmp_path):
     missing = tmp_path / "missing"
     code, out, err = run_cli("verify", str(missing))

@@ -556,6 +556,46 @@ def test_the_action_is_read_only(tmp_path):
         assert _digest(table) == PINNED_DIGESTS[2, "1,2", 2]
 
 
+
+@pytest.mark.parametrize("p,c,w", [(3, "2", 3), (2, "1,2", 5), (3, "1,2", 4)])
+def test_a_lift_peaks_below_twice_its_table(p, c, w):
+    # the pair action is renumbered in place, one row at a time, and the
+    # checks share one scratch vector (3.32-3.44x when the lift made copies)
+    G = LimitGroup(p, c)
+    G.table_for_width(w - 1)
+    tracemalloc.start()
+    try:
+        table = G.table_for_width(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.stats.subgroup_order == G.table_for_width(w - 1).coset_count
+    assert peak < 2.0 * table.action.nbytes
+
+
+def test_built_and_loaded_tables_are_row_major(tmp_path):
+    # lifted, enumerated whole, and written to and read from disk
+    tables = [_grid_table(3, "2", 3), _grid_table(2, "n", 0)]
+    for table in tables + list(_built_and_loaded(tmp_path, 2, "n", 3)):
+        assert table.action.flags.c_contiguous
+
+
+def test_scan_relators_run_once_per_width(monkeypatch):
+    # the retract check reuses the scan relators kept with the table one
+    # width down (7 calls for widths 0..3 when it recomputed them)
+    calls = [0]
+    scan = coset_enum.scan_relators
+
+    def counted(pres):
+        calls[0] += 1
+        return scan(pres)
+
+    monkeypatch.setattr(coset_enum, "scan_relators", counted)
+    table = LimitGroup(2, "n").table_for_width(3)
+    assert calls[0] == 4
+    assert table.scan_relators == scan(table.presentation)
+    assert calls[0] == 4
+
 NO_RETRACTION = {
     # deleting b from ab leaves a, which is not freely trivial
     "C3": _handmade(2, [((0, 1),) * 3, ((1, 1),) * 3, ((0, 1), (1, 1))]),

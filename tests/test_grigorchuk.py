@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from miflab import cli, grigorchuk as gg
+from miflab import BudgetExceeded, cli, grigorchuk as gg
 
 
 def random_string(rng, length):
@@ -433,6 +433,20 @@ def test_solver_cache_is_bounded():
     assert report.violations == []
     assert gg._is_trivial_reduced.cache_info().currsize <= gg.SOLVER_CACHE_SIZE
 
+
+
+def test_identity_ball_is_capped_before_the_walk(monkeypatch):
+    assert gg.reduced_word_count(22) == 885_731 <= gg.MAX_IDENTITY_WORDS == 1_000_000
+    assert gg.reduced_word_count(23) == 1_594_319
+
+    def no_walk(*args):
+        raise AssertionError("the walk started")
+
+    monkeypatch.setattr(gg, "is_trivial", no_walk)
+    # 10^20 is refused from its size alone: the count is never formed
+    for max_len in (23, 40, 10**20):
+        with pytest.raises(BudgetExceeded, match=f"^the ball of radius {max_len} has more "):
+            gg.verify_grig_identity(max_len)
 
 # -- the oracle against letter-by-letter references ----------------------------------
 

@@ -245,6 +245,19 @@ def test_capacity_refusal_stops_at_the_narrowest_width(monkeypatch):
     assert built == [0, 1, 2, 3, 4]
 
 
+
+def test_p_past_the_coset_cap_is_refused_before_the_primality_test(monkeypatch):
+    # B([0,0]) has order p; trial division of a 20-digit p takes ~sqrt(p) steps
+    def no_test(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(limit_group, "is_prime", no_test)
+    for p, cap in [(99999999999999999989, 10**6), (7, 5), (4, 3)]:
+        with pytest.raises(CapacityExceeded, match=f"^p={p} exceeds max_cosets={cap} "):
+            LimitGroup(p, "n", max_cosets=cap)
+    monkeypatch.undo()
+    assert LimitGroup(5, "n", max_cosets=5).window_order(Window(0, 0)) == 5
+
 def test_width_over_the_bound_is_refused_at_once(monkeypatch):
     built = _record_built_widths(monkeypatch)
     G = LimitGroup(2, "n", max_window_width=2)
@@ -274,13 +287,28 @@ def test_disk_cache_round_trip(tmp_path):
 
 
 def test_cache_file_bytes_are_pinned(tmp_path):
-    # the cache file is the canonical int32 action as a .npy array
+    # the cache file is the canonical int32 action as a row-major .npy array
     G = LimitGroup(3, "2", cache_dir=str(tmp_path))
     G.table_for_width(2)
     path = tmp_path / "table-f3ff325b56110335b0130ec2.npy"
     assert G._cache_path(2) == str(path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert digest == "ed49d8dd9226092815ea44d373b61b0eb7379c7599c7a98b91400fbcbb58f95d"
+    assert digest == "19e391bf8e4532cfbee705a3e71f32acabaffdb3c5ebebd98fda50c66a92b3ac"
+
+
+def test_a_column_major_cache_file_loads_to_an_equal_table(tmp_path):
+    # earlier versions wrote the same array column-major (fortran_order True)
+    built = LimitGroup(3, "2", cache_dir=str(tmp_path)).table_for_width(2)
+    path = LimitGroup(3, "2", cache_dir=str(tmp_path))._cache_path(2)
+    np.save(path, np.asfortranarray(built.action))
+    with open(path, "rb") as fh:
+        np.lib.format.read_magic(fh)
+        assert np.lib.format.read_array_header_1_0(fh)[1]  # fortran_order
+    loaded = LimitGroup(3, "2", cache_dir=str(tmp_path)).table_for_width(2)
+    assert loaded.stats is None
+    assert loaded.action.flags.c_contiguous
+    assert np.array_equal(loaded.action, built.action)
+    assert loaded.words() == built.words()
 
 
 def test_files_of_another_format_are_ignored(tmp_path):

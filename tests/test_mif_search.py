@@ -681,3 +681,6 @@ def test_verify_raises_beyond_the_caps(default_group):
         ms.verify_certificates(lines, max_window_width=1)
     with pytest.raises(CapacityExceeded, match="max_cosets=1 "):
         ms.verify_certificates(lines, max_cosets=1)
+    # p = 2 is within this cap, so the enumeration refuses: B([0,2]) has 16 elements
+    with pytest.raises(CapacityExceeded, match=r"max_cosets=8 for window 0\.\.2 "):
+        ms.verify_certificates(lines, max_cosets=8)

@@ -13,7 +13,13 @@ from miflab import (
     build_window_presentation,
     relator_count,
 )
-from miflab.presentations import left_normed_commutator, invert_word
+from miflab import presentations
+from miflab.presentations import (
+    MAX_RELATOR_LETTERS,
+    _commutator_letters,
+    invert_word,
+    left_normed_commutator,
+)
 
 
 # -- independent oracle, written before the build was trusted -----------------
@@ -188,6 +194,36 @@ def test_rejects_wide_window():
     with pytest.raises(CapacityExceeded):
         build_window_presentation(2, "1", Window(0, 40))
 
+
+
+@pytest.mark.parametrize("c", ["n", "1", "2", "1,2", "1,3", "5"])
+def test_commutator_letters_are_counted_exactly(c):
+    seq = CSequence.from_spec(c)
+    for window in (Window(0, 0), Window(0, 1), Window(-1, 2), Window(0, 4)):
+        pres = build_window_presentation(2, c, window)
+        built = sum(
+            len(rel) for rel, label in zip(pres.relators, pres.labels) if label.kind == "commutator"
+        )
+        w = window.width
+        assert built == sum(_commutator_letters(w, seq[d] + 1, d) for d in range(1, w + 1))
+
+
+def test_relator_letters_are_capped_before_any_tuple(monkeypatch):
+    # (2, "8") on 0..1: 256 commutators of 766 letters, 196,100 letters with the powers
+    pres = build_window_presentation(2, "8", Window(0, 1))
+    assert sum(map(len, pres.relators)) == 196_100 < MAX_RELATOR_LETTERS == 2**21
+
+    def no_tuples(*args):
+        raise AssertionError("tuples generated for a refused weight")
+
+    monkeypatch.setattr(presentations, "_tuples_with_spread", no_tuples)
+    # 3.1 million letters; a weight whose single relator passes the cap is
+    # refused from its exponent (a RecursionError or MemoryError once)
+    for c in ("10", "3000000", "99999999999999"):
+        with pytest.raises(CapacityExceeded, match="would have more than 2097152 letters"):
+            build_window_presentation(2, c, Window(0, 1))
+    with pytest.raises(CapacityExceeded, match=r"window 0\.\.6 .* at spread 5 \(weight 6: "):
+        build_window_presentation(2, "n", Window(0, 6))
 
 def test_presentation_text_form():
     pres = build_window_presentation(2, "1,2", Window(0, 2))
