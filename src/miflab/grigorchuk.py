@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
-import numpy as np
-
 from .errors import BudgetExceeded
 
 KLEIN = ("b", "c", "d")
@@ -216,21 +214,21 @@ def is_trivial(word: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def level_permutations(depth: int) -> dict[str, np.ndarray]:
+def level_permutations(depth: int) -> dict[str, tuple[int, ...]]:
     """Permutations of the 2^depth strings of one tree level, per generator.
 
     Strings are indexed by their integer value with the first character as
     the most significant bit.
     """
-    perms = {ch: np.zeros(1, dtype=np.int64) for ch in "abcd"}
+    perms = {ch: (0,) for ch in "abcd"}
     # level d from level d - 1; shallower levels are not kept
     for d in range(1, depth + 1):
         prev = perms
         half = 1 << (d - 1)
-        perms = {"a": np.arange(1 << d, dtype=np.int64) ^ half}
+        perms = {"a": tuple(x ^ half for x in range(1 << d))}
         for ch, (low_ch, high_ch) in (("b", ("a", "c")), ("c", ("a", "d")), ("d", (None, "b"))):
-            low = prev[low_ch] if low_ch else np.arange(half, dtype=np.int64)
-            perms[ch] = np.concatenate([low, prev[high_ch] + half])
+            low = prev[low_ch] if low_ch else tuple(range(half))
+            perms[ch] = low + tuple(x + half for x in prev[high_ch])
     return perms
 
 
@@ -243,7 +241,7 @@ def _level_letters(level: int) -> dict[str, bytes]:
     """bytes.translate tables of the generators' actions on tree level
     `level` <= KEY_DEPTH, padded to 256 bytes by the identity."""
     pad = _IDENTITY[1 << level :]
-    return {ch: bytes(perm.tolist()) + pad for ch, perm in level_permutations(level).items()}
+    return {ch: bytes(perm) + pad for ch, perm in level_permutations(level).items()}
 
 
 def _klein_sections() -> dict[str, tuple[str, str]]:

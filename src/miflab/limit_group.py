@@ -31,7 +31,7 @@ import numpy as np
 
 from .coset_enum import CosetTable, enumerate_presentation
 from .errors import CapacityExceeded, ParseError, VerificationError
-from .parser import MAX_SYLLABLES
+from .mixed_words import MAX_SYLLABLES
 from .presentations import (
     DEFAULT_MAX_COSETS,
     DEFAULT_MAX_WINDOW_WIDTH,
@@ -279,14 +279,16 @@ class GElement:
         return f"GElement({self.render()!r})"
 
 
-def _npy_shape(fh) -> tuple:
-    """The array shape in the header of the `.npy` file `fh`, data unread."""
+def _npy_header(fh) -> tuple:
+    """The array shape and dtype in the header of the `.npy` file `fh`,
+    data unread."""
     version = np.lib.format.read_magic(fh)
     read_header = (
         np.lib.format.read_array_header_1_0 if version == (1, 0)
         else np.lib.format.read_array_header_2_0
     )
-    return read_header(fh)[0]
+    shape, _, dtype = read_header(fh)
+    return shape, dtype
 
 
 class LimitGroup:
@@ -394,23 +396,35 @@ class LimitGroup:
     def table_for_width(self, width: int) -> CosetTable:
         """Coset table of the base window [0, width] (shared by all shifts).
 
-        Within the width bound the table one width down is got first, so a
-        window past the coset cap is refused at the narrowest width that
-        breaks it, before any wider presentation is built; the enumeration
-        then takes that table as the retract instead of building it again.
+        Within the width bound the missing widths are built narrowest
+        first, each enumeration taking the table one width down as the
+        retract, so a window past the coset cap is refused at the narrowest
+        width that breaks it.  Before any is built, a width w with p^(w+1)
+        > max_cosets is refused: B([0,w]) maps onto C_p^(w+1).
         """
         tbl = self._tables.get(width)
         if tbl is not None:
             return tbl
-        below = None
-        if 0 < width <= self.max_window_width:
-            below = self.table_for_width(width - 1)
-        pres = build_window_presentation(self.p, self.c, Window(0, width), self.max_window_width)
-        tbl = self._load_cached(width, pres)
-        if tbl is None:
-            tbl = enumerate_presentation(pres, self.max_cosets, below=below)
-            self._store_cached(width, tbl)
-        self._tables[width] = tbl
+        if not 0 <= width <= self.max_window_width:
+            widths = (width,)  # refused by the presentation builder
+        else:
+            order = 1
+            for _ in range(width + 1):  # p^(width+1), stopped past the cap
+                order *= self.p
+                if order > self.max_cosets:
+                    raise CapacityExceeded(
+                        f"window {Window(0, width)} (p={self.p}, c={self.c.spec()}) maps onto "
+                        f"C_{self.p}^{width + 1}, so its order is at least "
+                        f"{self.p}^{width + 1}, over max_cosets={self.max_cosets}"
+                    )
+            widths = range(len(self._tables), width + 1)
+        for w in widths:
+            pres = build_window_presentation(self.p, self.c, Window(0, w), self.max_window_width)
+            tbl = self._load_cached(w, pres)
+            if tbl is None:
+                tbl = enumerate_presentation(pres, self.max_cosets, below=self._tables.get(w - 1))
+                self._store_cached(w, tbl)
+            self._tables[w] = tbl
         return tbl
 
     def cached_tables(self) -> dict[int, CosetTable]:
@@ -429,10 +443,11 @@ class LimitGroup:
     def _load_cached(self, width: int, pres) -> CosetTable | None:
         """The cached table of `width`, or None if there is no cache entry.
 
-        An entry of more than `max_cosets` cosets raises CapacityExceeded,
-        as enumerating it would, with the count read from the `.npy`
-        header before the data.  An entry that is not a readable int32
-        `.npy` array, or whose action `CosetTable` refuses, raises
+        The `.npy` header is checked in full before the data is read.  An
+        entry of more than `max_cosets` cosets raises CapacityExceeded, as
+        enumerating it would.  An entry whose header is not that of an
+        int32 array of shape (2 * generators, cosets), that is not a
+        readable `.npy` file, or whose action `CosetTable` refuses, raises
         VerificationError naming the file.
         """
         path = self._cache_path(width)
@@ -440,19 +455,23 @@ class LimitGroup:
             return None
         try:
             with open(path, "rb") as fh:
-                shape = _npy_shape(fh)
+                shape, dtype = _npy_header(fh)
                 if len(shape) == 2 and shape[1] > self.max_cosets:
                     raise CapacityExceeded(
                         f"the cached table of window {pres.window} (p={self.p}, "
                         f"c={self.c.spec()}) has {shape[1]} cosets, over "
                         f"max_cosets={self.max_cosets} (cache file {path})"
                     )
+                rows = 2 * pres.generator_count
+                if dtype != np.int32 or len(shape) != 2 or shape[0] != rows:
+                    raise VerificationError(
+                        f"corrupt coset table cache file {path}: header says dtype {dtype}, "
+                        f"shape {shape}; expected an int32 array of shape ({rows}, n)"
+                    )
                 fh.seek(0)
                 action = np.load(fh, allow_pickle=False)
         except (OSError, ValueError, EOFError) as exc:  # unreadable, truncated or not .npy
             raise VerificationError(f"corrupt coset table cache file {path}: {exc}") from exc
-        if not isinstance(action, np.ndarray) or action.dtype != np.int32:
-            raise VerificationError(f"corrupt coset table cache file {path}: not an int32 array")
         try:
             return CosetTable(pres, action)  # checks the shape, range and canonical order
         except VerificationError as exc:

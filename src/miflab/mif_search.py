@@ -107,10 +107,11 @@ def iter_words(group: LimitGroup, count: int, max_word_length: int = 16):
     distinct nonempty reduced words, shortlex over letter strings.
 
     Level n extends each word first reached at level n - 1 by each letter
-    in order, merging or cancelling only at the seam (`mw.push`).  A
-    string whose prefix reduces to an earlier word (or to the empty word)
-    only repeats earlier words, so this visits the new words in the same
-    order as reducing every string of `itertools.product` would.  Keys
+    in order, merging or cancelling only at the seam (`mw.join`; no
+    letter is trivial, so none is tested on its own).  A string whose
+    prefix reduces to an earlier word (or to the empty word) only repeats
+    earlier words, so this visits the new words in the same order as
+    reducing every string of `itertools.product` would.  Keys
     grow with the word: the parent's key plus the key of the new last
     syllable, so only a freshly merged constant is canonicalised.  Raises
     CapacityExceeded once the length bound leaves fewer than `count`
@@ -126,7 +127,7 @@ def iter_words(group: LimitGroup, count: int, max_word_length: int = 16):
         for syllables, key in level:
             for letter, letter_key in letters:
                 stack = list(syllables)
-                mw.push(group, stack, letter)
+                mw.join(group, stack, letter)
                 grown = len(stack) - len(syllables)
                 if grown > 0:
                     new_key = key + (letter_key,)

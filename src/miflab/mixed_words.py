@@ -10,16 +10,21 @@ Constants of one word all belong to a single context; mixing contexts is
 an error.
 
 Two reduced words interact only at their seam (Lyndon & Schupp,
-*Combinatorial Group Theory*, ch. IV): `extend` joins a reduced piece to
-a reduced list by merging or cancelling there, and tests only merged
-constants for the identity.  Every join of reduced pieces goes through it
-(`MixedWord.concat`, `commutator`, the parser's words and powers);
-`reduce` is for syllable lists that are not reduced, such as the
-substitutions `iota_embed` and `sub_commutator` write out.  `push` and
-`extend` share one merge rule (`_join`).
+*Combinatorial Group Theory*, ch. IV), so the calculus has three
+builders: `join` joins one nontrivial syllable at the seam, `extend` a
+reduced piece, and `reduce` a list that is not reduced, dropping its
+trivial syllables.  Only merged constants are tested for the identity.
+`MAX_SYLLABLES` is defined here, where syllables are written out; the
+parser and the limit-group powers import it.
 """
 
 from __future__ import annotations
+
+from .errors import CapacityExceeded
+
+# Most syllables a substitution or the parser writes out in one list, and most
+# letters a limit-group power with a t-part writes out (`GElement.__pow__`).
+MAX_SYLLABLES = 100_000
 
 CONST = "c"
 VAR = "v"
@@ -118,13 +123,15 @@ class MixedWord:
         return f"MixedWord({self.render()!r})"
 
 
-def _join(group, stack: list, s) -> bool:
+def join(group, stack: list, s) -> bool:
     """Join the nontrivial syllable s to the end of the reduced list
-    `stack`: merge it with a like last syllable, cancel both, or append
-    it.  True when the two cancelled, so the new end of the list may meet
-    the syllable after s.  Only a merged constant is tested for the
-    identity (by the ambient context; for limit groups that is the window
-    engine)."""
+    `stack`, so the list stays reduced: merge it with a like last
+    syllable, cancel both, or append it.  Only the end of the list
+    changes, and its length grows by one, stays or shrinks by one.  True
+    when the two cancelled, so the new end of the list may meet the
+    syllable after s.  Only a merged constant is tested for the identity
+    (by the ambient context; for limit groups that is the window engine).
+    """
     if stack:
         last = stack[-1]
         if s[0] == CONST:
@@ -146,23 +153,6 @@ def _join(group, stack: list, s) -> bool:
     return False
 
 
-def push(group, stack: list, s) -> None:
-    """Append syllable s, which may be trivial, to the reduced syllable
-    list `stack`, so the list stays reduced.  A trivial s is dropped; any
-    other is joined at the seam (`_join`).  Only the end of the list
-    changes: for a nontrivial s its length grows by one (appended), stays
-    (merged into a new last syllable) or shrinks by one (cancelled).  A
-    constant s after a constant is not tested on its own: the merge leaves
-    the last syllable as it was if s is trivial.
-    """
-    if s[0] == CONST:
-        if (not stack or stack[-1][0] != CONST) and group.is_identity(s[1]):
-            return
-    elif s[2] == 0:
-        return
-    _join(group, stack, s)
-
-
 def extend(group, stack: list, syllables) -> None:
     """Append the reduced syllable sequence `syllables` to the reduced list
     `stack`, so the list stays reduced.
@@ -173,21 +163,27 @@ def extend(group, stack: list, syllables) -> None:
     constants are tested for the identity.
     """
     for i, s in enumerate(syllables):
-        if not _join(group, stack, s):
+        if not join(group, stack, s):
             stack.extend(syllables[i + 1:])
             return
 
 
 def reduce(group, syllables) -> MixedWord:
-    """Unique reduced form: merge adjacent like syllables, drop trivial ones.
+    """Unique reduced form: drop trivial syllables and `join` the rest.
 
-    Merging is confluent, so a single left-to-right pass of `push`
-    suffices.  For syllables that are pieces already reduced, `extend`
-    joins them at their seams instead.
+    Merging is confluent, so a single left-to-right pass suffices.  A
+    constant after a constant is not tested on its own: the merge leaves
+    the last syllable as it was if it is trivial.  For syllables that are
+    pieces already reduced, `extend` joins them at their seams instead.
     """
     stack: list = []
     for s in syllables:
-        push(group, stack, s)
+        if s[0] == CONST:
+            if (not stack or stack[-1][0] != CONST) and group.is_identity(s[1]):
+                continue
+        elif s[2] == 0:
+            continue
+        join(group, stack, s)
     return MixedWord(group, stack)
 
 
@@ -243,6 +239,36 @@ def evaluate(word: MixedWord, assignment: dict):
     return group.product(values)
 
 
+def _substitute(word: MixedWord, images: dict) -> MixedWord:
+    """Image of the word under the homomorphism fixing constants and
+    sending x_i to the nonempty reduced word images[i], reduced.
+
+    A variable syllable x_i^e becomes |e| copies of images[i], or of its
+    inverse for e < 0, each joined at the seam with `extend`.  The
+    syllables this writes out are counted first, and a count past
+    MAX_SYLLABLES raises CapacityExceeded before any is built.
+    """
+    group = word.group
+    pieces = {vid: (w.syllables, w.inverse().syllables) for vid, w in images.items()}
+    written = sum(
+        1 if s[0] == CONST else len(pieces[s[1]][0]) * abs(s[2]) for s in word.syllables
+    )
+    if written > MAX_SYLLABLES:
+        raise CapacityExceeded(
+            f"the substitution would write out {written} syllables, "
+            f"past the limit of {MAX_SYLLABLES}"
+        )
+    stack: list = []
+    for s in word.syllables:
+        if s[0] == CONST:
+            join(group, stack, s)
+            continue
+        piece = pieces[s[1]][s[2] < 0]
+        for _ in range(abs(s[2])):
+            extend(group, stack, piece)
+    return MixedWord(group, stack)
+
+
 def iota_embed(word: MixedWord, g) -> MixedWord:
     """Image of a multi-variable word under x_i -> x^i g x^i, reduced.
 
@@ -252,20 +278,10 @@ def iota_embed(word: MixedWord, g) -> MixedWord:
     group = word.group
     if group.is_identity(g):
         raise ValueError("iota embedding needs a nontrivial g")
-    g_inv = group.inv(g)
-    out = []
-    for s in word.syllables:
-        if s[0] == CONST:
-            out.append(s)
-            continue
-        _, vid, exp = s
-        if exp > 0:
-            block = [var_syllable(1, vid), const_syllable(g), var_syllable(1, vid)]
-            out.extend(block * exp)
-        else:
-            block = [var_syllable(1, -vid), const_syllable(g_inv), var_syllable(1, -vid)]
-            out.extend(block * (-exp))
-    return reduce(group, out)
+    return _substitute(word, {
+        i: MixedWord(group, (var_syllable(1, i), const_syllable(g), var_syllable(1, i)))
+        for i in word.variable_ids
+    })
 
 
 def sub_commutator(word: MixedWord, n) -> MixedWord:
@@ -273,27 +289,6 @@ def sub_commutator(word: MixedWord, n) -> MixedWord:
     group = word.group
     if group.is_identity(n):
         raise ValueError("sub_commutator needs a nontrivial n")
-    ids = word.variable_ids
-    if any(v != 1 for v in ids):
+    if any(v != 1 for v in word.variable_ids):
         raise ValueError("sub_commutator expects a single-variable word (x = x_1)")
-    n_inv = group.inv(n)
-    block = [
-        var_syllable(1, -1),
-        const_syllable(n_inv),
-        var_syllable(1, 1),
-        const_syllable(n),
-    ]
-    block_inv = [
-        const_syllable(n_inv),
-        var_syllable(1, -1),
-        const_syllable(n),
-        var_syllable(1, 1),
-    ]
-    out = []
-    for s in word.syllables:
-        if s[0] == CONST:
-            out.append(s)
-            continue
-        exp = s[2]
-        out.extend((block if exp > 0 else block_inv) * abs(exp))
-    return reduce(group, out)
+    return _substitute(word, {1: commutator(variable(group), constant(group, n))})

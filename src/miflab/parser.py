@@ -34,10 +34,10 @@ that one group and binding map.  A commutator item is built afresh, from
 items looked up the same way.  An item that fails to parse leaves no
 entry.
 
-The parser bounds every syllable list it writes out by `MAX_SYLLABLES`:
-a word power or a commutator step that would pass it raises
-CapacityExceeded before its list is built, and so does a word once its
-items, counted as written out before reduction, pass it.
+The parser bounds every syllable list it writes out by `MAX_SYLLABLES`,
+which `mixed_words` defines: a word power or a commutator step that would
+pass it raises CapacityExceeded before its list is built, and so does a
+word once its items, counted as written out before reduction, pass it.
 """
 
 from __future__ import annotations
@@ -46,10 +46,7 @@ import re
 
 from . import mixed_words as mw
 from .errors import CapacityExceeded, ParseError
-
-# Most syllables the parser writes out in one list before reducing it, and
-# most letters a limit-group power with a t-part writes out (`GElement.__pow__`).
-MAX_SYLLABLES = 100_000
+from .mixed_words import MAX_SYLLABLES
 
 _TOKEN = re.compile(
     r"""

@@ -31,7 +31,7 @@ Relator = tuple[Letter, ...]
 # default caps of every engine and CLI command
 DEFAULT_MAX_WINDOW_WIDTH = 6
 DEFAULT_MAX_COSETS = 1_000_000
-# most letters the commutator relators of one presentation may have in all
+# most letters the relators of one presentation may have in all
 MAX_RELATOR_LETTERS = 2**21
 
 
@@ -238,18 +238,26 @@ def build_window_presentation(
     of weight c_d + 1 for every index tuple of exact spread d (1 <= d <=
     window width) whose first two entries differ.
 
-    Raises CapacityExceeded, before any relator is built, if the commutator
-    relators would have more than MAX_RELATOR_LETTERS letters in all; the
-    letters are counted from (c_d, d, width) alone.
+    Raises CapacityExceeded, before any relator is built and before p is
+    tested for primality, if the relators would have more than
+    MAX_RELATOR_LETTERS letters in all; the letters are counted from (p,
+    c_d, d, width) alone.  So the trial division of `is_prime` takes at
+    most sqrt(MAX_RELATOR_LETTERS) steps.
     """
-    if not is_prime(p):
+    if isinstance(p, bool) or not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be prime, got {p}")
     c = CSequence.from_spec(c)
     if window.width > max_width:
         raise CapacityExceeded(
             f"window width {window.width} exceeds the configured bound {max_width}"
         )
-    letters = 0
+    # the power relators a_i^p: one per generator
+    letters = (window.width + 1) * p
+    if letters > MAX_RELATOR_LETTERS:
+        raise CapacityExceeded(
+            f"the power relators of window {window} (p={p}, c={c.spec()}) would "
+            f"have {letters} letters, more than {MAX_RELATOR_LETTERS}"
+        )
     for d in range(1, window.width + 1):
         weight = c[d] + 1
         # one relator of this weight has 3 * 2^(weight-1) - 2 letters: compare
@@ -264,6 +272,8 @@ def build_window_presentation(
                 f"have more than {MAX_RELATOR_LETTERS} letters, at spread {d} "
                 f"(weight {weight}: 3*2^{weight - 1}-2 letters each)"
             )
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     lo, hi = window.lo, window.hi
     ngens = window.width + 1
 

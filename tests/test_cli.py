@@ -500,10 +500,22 @@ def _huge_p_log(tmp_path):
     return str(log)
 
 
+def _bad_header_cache(tmp_path):
+    """A cache dir whose width-0 (2,"n") entry has a header claiming an int32
+    array of shape (2^40, 2), 8 TiB of data, and no data."""
+    path = LimitGroup(2, "n", cache_dir=str(tmp_path))._cache_path(0)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<i4", "fortran_order": False, "shape": (2**40, 2)}
+        )
+    return str(tmp_path)
+
+
 # inputs that once ran without bound or ended in a traceback; each is refused
 # from its flags before the work: p past the coset cap before the primality
-# test, relator letters from (c, width) before any tuple, the Grigorchuk ball
-# from its word count
+# test, relator letters from (c, width) before any tuple, a window order from
+# p^(width+1) before any table, a cache entry from its header before its data,
+# the Grigorchuk ball from its word count
 @pytest.mark.parametrize(
     "args, code, error, detail",
     [
@@ -520,6 +532,11 @@ def _huge_p_log(tmp_path):
         (("order", "--c", "12", "--window", "0..1"), 2, "capacity",
          "the commutator relators of window 0..1 (p=2, c=12) would have more than 2097152 "
          "letters, at spread 1 (weight 13: 3*2^12-2 letters each)"),
+        (("order", "--window", "0..5000", "--max-window-width", "10000", "--c", "1"), 2, "capacity",
+         "window 0..5000 (p=2, c=1) maps onto C_2^5001, so its order is at least 2^5001, "
+         "over max_cosets=1000000"),
+        (("order", "--window", "0..0", "--cache-dir", "BAD_HEADER_CACHE"), 3, "verification",
+         "corrupt coset table cache file "),
         (("grig", "verify-identity", "--max-len", "40"), 2, "capacity",
          "the ball of radius 40 has more than 1000000 reduced words to check; "
          "max_len 22 is the largest within the cap"),
@@ -527,11 +544,13 @@ def _huge_p_log(tmp_path):
     ],
     ids=[
         "order-huge-p", "search-huge-p", "drive-huge-p", "verify-huge-p", "order-huge-c",
-        "order-deep-c", "order-c12", "grig-max-len-40", "selftest-negative-samples",
+        "order-deep-c", "order-c12", "order-wide-window", "order-bad-cache-header",
+        "grig-max-len-40", "selftest-negative-samples",
     ],
 )
 def test_unbounded_inputs_are_refused_at_once(tmp_path, args, code, error, detail):
-    args = tuple(_huge_p_log(tmp_path) if a == "HUGE_P_LOG" else a for a in args)
+    fixtures = {"HUGE_P_LOG": _huge_p_log, "BAD_HEADER_CACHE": _bad_header_cache}
+    args = tuple(fixtures[a](tmp_path) if a in fixtures else a for a in args)
     # a timeout, not a wall-time assertion: each of these ran past 20 s unbounded
     proc = subprocess.run(
         [sys.executable, "-m", "miflab.cli", "--json", *args],

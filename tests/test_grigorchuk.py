@@ -462,7 +462,7 @@ def test_level_permutations_are_the_action():
 
 
 def ref_word_permutation(word, depth):
-    perms = gg.level_permutations(depth)
+    perms = {ch: np.asarray(perm) for ch, perm in gg.level_permutations(depth).items()}
     acc = np.arange(1 << depth, dtype=np.int64)
     for ch in word:
         acc = acc[perms[ch]]

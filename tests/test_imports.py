@@ -98,3 +98,20 @@ def test_every_private_name_is_read_in_its_module(path):
         f"{name} (line {line})" for name, line in _private_definitions(tree).items() if name not in read
     )
     assert not dead, f"{path.name} defines private names it never reads: {', '.join(dead)}"
+
+
+def _imports_numpy(tree):
+    return any(
+        isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_table_modules_import_numpy():
+    """numpy is imported only where tables are built or read: the coset
+    enumerator, the lab's product tables and the window-table cache."""
+    importers = {
+        path.stem for path in MODULES if _imports_numpy(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers == {"coset_enum", "identity_lab", "limit_group"}

@@ -1,6 +1,7 @@
 """Arithmetic in A and G: normal forms, orders, oracles, the window-table cache."""
 
 import hashlib
+import io
 import math
 import os
 import random
@@ -258,6 +259,30 @@ def test_p_past_the_coset_cap_is_refused_before_the_primality_test(monkeypatch):
     monkeypatch.undo()
     assert LimitGroup(5, "n", max_cosets=5).window_order(Window(0, 0)) == 5
 
+
+def test_a_window_past_its_order_bound_is_refused_before_any_table(monkeypatch):
+    # B([0,w]) maps onto C_p^(w+1), so p^(w+1) > max_cosets refuses it; the
+    # power is compared by repeated multiplication, and no narrower width is
+    # built first (once a RecursionError at this width)
+    built = _record_built_widths(monkeypatch)
+    G = LimitGroup(2, "1", max_window_width=10_000)
+    with pytest.raises(
+        CapacityExceeded,
+        match=r"^window 0\.\.5000 \(p=2, c=1\) maps onto C_2\^5001, so its order is at least "
+        r"2\^5001, over max_cosets=1000000$",
+    ):
+        G.window_order(Window(0, 5000))
+    assert built == [] and G.cached_tables() == {}
+    # (2, "1") windows are elementary abelian: 2^3 cosets fit a cap of 8
+    G = LimitGroup(2, "1", max_cosets=8)
+    assert G.window_order(Window(0, 1)) == 4
+    assert G.window_order(Window(0, 2)) == 8
+    assert built == [0, 1, 2]
+    with pytest.raises(CapacityExceeded, match=r"^window 0\.\.3 \(p=2, c=1\) .* 2\^4, over max_cosets=8$"):
+        G.window_order(Window(0, 3))
+    assert built == [0, 1, 2]
+
+
 def test_width_over_the_bound_is_refused_at_once(monkeypatch):
     built = _record_built_widths(monkeypatch)
     G = LimitGroup(2, "n", max_window_width=2)
@@ -386,8 +411,15 @@ def test_truncated_cache_file_is_refused(tmp_path):
     _refuses_rewritten_file(tmp_path, lambda data: data[:-5])
 
 
+def _header_only(shape):
+    fh = io.BytesIO()
+    np.lib.format.write_array_header_1_0(fh, {"descr": "<i4", "fortran_order": False, "shape": shape})
+    return fh.getvalue()
+
+
+# a header claiming 8 TiB of int32 is refused before its data is allocated
 @pytest.mark.parametrize(
-    "data", [b"", b'{"coset_count": 4}'], ids=["empty", "not-npy"]
+    "data", [b"", b'{"coset_count": 4}', _header_only((2**40, 2))], ids=["empty", "not-npy", "huge-header"]
 )
 def test_unreadable_cache_file_is_refused(tmp_path, data):
     _refuses_rewritten_file(tmp_path, lambda _: data)

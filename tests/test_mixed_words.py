@@ -2,6 +2,8 @@
 
 import functools
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -321,12 +323,93 @@ def test_extend_matches_reduce_of_the_concatenation(pieces, join):
     assert counting.identity_tests <= cancelled + 1
     if join == "inverse":
         assert not stack
-    # concat and push agree with it
+    # concat and join agree with it
     assert u.concat(v) == expected
-    pushed = list(u.syllables)
+    joined = list(u.syllables)
     for s in v.syllables:
-        mw.push(G, pushed, s)
-    assert mw.MixedWord(G, pushed) == expected
+        mw.join(G, joined, s)
+    assert mw.MixedWord(G, joined) == expected
+
+
+def _blocks_reference(G, word, image):
+    """The substitution as it was first written: every block of every
+    variable syllable written out, then the whole list reduced."""
+    out = []
+    for s in word.syllables:
+        if s[0] == mw.CONST:
+            out.append(s)
+        else:
+            block = image(s[1]) if s[2] > 0 else mw.MixedWord(G, image(s[1])).inverse().syllables
+            out.extend(list(block) * abs(s[2]))
+    return mw.reduce(G, out)
+
+
+def _iota_block(g):
+    return lambda vid: (mw.var_syllable(1, vid), mw.const_syllable(g), mw.var_syllable(1, vid))
+
+
+def _commutator_block(G, n):
+    return lambda vid: (
+        mw.var_syllable(1, -1), mw.const_syllable(G.inv(n)), mw.var_syllable(1, 1), mw.const_syllable(n)
+    )
+
+
+_SUB_VAR_SPEC = st.tuples(st.just("v"), st.integers(1, 2), st.integers(-5, 5))
+
+
+def _substitution_case(instance, const_spec):
+    return st.tuples(
+        st.just(instance), st.lists(st.one_of(const_spec, _SUB_VAR_SPEC), max_size=6), const_spec
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_substitution_case("2-n", _T_SPEC), _substitution_case("S3", _S3_SPEC)))
+def test_substitutions_match_the_written_out_blocks(case):
+    """`iota_embed` and `sub_commutator` join each image at the seam; the
+    result is the reduction of all blocks written out."""
+    instance, specs, g_spec = case
+    G = _T_GROUP if instance == "2-n" else _S3_GROUP
+    try:
+        raw = _raw(G, specs)
+        g = _raw(G, [g_spec])[0][1]
+        assume(not G.is_identity(g))
+        word = mw.reduce(G, raw)
+        one = mw.reduce(G, [s if s[0] == mw.CONST else mw.var_syllable(1, s[2]) for s in raw])
+        expected_iota = _blocks_reference(G, word, _iota_block(g))
+        expected_sub = _blocks_reference(G, one, _commutator_block(G, g))
+        iota, sub = iota_embed(word, g), sub_commutator(one, g)
+        same = (iota == expected_iota, sub == expected_sub)
+    except CapacityExceeded:  # comparing merged constants may need a wider window
+        assume(False)
+    assert same == (True, True)
+    assert iota.variable_ids in ((), (1,)) and sub.variable_ids in ((), (1,))
+
+
+def test_substitutions_are_refused_before_they_write_out(default_group, monkeypatch):
+    """A substitution counts the syllables it would write out and refuses
+    past MAX_SYLLABLES before it builds any of them."""
+    G = default_group
+    a0 = G.generator(0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapacityExceeded, match="would write out 90000000 syllables, past the limit of 100000"):
+            iota_embed(mw.variable(G, 1, 30_000_000), a0)
+        with pytest.raises(CapacityExceeded, match="would write out 4000000000 syllables"):
+            sub_commutator(mw.variable(G, 1, -(10**9)), a0)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 2**20
+    # x^i g x^i writes out 3 syllables a power, [x, n] 4, and a constant 1
+    monkeypatch.setattr(mw, "MAX_SYLLABLES", 8)
+    assert iota_embed(parse_mixed_word("a1 x^2 a1", G), a0).render() == "a1 x a0 x^2 a0 x a1"
+    assert sub_commutator(parse_mixed_word("x^2", G), a0) == parse_mixed_word("[x,a0]^2", G)
+    for word, substitute in [("x^3", iota_embed), ("a1 x a2 x a1", iota_embed), ("x^2 a1", sub_commutator)]:
+        with pytest.raises(CapacityExceeded, match="would write out 9 syllables, past the limit of 8"):
+            substitute(parse_mixed_word(word, G), a0)
 
 
 def test_alternation_invariant(default_group):

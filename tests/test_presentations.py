@@ -225,6 +225,27 @@ def test_relator_letters_are_capped_before_any_tuple(monkeypatch):
     with pytest.raises(CapacityExceeded, match=r"window 0\.\.6 .* at spread 5 \(weight 6: "):
         build_window_presentation(2, "n", Window(0, 6))
 
+def test_power_relator_letters_are_capped_before_the_primality_test(monkeypatch):
+    # (width + 1) * p letters; trial division of 2^61 - 1 would take ~10^9 steps
+    def no_test(n):
+        raise AssertionError("is_prime ran")
+
+    monkeypatch.setattr(presentations, "is_prime", no_test)
+    with pytest.raises(
+        CapacityExceeded,
+        match=r"^the power relators of window 0\.\.0 \(p=2305843009213693951, c=n\) would have "
+        r"2305843009213693951 letters, more than 2097152$",
+    ):
+        build_window_presentation(2**61 - 1, "n", Window(0, 0))
+    with pytest.raises(CapacityExceeded, match=r"window 0\.\.1 .* 2097154 letters"):
+        build_window_presentation(2**20 + 1, "n", Window(0, 1))
+    monkeypatch.undo()
+    # nothing that fits the budget is refused: (2, "n") width 5 has 1.7 million letters
+    assert sum(map(len, build_window_presentation(2, "n", Window(0, 5)).relators)) < MAX_RELATOR_LETTERS
+    with pytest.raises(ValueError, match="p must be prime, got 1048577"):
+        build_window_presentation(2**20 + 1, "n", Window(0, 0))
+
+
 def test_presentation_text_form():
     pres = build_window_presentation(2, "1,2", Window(0, 2))
     text = pres.to_text()
