@@ -125,16 +125,19 @@ def commutator(u: str, v: str) -> str:
 
 
 def act_letter(ch: str, s: str) -> str:
-    if not s:
-        return s
-    head, tail = s[0], s[1:]
-    if ch == "a":
-        return ("1" if head == "0" else "0") + tail
-    if head == "0":
-        if ch == "d":
-            return s
-        return "0" + act_letter("a", tail)
-    return "1" + act_letter(_NEXT[ch], tail)
+    """The image of `s` under one letter.  a flips the first bit; b, c and d
+    walk down the string: each 1 passes on _NEXT of the letter, and the
+    first 0 passes on a (d fixes the rest), so at most one bit flips."""
+    for i, bit in enumerate(s):
+        if ch == "a":
+            return s[:i] + ("1" if bit == "0" else "0") + s[i + 1 :]
+        if bit == "0":
+            if ch == "d":
+                return s
+            ch = "a"
+        else:
+            ch = _NEXT[ch]
+    return s
 
 
 def act(word: str, s: str) -> str:

@@ -26,18 +26,23 @@ the identity.
 Every item that is not a commutator (an atom token plus its optional
 `^k`, such as `a0`, `t^-1` or `x^2`) is built once per distinct text
 and kept in the `items` memo, which maps the item text to its reduced
-syllables; the word loop looks each later occurrence up itself.  By
-default each parse has its own memo.  A caller that parses many texts
-over one context, such as `verify_certificates`, passes one dict to all
-of them, so each distinct item is built once; the dict must only ever see
-that one group and binding map.  A commutator item is built afresh, from
-items looked up the same way.  An item that fails to parse leaves no
-entry.
+syllables.  The memo is read in two places.  `parse_mixed_word` first
+splits the text at whitespace (`str.split`, which splits where the
+tokenizer does); if every chunk is a key, it joins their syllables
+straight away, without tokenizing.  Otherwise the word loop looks each
+item up itself.  By default each parse has its own memo.  A caller that
+parses many texts over one context, such as `verify_certificates`,
+passes one dict to all of them, so each distinct item is built once; the
+dict must only ever see that one group and binding map.  A commutator
+item is built afresh, from items looked up the same way.  An item that
+fails to parse leaves no entry.
 
 The parser bounds every syllable list it writes out by `MAX_SYLLABLES`,
 which `mixed_words` defines: a word power or a commutator step that would
 pass it raises CapacityExceeded before its list is built, and so does a
 word once its items, counted as written out before reduction, pass it.
+A commutator nested more than `MAX_NESTING` deep raises CapacityExceeded
+before its entries are read.
 """
 
 from __future__ import annotations
@@ -47,6 +52,11 @@ import re
 from . import mixed_words as mw
 from .errors import CapacityExceeded, ParseError
 from .mixed_words import MAX_SYLLABLES
+
+# the deepest commutator nesting the parser reads; each level is three
+# Python frames (parse_word, parse_item, parse_commutator), so a text
+# nested past it is refused before it could exhaust the interpreter's stack
+MAX_NESTING = 100
 
 _TOKEN = re.compile(
     r"""
@@ -113,6 +123,7 @@ class _Parser:
         self.items = {} if items is None else items
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0  # commutators open at the current token
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -164,11 +175,7 @@ class _Parser:
             if written > MAX_SYLLABLES:
                 _refuse(written, "the word")
         self.pos = pos
-        group = self.group
-        stack = []
-        for syllables in pieces:
-            mw.extend(group, stack, syllables)
-        return mw.MixedWord(group, stack)
+        return _join(self.group, pieces)
 
     def parse_item(self) -> tuple:
         """The reduced syllables of the next item, built afresh.  An item
@@ -189,7 +196,15 @@ class _Parser:
 
     def parse_commutator(self) -> "mw.MixedWord":
         """The left-normed commutator after a '['; each step's expansion is
-        checked against MAX_SYLLABLES before it is written out."""
+        checked against MAX_SYLLABLES before it is written out.  A commutator
+        nested more than MAX_NESTING deep is refused before its entries are
+        read."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise CapacityExceeded(
+                f"a commutator nested {self.depth} deep is past the parser's "
+                f"nesting limit of {MAX_NESTING}"
+            )
         parts = [self.parse_word(stop=("comma", "rbrack"))]
         while True:
             k, _ = self.take()
@@ -206,6 +221,7 @@ class _Parser:
             if length > MAX_SYLLABLES:
                 _refuse(length, "a commutator")
             acc = mw.commutator(acc, part)
+        self.depth -= 1
         return acc
 
     def parse_atom(self, kind: str, val: str) -> "mw.MixedWord":
@@ -258,17 +274,26 @@ def _refuse(syllables: int, what: str):
     )
 
 
+def _join(group, pieces) -> "mw.MixedWord":
+    """The word of the reduced syllable tuples `pieces`, each joined to the
+    word so far at their seam (`mw.extend`)."""
+    stack = []
+    for syllables in pieces:
+        mw.extend(group, stack, syllables)
+    return mw.MixedWord(group, stack)
+
+
 def _word_power(word: "mw.MixedWord", power: str) -> "mw.MixedWord":
     """word^k for the power token `power` = "^k"; the word itself if
     `power` is "".  A single syllable is raised in place (a variable's
-    exponent is multiplied, a constant goes through `group.power`), so its
-    cost does not grow with |k|; a longer word is repeated |k| times, if
-    that stays within MAX_SYLLABLES."""
+    exponent is multiplied, a constant goes through `group.power`), and
+    the empty word stays empty, so their cost does not grow with |k|; a
+    longer word is repeated |k| times, if that stays within MAX_SYLLABLES."""
     if not power:
         return word
     k = int(power[1:])
     group = word.group
-    if k == 0:
+    if k == 0 or not word.syllables:
         return mw.MixedWord(group, ())
     if len(word.syllables) == 1:
         s = word.syllables[0]
@@ -296,6 +321,14 @@ def parse_mixed_word(
     every parse over the same `group` and `constants` to build each
     distinct item once; by default the parse has its own.
     """
+    if items and isinstance(text, str):
+        # a whitespace-separated chunk that is a key is one item to the
+        # tokenizer too, so a text of keys alone is joined without it; past
+        # MAX_SYLLABLES, the parse below refuses it at the same item, and
+        # a text that is no str gets the tokenizer's TypeError
+        pieces = list(map(items.get, text.split()))
+        if None not in pieces and sum(map(len, pieces)) <= MAX_SYLLABLES:
+            return _join(group, pieces)
     parser = _Parser(text, group, constants, items)
     word = parser.parse_word()
     if parser.pos != len(parser.tokens):

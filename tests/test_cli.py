@@ -515,7 +515,8 @@ def _bad_header_cache(tmp_path):
 # from its flags before the work: p past the coset cap before the primality
 # test, relator letters from (c, width) before any tuple, a window order from
 # p^(width+1) before any table, a cache entry from its header before its data,
-# the Grigorchuk ball from its word count
+# the Grigorchuk ball from its word count, a commutator nesting from its depth
+# before the parser descends into it
 @pytest.mark.parametrize(
     "args, code, error, detail",
     [
@@ -541,11 +542,18 @@ def _bad_header_cache(tmp_path):
          "the ball of radius 40 has more than 1000000 reduced words to check; "
          "max_len 22 is the largest within the cap"),
         (("selftest", "--samples", "-1"), 4, "parse", "--samples must be non-negative, got -1"),
+        (("check", "--group", "S3", "--word", "[" * 400 + "x" + ",1]" * 400), 2, "capacity",
+         "a commutator nested 101 deep is past the parser's nesting limit of 100"),
+        (("search", "--word", "[" * 330 + "x" + ",a0]" * 330), 2, "capacity",
+         "a commutator nested 101 deep is past the parser's nesting limit of 100"),
+        (("search", "--word", "[" * 3000), 2, "capacity",
+         "a commutator nested 101 deep is past the parser's nesting limit of 100"),
     ],
     ids=[
         "order-huge-p", "search-huge-p", "drive-huge-p", "verify-huge-p", "order-huge-c",
         "order-deep-c", "order-c12", "order-wide-window", "order-bad-cache-header",
-        "grig-max-len-40", "selftest-negative-samples",
+        "grig-max-len-40", "selftest-negative-samples", "check-deep-nesting",
+        "search-deep-nesting", "search-open-brackets",
     ],
 )
 def test_unbounded_inputs_are_refused_at_once(tmp_path, args, code, error, detail):

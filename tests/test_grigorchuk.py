@@ -19,8 +19,11 @@ def random_string(rng, length):
 
 def test_action_table_rows():
     rng = random.Random(0)
-    for _ in range(300):
-        w = random_string(rng, rng.randint(0, 10))
+    tails = [random_string(rng, rng.randint(0, 10)) for _ in range(300)]
+    # a letter acts in one walk down the string, so 5,000 bits are no deeper
+    # than 10 (one call per bit was a RecursionError)
+    tails += [random_string(rng, 4_999), "1" * 4_999]
+    for w in tails:
         assert gg.act("a", "0" + w) == "1" + w
         assert gg.act("a", "1" + w) == "0" + w
         assert gg.act("b", "0" + w) == "0" + gg.act("a", w)

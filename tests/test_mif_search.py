@@ -10,6 +10,7 @@ import pytest
 from miflab import CapacityExceeded, LimitGroup, VerificationError, parse_element, parse_mixed_word
 from miflab import mif_search as ms
 from miflab import mixed_words as mw
+from miflab import parser
 from miflab.parser import _Parser
 from miflab.coset_enum import CosetTable
 from miflab.limit_group import AWord, GElement
@@ -355,6 +356,39 @@ def test_the_word_enumerator_tests_no_letter_for_the_identity(monkeypatch):
     assert len(ms.drive(group, 3000).certificates) == 3000
     # 3,016 when every constant letter after a variable was tested on its own
     assert calls["is_identity"] <= 1800
+
+
+def test_verify_joins_rows_of_known_items_without_tokenizing(monkeypatch):
+    """A row whose chunks are all items already in the memo is joined from
+    it, so the tokenizer runs only on the first row that holds an unseen
+    item and on each distinct witness; the joins, and so the identity tests
+    and the traces through the window tables, are those of a full parse."""
+    group = LimitGroup(2, "n")
+    lines = ms.certificates_to_lines(ms.drive(group, 3000), group)
+    rows = [json.loads(row) for row in lines.splitlines()[:-1]]
+    item_texts = {chunk for row in rows for chunk in row["word"].split()}
+    witnesses = {row["witness"] for row in rows}
+    assert (len(item_texts), len(witnesses)) == (31, 4)
+    calls = Counter()
+
+    def counted(owner, name):
+        method = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(parser, "tokenize")
+    counted(_Parser, "_build_item")
+    counted(LimitGroup, "is_identity")
+    counted(CosetTable, "normal_form")
+    report = ms.verify_certificates(lines)
+    assert report.ok and report.witnesses_ok == 3000
+    # 3,004 tokenize calls when every row was tokenized
+    assert calls["tokenize"] <= len(item_texts) + len(witnesses)
+    assert (calls["_build_item"], calls["is_identity"], calls["normal_form"]) == (36, 1723, 734)
 
 
 def test_verify_fails_a_row_whose_instance_is_malformed(default_group):

@@ -69,6 +69,25 @@ def test_word_powers_and_commutators_are_bounded(monkeypatch, default_group):
     with pytest.raises(CapacityExceeded, match="^the word would write out 10 "):
         parse_mixed_word("a0 a0 [x,a0] [x,a0]", G)
     assert parse_mixed_word("x^1000000000", G).render() == "x^1000000000"
+    # the empty word stays empty, however large the power
+    assert parse_mixed_word("[x,1]^1000000000000 [a0,a0]^-" + "9" * 30, G).is_empty()
+
+
+def test_commutator_nesting_is_bounded(default_group):
+    """Each level of nesting is a few Python frames, so the depth is refused
+    before the parser descends past MAX_NESTING, whatever the word's size."""
+    S3 = small_group("S3")
+    deep = "[" * parser.MAX_NESTING + "x" + ",1]" * parser.MAX_NESTING
+    assert parse_mixed_word(deep, S3, S3.constants()).is_empty()
+    refusal = "^a commutator nested 101 deep is past the parser's nesting limit of 100$"
+    for text in ["[" + deep + ",1]", "[" * 3000]:
+        with pytest.raises(CapacityExceeded, match=refusal):
+            parse_mixed_word(text, S3, S3.constants())
+    with pytest.raises(CapacityExceeded, match=refusal):
+        parse_mixed_word("[" * 101 + "x" + ",a0]" * 101, default_group)
+    # siblings do not add up: depth counts the commutators open at a token
+    wide = " ".join(["[x,[x,1]]"] * 200)
+    assert parse_mixed_word(wide, S3, S3.constants()).is_empty()
 
 
 def test_finite_group_constants():
@@ -156,8 +175,10 @@ def _texts(atoms):
         ).map(lambda parts: "[" + ", ".join(parts) + "]"),
         max_leaves=6,
     )
-    powered = st.tuples(item, st.sampled_from(["", "", "^2", "^-1", "^0", "^3"])).map("".join)
-    text = st.lists(powered, max_size=5).map(" ".join)
+    # " ^2" splits a power from its atom, which the tokenizer joins again
+    powered = st.tuples(item, st.sampled_from(["", "", "^2", "^-1", "^0", "^3", " ^2"])).map("".join)
+    separator = st.sampled_from([" ", " ", "\t", "\n", "\u3000", " \t"])
+    text = st.tuples(st.lists(powered, max_size=5), separator).map(lambda a: a[1].join(a[0]))
     noise = st.sampled_from(["", "", "", "]", ",", "^", "[", "q7", "x0", "a0", "(99)", ")"])
     return st.tuples(text, noise, st.integers(0, 200)).map(_splice)
 
@@ -223,6 +244,43 @@ def test_shared_items_match_fresh_parses_limit_group(text):
 @given(_texts(["(12)", "(123)", "(13)", "e", "x", "x2", "1"]))
 def test_shared_items_match_fresh_parses_finite_group(text):
     _check_shared(text, _S3, _S3.constants(), _S3_ITEMS)
+
+
+def test_a_text_of_known_items_is_joined_without_tokenizing(monkeypatch):
+    """A text whose whitespace-separated chunks are all keys of the memo is
+    joined from it; any other text is tokenized.  Either way the outcome is
+    that of a fresh parse."""
+    G = _NARROW
+    items = {}
+    parse_mixed_word("a0 a1 a-1 t t^-1 x x^-1 x2 a0^2 1 x^0", G, items=items)
+    tokenized = []
+    tokenize = parser.tokenize
+
+    def counted(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(parser, "tokenize", counted)
+
+    def fresh_and_shared(text):
+        tokenized.clear()
+        fresh = _outcome(lambda: parse_mixed_word(text, G))
+        assert _outcome(lambda: parse_mixed_word(text, G, items=items)) == fresh
+        return tokenized.count(text)
+
+    # tab, newline and U+3000 separate items as a space does; "1" is a key too
+    for text in ["a0\tx\nt^-1", "x\u3000a0 x^-1\u3000\u3000", "1 a0 1", "\na0^2\n1 x^0", ""]:
+        assert fresh_and_shared(text) == 1
+    # a power split from its atom, items run together, commutators and
+    # errors are tokenized
+    for text in ["a0 ^2", "a0a1", "x [x, a0]", "a0 ]", "t^-1 q7", "a0 ^", "x\u3000(12)"]:
+        assert fresh_and_shared(text) == 2
+    # a word is counted as its items are written out, before reduction
+    monkeypatch.setattr(parser, "MAX_SYLLABLES", 8)
+    assert fresh_and_shared("x x^-1 " * 4) == 1
+    assert fresh_and_shared("x x^-1 " * 4 + "x") == 2
+    with pytest.raises(CapacityExceeded, match="^the word would write out 9 "):
+        parse_mixed_word("x x^-1 " * 4 + "x", G, items=items)
 
 
 def test_shared_items_keep_no_failed_item(default_group):
