@@ -194,7 +194,7 @@ def cmd_check(args) -> int:
         }
         _emit(args, payload, f"{ok}")
         return EXIT_OK
-    if args.word:
+    if args.word is not None:  # the empty word too
         # the assignment cap is checked from the name and the text, before any table exists
         order = _catalog_group(args, "group", identity_lab.small_group_order)
         identity_lab.check_assignments(order, len(named_variables(args.word)))

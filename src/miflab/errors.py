@@ -13,6 +13,16 @@ class CapacityExceeded(MiflabError):
     """
 
 
+class FixedLimitExceeded(CapacityExceeded):
+    """A word is past a fixed limit of the word calculus, not a flag: the
+    parser's commutator nesting (`parser.MAX_NESTING`) or the syllables
+    and letters written out in one list (`mixed_words.MAX_SYLLABLES`).
+
+    It exits like every CapacityExceeded, but `verify_certificates` records
+    it as the row's failure: no cap admits the row.
+    """
+
+
 class BudgetExceeded(MiflabError):
     """An exhaustive check refuses to run because the search space is too large.
 

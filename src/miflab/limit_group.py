@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coset_enum import CosetTable, enumerate_presentation
-from .errors import CapacityExceeded, ParseError, VerificationError
+from .errors import CapacityExceeded, FixedLimitExceeded, ParseError, VerificationError
 from .mixed_words import MAX_SYLLABLES
 from .presentations import (
     DEFAULT_MAX_COSETS,
@@ -190,7 +190,7 @@ class GElement:
         past the caps raises CapacityExceeded before any letter is built.
         For beta != 0 no reduction applies: the power writes out |k|
         shifted copies of the a-part, and one that would write out more
-        than `MAX_SYLLABLES` letters raises CapacityExceeded before any is
+        than `MAX_SYLLABLES` letters raises FixedLimitExceeded before any is
         built."""
         if not self.a.letters:
             return GElement(self.group, self.a, self.beta * k)
@@ -198,7 +198,7 @@ class GElement:
             k %= self.order()
         letters = abs(k) * len(self.a.letters)
         if self.beta and letters > MAX_SYLLABLES:
-            raise CapacityExceeded(
+            raise FixedLimitExceeded(
                 f"the power ^{k} of {self.render()} would write out {letters} letters, "
                 f"past the limit of {MAX_SYLLABLES}"
             )
@@ -292,7 +292,8 @@ def _npy_header(fh) -> tuple:
 
 
 class LimitGroup:
-    """The limit group G of (p, c): owns the caps and the window-table cache.
+    """The limit group G of (p, c): owns the caps, the window-table cache
+    and the memo of each window's words (`window_awords`).
 
     Construct one directly; two groups never share tables.  A p past
     `max_cosets` raises CapacityExceeded before p is tested for primality;
@@ -322,6 +323,7 @@ class LimitGroup:
         self.max_window_width = max_window_width
         self.cache_dir = cache_dir  # None: no disk cache
         self._tables: dict[int, CosetTable] = {}
+        self._window_awords: dict[int, tuple] = {}
 
     # -- element constructors -------------------------------------------
 
@@ -512,10 +514,18 @@ class LimitGroup:
         p = self.p
         return AWord(p, tuple(((x >> 1) + lo, p - 1 if x & 1 else 1) for x in columns))
 
-    def window_awords(self, radius: int) -> list[AWord]:
+    def window_awords(self, radius: int) -> tuple[AWord, ...]:
         """Every element of B([-radius, radius]) as its shortlex AWord, in
-        the coset order of the window's table."""
-        return [self._aword(w, -radius) for w in self.table_for_width(2 * radius).words()]
+        the coset order of the window's table.  The tuple is memoised per
+        radius, like the tables; a radius whose table is refused keeps
+        nothing, so every call for it raises again."""
+        words = self._window_awords.get(radius)
+        if words is None:
+            table = self.table_for_width(2 * radius)
+            words = self._window_awords[radius] = tuple(
+                self._aword(w, -radius) for w in table.words()
+            )
+        return words
 
     def canonical_aword(self, word: AWord) -> AWord:
         """Shortlex normal form in the window group of the word's support.

@@ -9,12 +9,11 @@ scratch and only freshly merged constants are canonicalised.  For each
 word the driver searches for a witness g = a * t^beta in canonical order
 (increasing support radius, then |beta|, then shortlex a-part, positive
 beta before negative) such that w(g) is nontrivial, and records a
-certificate.  The searches of one run share the candidates' shells: the
-beta = 0 candidates of each support radius, built the first time a
-search reaches that radius.  Every recorded value is re-derived after
-the run (the witness-set persistence pass, which re-canonicalises through
-the window table only for a value in A of two or more letters) and by
-`verify_certificates` from the log's text; an exhausted search is
+certificate.  The a-parts come from the group's memo of each window's
+words (`LimitGroup.window_awords`), so the searches of one group list
+each window once, and each candidate is built as it is pulled.  Each
+recorded value is canonicalised once, to render it; `verify_certificates`
+re-derives every row from the log's text.  An exhausted search is
 reported honestly as inconclusive, not escalated.
 """
 
@@ -26,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from . import mixed_words as mw
-from .errors import CapacityExceeded, ParseError, VerificationError
+from .errors import CapacityExceeded, FixedLimitExceeded, ParseError
 from .limit_group import GElement, LimitGroup
 from .parser import parse_element, parse_mixed_word
 from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH
@@ -64,7 +63,6 @@ class Certificate:
     status: str
     witness: str | None
     evaluation_normal_form: str | None
-    bounds: SearchBounds
     candidates_tried: int
 
 
@@ -73,7 +71,8 @@ class DriveResult:
     certificates: list
     complete: bool
     reason: str | None
-    witness_set: list  # the recorded w_i(g_i) values, re-checked nontrivial after the run
+    witness_set: list  # the recorded w_i(g_i) values
+    bounds: SearchBounds  # the one bounds of every search of the run
 
 
 @dataclass
@@ -160,7 +159,22 @@ def enumerate_words(group: LimitGroup, count: int, max_word_length: int = 16):
 # -- candidate enumeration -------------------------------------------------------
 
 
-def candidate_elements(group: LimitGroup, bounds: SearchBounds, shells: list | None = None):
+def _radius_aparts(group: LimitGroup, radius: int):
+    """The a-parts of B([-radius, radius]) that no smaller radius holds, in
+    window order: at radius 0 every a-part, else those whose support
+    reaches -radius or radius, filtered as they are pulled."""
+    awords = group.window_awords(radius)
+    if radius == 0:
+        return awords
+
+    def reaches(a) -> bool:
+        sup = a.support
+        return sup is not None and radius in (-sup[0], sup[1])
+
+    return filter(reaches, awords)
+
+
+def candidate_elements(group: LimitGroup, bounds: SearchBounds):
     """Candidates g = a * t^beta in canonical order.
 
     Order: support radius ascending; within a radius, |beta| ascending;
@@ -168,28 +182,18 @@ def candidate_elements(group: LimitGroup, bounds: SearchBounds, shells: list | N
     +beta before -beta.  A-parts whose canonical support fits a smaller
     radius already appeared there and are skipped.
 
-    `shells` is a list that many searches of one group may share: entry r
-    holds the beta = 0 candidates of radius r, built when a search first
-    reaches r; the +-beta candidates are built from their a-parts on
-    demand.  A radius whose window is refused is not kept, so every search
-    that reaches it raises again.
+    The a-parts of a radius come from the group's memo, which lists the
+    window once for every search of the group (`_radius_aparts`); each
+    candidate is built as it is pulled.  A radius whose window is refused
+    is not memoised, so every search that reaches it raises again.
     """
-    if shells is None:
-        shells = []
     for radius in range(bounds.max_support_radius + 1):
-        if radius == len(shells):
-            shell = []
-            for word in group.window_awords(radius):
-                sup = word.support
-                if radius == 0 or (sup is not None and radius in (-sup[0], sup[1])):
-                    shell.append(GElement(group, word, 0))
-            shells.append(shell)
-        shell = shells[radius]
-        yield from shell
+        for a in _radius_aparts(group, radius):
+            yield GElement(group, a, 0)
         for abs_beta in range(1, bounds.max_beta + 1):
-            for g in shell:
-                yield GElement(group, g.a, abs_beta)
-                yield GElement(group, g.a, -abs_beta)
+            for a in _radius_aparts(group, radius):
+                yield GElement(group, a, abs_beta)
+                yield GElement(group, a, -abs_beta)
 
 
 @dataclass
@@ -200,17 +204,13 @@ class FindResult:
     candidates_tried: int
 
 
-def find_witness(
-    word: "mw.MixedWord", bounds: SearchBounds, *, shells: list | None = None
-) -> FindResult:
+def find_witness(word: "mw.MixedWord", bounds: SearchBounds) -> FindResult:
     """First candidate (canonical order) on which the word evaluates away
     from the identity.  Each candidate is evaluated once; the recorded
-    value is re-derived by the drive's witness-set persistence pass and by
-    `verify_certificates`, not here.
+    value is re-derived by `verify_certificates`, not here.
 
-    The candidates are those of `candidate_elements(word.group, bounds,
-    shells)`, so searches that pass one `shells` list build each beta = 0
-    candidate once; at most `bounds.max_candidates` of them are pulled.
+    The candidates are those of `candidate_elements(word.group, bounds)`,
+    of which at most `bounds.max_candidates` are pulled.
     """
     group = word.group
     if word.is_empty():
@@ -218,7 +218,7 @@ def find_witness(
     if any(v != 1 for v in word.variable_ids):
         raise ValueError("witness search expects a single-variable word")
     tried = 0
-    for g in islice(candidate_elements(group, bounds, shells), bounds.max_candidates):
+    for g in islice(candidate_elements(group, bounds), bounds.max_candidates):
         tried += 1
         value = mw.evaluate(word, {1: g})
         if not value.is_trivial():
@@ -234,60 +234,34 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
 
     Each word is searched before the next one is enumerated, so a
     CapacityExceeded met while enumerating keeps every certificate made
-    before it, like one met while searching.  All words search with one
-    `shells` list, so each radius's window is listed once per run and each
-    beta = 0 candidate built once; the run stops at the first
-    CapacityExceeded, so no search meets a refused radius twice.
+    before it, like one met while searching; the partial log is returned
+    flagged incomplete.  The run stops at the first CapacityExceeded, so
+    no search meets a refused radius twice.
 
-    The witness set F collects every recorded w_i(g_i).  Once the search
-    stops (also on CapacityExceeded, when the partial log is returned
-    flagged incomplete) every member is rebuilt without its cached
-    canonical form and re-canonicalised: a member with beta != 0 is
-    nontrivial at once, a one-letter a-part is its own normal form, and
-    only an a-part of two or more letters goes through the window table;
-    a member that has become trivial raises VerificationError (witness-set
-    persistence).  The check is one pass over F, so each word costs one
-    search plus one re-canonicalisation.
+    The witness set F collects every recorded w_i(g_i).  Each member was
+    tested nontrivial by its search and canonicalised once, to render its
+    row's `evaluation_normal_form`; `verify_certificates` is the
+    independent re-check.
     """
     bounds = bounds or SearchBounds()
     certificates = []
     witness_set = []
-    complete = True
     reason = None
-    shells = []
     try:
         words = iter_words(group, count, bounds.max_word_length)
         for i, (word, _) in enumerate(words, start=1):
-            result = find_witness(word, bounds, shells=shells)
+            result = find_witness(word, bounds)
+            witness = normal_form = None
             if result.status == WITNESS_FOUND:
-                certificates.append(
-                    Certificate(
-                        i,
-                        word.render(),
-                        WITNESS_FOUND,
-                        result.witness.render(),
-                        result.value.render_canonical(),
-                        bounds,
-                        result.candidates_tried,
-                    )
-                )
+                witness = result.witness.render()
+                normal_form = result.value.render_canonical()
                 witness_set.append(result.value)
-            else:
-                certificates.append(
-                    Certificate(
-                        i, word.render(), SEARCH_EXHAUSTED, None, None, bounds,
-                        result.candidates_tried,
-                    )
-                )
+            certificates.append(Certificate(
+                i, word.render(), result.status, witness, normal_form, result.candidates_tried
+            ))
     except CapacityExceeded as exc:
-        complete = False
         reason = str(exc)
-    for member in witness_set:
-        if GElement(group, member.a, member.beta).is_trivial():
-            raise VerificationError(
-                "witness-set persistence violated: a recorded value became trivial"
-            )
-    return DriveResult(certificates, complete, reason, witness_set)
+    return DriveResult(certificates, reason is None, reason, witness_set, bounds)
 
 
 _COMPACT = (",", ":")
@@ -303,20 +277,15 @@ def write_certificates(result: DriveResult, group: LimitGroup, fh) -> None:
     """JSON-lines dump: one certificate per line plus a trailing run summary.
 
     Each row is compact JSON with sorted keys and ASCII escapes, formatted
-    from `_ROW`, the one place the row layout lives.  The `instance`
-    fragment is encoded once per call and each distinct `bounds` once; the
-    string-or-null fields go through `json.dumps`, the two counts through
-    `%d`.  Rows are written one at a time, so no whole-log string is built.
+    from `_ROW`, the one place the row layout lives.  The `instance` and
+    `bounds` fragments are encoded once per call; the string-or-null
+    fields go through `json.dumps`, the two counts through `%d`.  Rows are
+    written one at a time, so no whole-log string is built.
     """
     dumps = json.dumps  # looked up once, not on each of the four calls per row
     instance = dumps({"p": group.p, "c": group.c.spec()}, sort_keys=True, separators=_COMPACT)
-    encoded_bounds = {}
+    bounds = dumps(result.bounds.to_json_dict(), sort_keys=True, separators=_COMPACT)
     for cert in result.certificates:
-        bounds = encoded_bounds.get(cert.bounds)
-        if bounds is None:
-            bounds = encoded_bounds[cert.bounds] = dumps(
-                cert.bounds.to_json_dict(), sort_keys=True, separators=_COMPACT
-            )
         fh.write(
             _ROW % (
                 bounds,
@@ -374,7 +343,9 @@ def verify_certificates(
     group shares; each word is still reduced from its own text, its items
     joined at their seams, so only constants that merge there are tested
     for the identity.  A CapacityExceeded is raised, not recorded: a row
-    that cannot be checked within the caps has not failed.
+    that cannot be checked within the caps has not failed.  A
+    FixedLimitExceeded is recorded: no cap lets a text past the parser's
+    or the calculus's fixed limits be checked, and no drive writes one.
     """
     report = VerifyReport(checked=0, witnesses_ok=0)
     groups: dict = {}
@@ -447,9 +418,9 @@ def verify_certificates(
                 report.failures.append((lineno, "evaluation normal form mismatch"))
                 continue
             report.witnesses_ok += 1
-        except CapacityExceeded:
-            raise
         except Exception as exc:  # malformed certificates must not crash the verifier
+            if isinstance(exc, CapacityExceeded) and not isinstance(exc, FixedLimitExceeded):
+                raise
             report.failures.append((lineno, f"{type(exc).__name__}: {exc}"))
     if rows or not summarised:
         report.failures.append(

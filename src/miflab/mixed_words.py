@@ -20,7 +20,7 @@ parser and the limit-group powers import it.
 
 from __future__ import annotations
 
-from .errors import CapacityExceeded
+from .errors import FixedLimitExceeded
 
 # Most syllables a substitution or the parser writes out in one list, and most
 # letters a limit-group power with a t-part writes out (`GElement.__pow__`).
@@ -246,7 +246,7 @@ def _substitute(word: MixedWord, images: dict) -> MixedWord:
     A variable syllable x_i^e becomes |e| copies of images[i], or of its
     inverse for e < 0, each joined at the seam with `extend`.  The
     syllables this writes out are counted first, and a count past
-    MAX_SYLLABLES raises CapacityExceeded before any is built.
+    MAX_SYLLABLES raises FixedLimitExceeded before any is built.
     """
     group = word.group
     pieces = {vid: (w.syllables, w.inverse().syllables) for vid, w in images.items()}
@@ -254,7 +254,7 @@ def _substitute(word: MixedWord, images: dict) -> MixedWord:
         1 if s[0] == CONST else len(pieces[s[1]][0]) * abs(s[2]) for s in word.syllables
     )
     if written > MAX_SYLLABLES:
-        raise CapacityExceeded(
+        raise FixedLimitExceeded(
             f"the substitution would write out {written} syllables, "
             f"past the limit of {MAX_SYLLABLES}"
         )

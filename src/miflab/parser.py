@@ -39,9 +39,9 @@ fails to parse leaves no entry.
 
 The parser bounds every syllable list it writes out by `MAX_SYLLABLES`,
 which `mixed_words` defines: a word power or a commutator step that would
-pass it raises CapacityExceeded before its list is built, and so does a
+pass it raises FixedLimitExceeded before its list is built, and so does a
 word once its items, counted as written out before reduction, pass it.
-A commutator nested more than `MAX_NESTING` deep raises CapacityExceeded
+A commutator nested more than `MAX_NESTING` deep raises FixedLimitExceeded
 before its entries are read.
 """
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 import re
 
 from . import mixed_words as mw
-from .errors import CapacityExceeded, ParseError
+from .errors import FixedLimitExceeded, ParseError
 from .mixed_words import MAX_SYLLABLES
 
 # the deepest commutator nesting the parser reads; each level is three
@@ -201,7 +201,7 @@ class _Parser:
         read."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise CapacityExceeded(
+            raise FixedLimitExceeded(
                 f"a commutator nested {self.depth} deep is past the parser's "
                 f"nesting limit of {MAX_NESTING}"
             )
@@ -268,7 +268,7 @@ def named_variables(text: str) -> set[int]:
 
 
 def _refuse(syllables: int, what: str):
-    raise CapacityExceeded(
+    raise FixedLimitExceeded(
         f"{what} would write out {syllables} syllables, "
         f"past the parser's limit of {MAX_SYLLABLES}"
     )

@@ -69,6 +69,14 @@ def test_check_word_with_witness():
     assert "counterexample" in data
 
 
+def test_check_the_empty_word():
+    """The empty word is the identity word: it holds, on one substitution."""
+    code, out, err = run_cli("--json", "check", "--word", "", "--group", "S3")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["verdict"] is True and data["substitutions_checked"] == 1
+
+
 @pytest.mark.parametrize(
     "args, expected",
     [
@@ -318,6 +326,38 @@ def test_verify_lists_a_row_that_is_not_an_object(tmp_path):
     data = json.loads(out)
     assert data["failures"] == [{"line": 3, "reason": "not a JSON object"}]
     assert data["checked"] == data["witnesses_ok"] == 3
+
+
+@pytest.mark.parametrize(
+    "word, witness, reason",
+    [
+        ("[" * 101 + "x" + ",a0]" * 101, "a0",
+         "FixedLimitExceeded: a commutator nested 101 deep is past the parser's nesting limit of 100"),
+        ("[x,a0]^30000", "a0",
+         "FixedLimitExceeded: the power ^30000 of a 4-syllable word would write out 120000 "
+         "syllables, past the parser's limit of 100000"),
+        ("x^200000", "a0 t",
+         "FixedLimitExceeded: the power ^200000 of a0 t would write out 200000 letters, "
+         "past the limit of 100000"),
+    ],
+    ids=["nesting", "syllables", "power"],
+)
+def test_verify_lists_a_row_past_a_fixed_limit(tmp_path, word, witness, reason):
+    """A row past the word calculus's fixed limits fails on its own line;
+    the other rows are still checked."""
+    certs = tmp_path / "certs.jsonl"
+    run_cli("drive", "--count", "3", "--out", str(certs))
+    lines = certs.read_text().splitlines()
+    assert '"witness":"a0","word":"x"}' in lines[0]
+    lines[0] = lines[0].replace(
+        '"witness":"a0","word":"x"}', '"witness":"%s","word":"%s"}' % (witness, word)
+    )
+    certs.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli("--json", "verify", str(certs))
+    assert (code, err) == (3, "")
+    assert json.loads(out) == {
+        "checked": 3, "witnesses_ok": 2, "failures": [{"line": 1, "reason": reason}],
+    }
 
 
 def test_exit_code_capacity():

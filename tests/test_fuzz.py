@@ -1,12 +1,13 @@
-"""Hostile word texts through the CLI: every call ends with a documented exit
-code (0, 2, 3 or 4) and, when it fails, with one JSON error on stderr; none
-ends in a traceback or runs past a few seconds."""
+"""Hostile word texts and flag values through the CLI: every call ends with a
+documented exit code (0, 2, 3 or 4) and, when it fails, with one JSON error on
+stderr; none ends in a traceback or runs past a few seconds."""
 
 import contextlib
 import io
 import json
 import signal
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from miflab import cli
@@ -85,6 +86,26 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_documented(argv):
+    """Run `argv` and check that it ended with a documented exit code and,
+    if it failed, one JSON error on stderr.  A drive that stops at a cap
+    (exit 2) instead writes its partial log, whose summary names the
+    reason, and nothing on stderr."""
+    code, out, err = _run(argv)
+    assert code in (0, 2, 3, 4), (code, err)
+    if code == 0 or (code == 2 and "drive" in argv and out):
+        assert err == ""
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert rows
+        if code == 2:
+            assert rows[-1]["run_complete"] is False and rows[-1]["reason"]
+        return
+    assert out == "" and err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)
+    assert set(error) == {"error", "detail"}
+    assert error["error"] == {2: "capacity", 3: "verification", 4: "parse"}[code]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_ARGVS)
 # these ended in a RecursionError traceback: commutators nested past the
@@ -97,12 +118,81 @@ def _run(argv):
 # the empty word, raised to a 13-digit power
 @example(["--json", "search", "--word", "[x,1]^1000000000000", *_SEARCH])
 def test_hostile_word_texts_end_with_a_documented_exit_code(argv):
-    code, out, err = _run(argv)
-    assert code in (0, 2, 3, 4), (code, err)
-    if code == 0:
-        assert err == "" and json.loads(out)
-    else:
-        assert out == "" and err.endswith("\n") and err.count("\n") == 1
-        error = json.loads(err)
-        assert set(error) == {"error", "detail"}
-        assert error["error"] == {2: "capacity", 3: "verification", 4: "parse"}[code]
+    _assert_documented(argv)
+
+
+# -- flag values ---------------------------------------------------------------
+
+# zero, negative, 30-digit and non-ASCII-digit values of every integer flag
+_NUMBERS = ["0", "-1", "-" + _BIG, _BIG, "\u0663", "\uff11", "\u0663\u0660"]
+_SPECS = _NUMBERS + [
+    ",".join(["1"] * 10_000),
+    ",".join(map(str, range(1, 2_001))),
+    "1," + _BIG,
+    _BIG + "," + _BIG,
+    "\u0663,\u0664",
+    "1,0",
+    "2,1",
+]
+_WINDOWS = [
+    "0..0", "0..-1", "-1..1", "0.." + _BIG, _BIG + ".." + _BIG, "-" + _BIG + "..0",
+    "-" + _BIG + ".." + _BIG, "\u0660..\u0661", "\uff10..\uff13",
+]
+# every other flag holds a small value, so each call does little work however
+# the one flag under test is set
+_COMMANDS = {
+    "order": ["order", "--window=0..1", "--max-cosets=20000"],
+    "search": ["search", "--word=[x,a0]", "--max-cosets=20000", "--max-candidates=50"],
+    "drive": ["drive", "--count=20", "--max-cosets=20000", "--max-candidates=50"],
+    "selftest": ["selftest", "--samples=20", "--max-cosets=20000"],
+    "grig": ["grig", "verify-identity"],
+    "check": ["check", "--word=x", "--group=S3"],
+    "wreath": ["check", "--id=wreath", "--base=C2", "--top=C2"],
+}
+# a 30-digit prime: no small factor ends its primality test early
+_PRIME = "9" * 28 + "89"
+_INSTANCE = {
+    "--p": [*_NUMBERS, _PRIME],
+    "--c": _SPECS,
+    "--max-cosets": _NUMBERS,
+    "--max-window-width": _NUMBERS,
+}
+_SEARCH_FLAGS = {**_INSTANCE, "--max-support-radius": _NUMBERS, "--max-beta": _NUMBERS}
+_FLAGS = {
+    "order": {**_INSTANCE, "--window": _WINDOWS},
+    "search": _SEARCH_FLAGS,
+    "drive": {**_SEARCH_FLAGS, "--max-word-length": _NUMBERS},
+    # a huge sample count is the user's own budget
+    "selftest": {**_INSTANCE, "--samples": [v for v in _NUMBERS if v != _BIG]},
+    "grig": {"--max-len": _NUMBERS},
+    # the integers of catalog group names
+    "check": {"--group": ["C" + v for v in _NUMBERS] + ["D" + v for v in _NUMBERS]},
+    "wreath": {"--top": ["C" + v for v in _NUMBERS], "--base": ["C" + v for v in _NUMBERS]},
+}
+
+
+def _flag_argv(command, flag, value):
+    """The command's argv with `flag` set to `value`, given as `flag=value`
+    so that argparse never reads a value that starts with '-' as a flag."""
+    argv = [a for a in _COMMANDS[command] if a.split("=")[0] != flag]
+    return ["--json", *argv, f"{flag}={value}"]
+
+
+_FLAG_CASES = [
+    (command, flag, value)
+    for command, flags in _FLAGS.items()
+    for flag, values in flags.items()
+    for value in values
+]
+
+
+def _case_id(case):
+    command, flag, value = case
+    if len(value) > 12:  # a long value by its ends and its length
+        value = f"{value[:6]}...{value[-2:]}({len(value)})"
+    return f"{command} {flag}={value}"
+
+
+@pytest.mark.parametrize("command, flag, value", _FLAG_CASES, ids=map(_case_id, _FLAG_CASES))
+def test_hostile_flag_values_end_with_a_documented_exit_code(command, flag, value):
+    _assert_documented(_flag_argv(command, flag, value))

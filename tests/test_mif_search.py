@@ -7,13 +7,13 @@ from itertools import islice, product
 
 import pytest
 
-from miflab import CapacityExceeded, LimitGroup, VerificationError, parse_element, parse_mixed_word
+from miflab import CapacityExceeded, LimitGroup, parse_element, parse_mixed_word
 from miflab import mif_search as ms
 from miflab import mixed_words as mw
 from miflab import parser
 from miflab.parser import _Parser
 from miflab.coset_enum import CosetTable
-from miflab.limit_group import AWord, GElement
+from miflab.limit_group import GElement
 
 
 def test_enumeration_starts_with_x(default_group):
@@ -511,10 +511,10 @@ def _reference_log(result, group):
             "witness": cert.witness,
             "evaluation_normal_form": cert.evaluation_normal_form,
             "bounds": {
-                "max_support_radius": cert.bounds.max_support_radius,
-                "max_beta": cert.bounds.max_beta,
-                "max_word_length": cert.bounds.max_word_length,
-                "max_candidates": cert.bounds.max_candidates,
+                "max_support_radius": result.bounds.max_support_radius,
+                "max_beta": result.bounds.max_beta,
+                "max_word_length": result.bounds.max_word_length,
+                "max_candidates": result.bounds.max_candidates,
             },
             "candidates_tried": cert.candidates_tried,
             "instance": {"p": group.p, "c": group.c.spec()},
@@ -533,16 +533,16 @@ def test_certificate_rows_match_a_general_json_encoder(default_group):
     exhausted = ms.drive(default_group, 3, ms.SearchBounds(max_candidates=1))
     assert ms.SEARCH_EXHAUSTED in {c.status for c in exhausted.certificates}
     text = 'a "quoted" \\ back\nslash, é and ∞'
-    bounds = ms.SearchBounds()
     hand_built = ms.DriveResult(
         [
-            ms.Certificate(1, text, ms.WITNESS_FOUND, text + " w", "∞" + text, bounds, 12),
-            ms.Certificate(2, "x", ms.SEARCH_EXHAUSTED, None, None, odd, 0),
-            ms.Certificate(3, text, ms.SEARCH_EXHAUSTED, None, None, bounds, 100_000),
+            ms.Certificate(1, text, ms.WITNESS_FOUND, text + " w", "∞" + text, 12),
+            ms.Certificate(2, "x", ms.SEARCH_EXHAUSTED, None, None, 0),
+            ms.Certificate(3, text, ms.SEARCH_EXHAUSTED, None, None, 100_000),
         ],
         complete=False,
         reason='stopped: "width" é\\∞\nnext',
         witness_set=[],
+        bounds=odd,
     )
     for result, group in [
         (ms.drive(default_group, 500), default_group),
@@ -564,22 +564,32 @@ DRIVE_3000_SHA256 ="5a2e044a18f30e449172731724e469eac0c0ec4e4ef841a7db6da8c7715b
 def test_one_letter_values_are_not_traced(monkeypatch):
     """One-letter A-words are their own normal form: of the 3,888 traces
     `drive(3000)` made through the window tables, and the 2,387 of its
-    verification, 2,950 and 1,653 were for one letter."""
-    traces = [0]
-    normal_form = CosetTable.normal_form
+    verification, 2,950 and 1,653 were for one letter.  Each recorded value
+    is canonicalised once, to render it: 938 traces when a pass after the
+    run canonicalised every value again."""
+    calls = Counter()
 
-    def counted(self, word):
-        traces[0] += 1
-        return normal_form(self, word)
+    def counted(owner, name):
+        method = getattr(owner, name)
 
-    monkeypatch.setattr(CosetTable, "normal_form", counted)
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(CosetTable, "normal_form")
+    counted(CosetTable, "words")
+    counted(LimitGroup, "is_identity")
     group = LimitGroup(2, "n")
-    lines = ms.certificates_to_lines(ms.drive(group, 3000), group)
+    result = ms.drive(group, 3000)
+    lines = ms.certificates_to_lines(result, group)
     assert hashlib.sha256(lines.encode()).hexdigest() == DRIVE_3000_SHA256
-    assert traces[0] <= 1000
-    traces[0] = 0
+    assert sum(c.candidates_tried for c in result.certificates) == 3312
+    assert calls == {"normal_form": 770, "is_identity": 1800, "words": 1}
+    calls.clear()
     assert ms.verify_certificates(lines).ok
-    assert traces[0] <= 800
+    assert calls["normal_form"] <= 800
 
 
 def test_drive_work_is_linear_in_the_word_count(monkeypatch):
@@ -599,14 +609,11 @@ def test_drive_work_is_linear_in_the_word_count(monkeypatch):
 
 
 def test_drive_builds_the_candidates_once_per_run(monkeypatch):
-    listed = Counter()
+    """The group memoises each window's words, so two runs on one group walk
+    each table once between them, and each candidate is evaluated once."""
     walks = Counter()
     evaluations = [0]
-    window_awords, words, evaluate = LimitGroup.window_awords, CosetTable.words, mw.evaluate
-
-    def counted_window_awords(self, radius):
-        listed[radius] += 1
-        return window_awords(self, radius)
+    words, evaluate = CosetTable.words, mw.evaluate
 
     def counted_words(self):
         walks[id(self)] += 1
@@ -616,81 +623,53 @@ def test_drive_builds_the_candidates_once_per_run(monkeypatch):
         evaluations[0] += 1
         return evaluate(word, assignment)
 
-    monkeypatch.setattr(LimitGroup, "window_awords", counted_window_awords)
     monkeypatch.setattr(CosetTable, "words", counted_words)
     monkeypatch.setattr(mw, "evaluate", counted_evaluate)
-    result = ms.drive(LimitGroup(2, "n"), 800)
-    assert result.complete and len(result.certificates) == 800
-    # each radius's shell is built once, for all 800 searches
-    assert listed and max(listed.values()) == 1
+    group = LimitGroup(2, "n")
+    tried = 0
+    for _ in range(2):
+        result = ms.drive(group, 800)
+        assert result.complete and len(result.certificates) == 800
+        tried += sum(c.candidates_tried for c in result.certificates)
     assert walks and max(walks.values()) == 1
-    # one evaluation per candidate tried
-    assert evaluations[0] == sum(c.candidates_tried for c in result.certificates)
+    assert evaluations[0] == tried
 
 
 def test_shared_candidates_repeat_the_order_and_its_errors(default_group):
     bounds = ms.SearchBounds(max_support_radius=2, max_beta=1)
 
-    def pull(group, n, shells):
-        return [g.render() for g in islice(ms.candidate_elements(group, bounds, shells), n)]
+    def pull(group, n):
+        return [g.render() for g in islice(ms.candidate_elements(group, bounds), n)]
 
-    shells = []
-    first = pull(default_group, 12, shells)
-    assert pull(default_group, 20, shells)[:12] == first
-    assert first == pull(default_group, 12, None)
+    # a second search of one group pulls the same order from the memo
+    first = pull(default_group, 12)
+    assert pull(default_group, 20)[:12] == first
+    assert first == pull(LimitGroup(2, "n"), 12)
     narrow = LimitGroup(2, "n", max_window_width=1)
-    shells = []
     for _ in range(2):  # the radius-1 window (width 2) is refused every time
         with pytest.raises(CapacityExceeded, match="window width 2"):
-            pull(narrow, 100, shells)
-        assert len(shells) == 1
+            pull(narrow, 100)
 
 
-def _patch_search(monkeypatch, words_searched, stop_with=None, forget=True):
-    """After `words_searched` searches, the next search raises `stop_with`
-    (if given) and, with `forget`, every recorded value canonicalises to the
-    empty word from then on."""
-    recorded = []
+def _stop_search(monkeypatch, words_searched, stop_with):
+    """After `words_searched` searches, the next search raises `stop_with`."""
     searched = [0]
     search = ms.find_witness
-    canonical = LimitGroup.canonical_aword
 
-    def find_witness(word, bounds, **kwargs):
-        if searched[0] == words_searched and stop_with is not None:
+    def find_witness(word, bounds):
+        if searched[0] == words_searched:
             raise stop_with
-        result = search(word, bounds, **kwargs)
         searched[0] += 1
-        if result.value is not None:
-            recorded.append(result.value.a)
-        return result
-
-    def canonical_aword(self, word):
-        if forget and searched[0] == words_searched and any(word is a for a in recorded):
-            return AWord(self.p, ())
-        return canonical(self, word)
+        return search(word, bounds)
 
     monkeypatch.setattr(ms, "find_witness", find_witness)
-    monkeypatch.setattr(LimitGroup, "canonical_aword", canonical_aword)
-
-
-def test_persistence_check_can_fail(monkeypatch):
-    # every recorded value already carries its canonical form, so a check
-    # through the cache would pass here
-    _patch_search(monkeypatch, 20)
-    with pytest.raises(VerificationError, match="witness-set persistence violated"):
-        ms.drive(LimitGroup(2, "n"), 20)
 
 
 def test_persistence_check_runs_on_the_partial_path(monkeypatch):
-    stop = CapacityExceeded("window too wide")
-    _patch_search(monkeypatch, 7, stop_with=stop, forget=False)
+    _stop_search(monkeypatch, 7, CapacityExceeded("window too wide"))
     result = ms.drive(LimitGroup(2, "n"), 20)
     assert not result.complete and result.reason == "window too wide"
     assert len(result.certificates) == len(result.witness_set) == 7
-    monkeypatch.undo()
-    _patch_search(monkeypatch, 7, stop_with=stop)
-    with pytest.raises(VerificationError, match="witness-set persistence violated"):
-        ms.drive(LimitGroup(2, "n"), 20)
 
 
 # -- the capacity wall ------------------------------------------------------------
