@@ -25,7 +25,7 @@ from .errors import BudgetExceeded, CapacityExceeded, MiflabError, ParseError, V
 from .limit_group import LimitGroup
 from .mif_search import SearchBounds
 from .parser import named_variables, parse_mixed_word, split_labels
-from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH, Window
+from .presentations import DEFAULT_MAX_COSETS, DEFAULT_MAX_WINDOW_WIDTH, Window, integer
 
 EXIT_OK = 0
 EXIT_CAPACITY = 2
@@ -41,8 +41,8 @@ def _check_caps(args) -> None:
 
 
 def _add_cap_flags(sub):
-    sub.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS, dest="max_cosets")
-    sub.add_argument("--max-window-width", type=int, default=DEFAULT_MAX_WINDOW_WIDTH,
+    sub.add_argument("--max-cosets", type=integer, default=DEFAULT_MAX_COSETS, dest="max_cosets")
+    sub.add_argument("--max-window-width", type=integer, default=DEFAULT_MAX_WINDOW_WIDTH,
                      dest="max_window_width")
 
 
@@ -73,7 +73,7 @@ def _bounds(args, **kwargs) -> SearchBounds:
 
 
 def _add_instance_flags(sub):
-    sub.add_argument("--p", type=int, default=2, help="prime p (default 2)")
+    sub.add_argument("--p", type=integer, default=2, help="prime p (default 2)")
     sub.add_argument("--c", default="n", help="class-bound sequence: 'n' or '1,2,2'")
     _add_cap_flags(sub)
     # the library has no disk cache unless given one; only the CLI reads the variable
@@ -83,9 +83,9 @@ def _add_instance_flags(sub):
 
 def _add_search_flags(sub):
     _add_instance_flags(sub)
-    sub.add_argument("--max-support-radius", type=int, default=3, dest="max_support_radius")
-    sub.add_argument("--max-beta", type=int, default=3, dest="max_beta")
-    sub.add_argument("--max-candidates", type=int, default=100_000, dest="max_candidates")
+    sub.add_argument("--max-support-radius", type=integer, default=3, dest="max_support_radius")
+    sub.add_argument("--max-beta", type=integer, default=3, dest="max_beta")
+    sub.add_argument("--max-candidates", type=integer, default=100_000, dest="max_candidates")
 
 
 def _emit(args, payload: dict, text: str | None = None):
@@ -350,8 +350,19 @@ def cmd_selftest(args) -> int:
 # -- argument plumbing --------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse reads an argument that starts with '-' as a flag unless it
+    is a negative number.  Here an argument that starts with '-' and a
+    digit is a value, so `--window -1..1` reads as `--window=-1..1` does;
+    no flag of miflab starts so.  Subparsers are of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-[0-9]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="miflab",
         description="Exact workbench for window p-groups, mixed identities and witness search",
     )
@@ -383,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     g2 = gsub.add_parser("trivial", help="decide the word problem")
     g2.add_argument("--word", required=True)
     g3 = gsub.add_parser("verify-identity", help="check [[[[x,b],d],d],ada]=1 exhaustively")
-    g3.add_argument("--max-len", type=int, default=6, dest="max_len")
+    g3.add_argument("--max-len", type=integer, default=6, dest="max_len")
     sp.set_defaults(func=cmd_grig)
 
     sp = sub.add_parser("search", help="find a witness for a single-variable word")
@@ -393,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("drive", help="run the certificate-producing driver")
     _add_search_flags(sp)
-    sp.add_argument("--count", type=int, default=50)
-    sp.add_argument("--max-word-length", type=int, default=16, dest="max_word_length")
+    sp.add_argument("--count", type=integer, default=50)
+    sp.add_argument("--max-word-length", type=integer, default=16, dest="max_word_length")
     sp.add_argument("--out", help="certificate JSONL file (default: stdout)")
     sp.set_defaults(func=cmd_drive)
 
@@ -405,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("selftest", help="sampled invariant checks")
     _add_instance_flags(sp)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--seed", type=integer, default=0)
+    sp.add_argument("--samples", type=integer, default=200)
     sp.set_defaults(func=cmd_selftest)
 
     return ap

@@ -102,19 +102,19 @@ def _alphabet(group: LimitGroup):
 
 
 def iter_words(group: LimitGroup, count: int, max_word_length: int = 16):
-    """Lazily yield `(word, word.structural_key())` for the first `count`
-    distinct nonempty reduced words, shortlex over letter strings.
+    """Lazily yield the first `count` distinct nonempty reduced words,
+    shortlex over letter strings.
 
     Level n extends each word first reached at level n - 1 by each letter
     in order, merging or cancelling only at the seam (`mw.join`; no
     letter is trivial, so none is tested on its own).  A string whose
     prefix reduces to an earlier word (or to the empty word) only repeats
     earlier words, so this visits the new words in the same order as
-    reducing every string of `itertools.product` would.  Keys
-    grow with the word: the parent's key plus the key of the new last
-    syllable, so only a freshly merged constant is canonicalised.  Raises
-    CapacityExceeded once the length bound leaves fewer than `count`
-    words.
+    reducing every string of `itertools.product` would.  Each word's
+    structural key, which tells the words apart, grows with it: the
+    parent's key plus the key of the new last syllable, so only a freshly
+    merged constant is canonicalised.  Raises CapacityExceeded once the
+    length bound leaves fewer than `count` words.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -141,7 +141,7 @@ def iter_words(group: LimitGroup, count: int, max_word_length: int = 16):
                 seen.add(new_key)
                 word = mw.MixedWord(group, stack)
                 grown_level.append((word.syllables, new_key))
-                yield word, new_key
+                yield word
                 if len(seen) == count:
                     return
         level = grown_level
@@ -153,7 +153,7 @@ def iter_words(group: LimitGroup, count: int, max_word_length: int = 16):
 def enumerate_words(group: LimitGroup, count: int, max_word_length: int = 16):
     """First `count` distinct nonempty reduced words, shortlex over the
     letter alphabet (see `iter_words`)."""
-    return [word for word, _ in iter_words(group, count, max_word_length)]
+    return list(iter_words(group, count, max_word_length))
 
 
 # -- candidate enumeration -------------------------------------------------------
@@ -249,7 +249,7 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
     reason = None
     try:
         words = iter_words(group, count, bounds.max_word_length)
-        for i, (word, _) in enumerate(words, start=1):
+        for i, word in enumerate(words, start=1):
             result = find_witness(word, bounds)
             witness = normal_form = None
             if result.status == WITNESS_FOUND:

@@ -14,16 +14,21 @@ Two reduced words interact only at their seam (Lyndon & Schupp,
 builders: `join` joins one nontrivial syllable at the seam, `extend` a
 reduced piece, and `reduce` a list that is not reduced, dropping its
 trivial syllables.  Only merged constants are tested for the identity.
-`MAX_SYLLABLES` is defined here, where syllables are written out; the
-parser and the limit-group powers import it.
+
+Every list written out from reduced pieces goes through `joined`, which
+bounds its count of syllables, as written out before reduction, by
+`MAX_SYLLABLES` (`bound`) before it builds the list: concatenations,
+commutator steps, the |k| copies of a `power`, the images of a
+substitution and the items of a parsed word.  The limit is defined here;
+only the limit-group powers read it too.
 """
 
 from __future__ import annotations
 
 from .errors import FixedLimitExceeded
 
-# Most syllables a substitution or the parser writes out in one list, and most
-# letters a limit-group power with a t-part writes out (`GElement.__pow__`).
+# Most syllables one list of the word calculus writes out, and most letters a
+# limit-group power with a t-part writes out (`GElement.__pow__`).
 MAX_SYLLABLES = 100_000
 
 CONST = "c"
@@ -48,8 +53,8 @@ def syllable_key(group, s):
 class MixedWord:
     """A reduced alternating word over group constants and variables.
 
-    Build through `reduce` (or the parser); direct construction assumes
-    the syllables are already reduced.
+    Build through `reduce` or `joined` (or the parser); direct
+    construction assumes the syllables are already reduced.
     """
 
     __slots__ = ("group", "syllables")
@@ -80,9 +85,7 @@ class MixedWord:
     def concat(self, other: "MixedWord") -> "MixedWord":
         if other.group is not self.group:
             raise ValueError("cannot mix ambient contexts")
-        stack = list(self.syllables)
-        extend(self.group, stack, other.syllables)
-        return MixedWord(self.group, stack)
+        return joined(self.group, (self.syllables, other.syllables))
 
     def inverse(self) -> "MixedWord":
         out = []
@@ -162,10 +165,33 @@ def extend(group, stack: list, syllables) -> None:
     joined to the new end; the rest is appended as it is.  So only merged
     constants are tested for the identity.
     """
+    if not stack:  # nothing to meet: the piece is appended as it is
+        stack.extend(syllables)
+        return
     for i, s in enumerate(syllables):
         if not join(group, stack, s):
             stack.extend(syllables[i + 1:])
             return
+
+
+def bound(count: int, what: str) -> None:
+    """Refuse `what`, which would write out `count` syllables, if that is
+    past MAX_SYLLABLES."""
+    if count > MAX_SYLLABLES:
+        raise FixedLimitExceeded(
+            f"{what} would write out {count} syllables, past the limit of {MAX_SYLLABLES}"
+        )
+
+
+def joined(group, pieces, what: str = "the word") -> MixedWord:
+    """The word of the sequence `pieces` of reduced syllable tuples, each
+    joined to the word so far at their seam (`extend`).  Their syllables,
+    counted as written out before reduction, are bounded first."""
+    bound(sum(map(len, pieces)), what)
+    stack: list = []
+    for syllables in pieces:
+        extend(group, stack, syllables)
+    return MixedWord(group, stack)
 
 
 def reduce(group, syllables) -> MixedWord:
@@ -199,10 +225,8 @@ def commutator(u: MixedWord, v: MixedWord) -> MixedWord:
     """[u, v] = u^-1 v^-1 u v at the word level."""
     if u.group is not v.group:
         raise ValueError("cannot mix ambient contexts")
-    stack = list(u.inverse().syllables)
-    for part in (v.inverse().syllables, u.syllables, v.syllables):
-        extend(u.group, stack, part)
-    return MixedWord(u.group, stack)
+    pieces = (u.inverse().syllables, v.inverse().syllables, u.syllables, v.syllables)
+    return joined(u.group, pieces, "a commutator")
 
 
 def left_normed(words) -> MixedWord:
@@ -213,6 +237,26 @@ def left_normed(words) -> MixedWord:
     for w in words[1:]:
         acc = commutator(acc, w)
     return acc
+
+
+def power(word: MixedWord, k: int) -> MixedWord:
+    """word^k, reduced.  The empty word stays empty and a single syllable
+    is raised in place (a variable's exponent is multiplied, a constant
+    goes through `group.power`), so their cost does not grow with |k|; a
+    longer word is |k| copies of itself, or of its inverse for k < 0,
+    bounded before any copy exists."""
+    group = word.group
+    n = len(word.syllables)
+    if k == 0 or n == 0:
+        return MixedWord(group, ())
+    if n == 1:
+        s = word.syllables[0]
+        if s[0] == CONST:
+            return constant(group, group.power(s[1], k))
+        return variable(group, s[1], s[2] * k)
+    what = f"the power ^{k} of a {n}-syllable word"
+    bound(n * abs(k), what)
+    return joined(group, [(word if k > 0 else word.inverse()).syllables] * abs(k), what)
 
 
 def evaluate(word: MixedWord, assignment: dict):
@@ -244,29 +288,18 @@ def _substitute(word: MixedWord, images: dict) -> MixedWord:
     sending x_i to the nonempty reduced word images[i], reduced.
 
     A variable syllable x_i^e becomes |e| copies of images[i], or of its
-    inverse for e < 0, each joined at the seam with `extend`.  The
-    syllables this writes out are counted first, and a count past
-    MAX_SYLLABLES raises FixedLimitExceeded before any is built.
+    inverse for e < 0, and `joined` joins them at their seams.  The
+    syllables this writes out are counted and bounded first, before any
+    copy exists.
     """
-    group = word.group
-    pieces = {vid: (w.syllables, w.inverse().syllables) for vid, w in images.items()}
-    written = sum(
-        1 if s[0] == CONST else len(pieces[s[1]][0]) * abs(s[2]) for s in word.syllables
-    )
-    if written > MAX_SYLLABLES:
-        raise FixedLimitExceeded(
-            f"the substitution would write out {written} syllables, "
-            f"past the limit of {MAX_SYLLABLES}"
-        )
-    stack: list = []
-    for s in word.syllables:
-        if s[0] == CONST:
-            join(group, stack, s)
-            continue
-        piece = pieces[s[1]][s[2] < 0]
-        for _ in range(abs(s[2])):
-            extend(group, stack, piece)
-    return MixedWord(group, stack)
+    images = {vid: (w.syllables, w.inverse().syllables) for vid, w in images.items()}
+    copies = [
+        ((s,), 1) if s[0] == CONST else (images[s[1]][s[2] < 0], abs(s[2]))
+        for s in word.syllables
+    ]
+    bound(sum(len(piece) * n for piece, n in copies), "the substitution")
+    pieces = [piece for piece, n in copies for _ in range(n)]
+    return joined(word.group, pieces, "the substitution")
 
 
 def iota_embed(word: MixedWord, g) -> MixedWord:

@@ -17,32 +17,31 @@ Integers are ASCII digits only (`a٣` is an error, not `a3`); any Unicode
 whitespace separates items.
 
 Parsing returns a reduced MixedWord over the given context; a word with
-no variables can be collapsed to a group element.  Each item is reduced
-on its own.  Once all items of a word are read (so a syntax error anywhere
-in it is met before any join), each is joined to the word so far at their
-seam (`mw.extend`), and only constants that merge there are tested for
-the identity.
+no variables can be collapsed to a group element.  The parser keeps only
+the grammar: every syllable list is written out by the word calculus.
+Each item is reduced on its own (`mw.power` raises it, `mw.left_normed`
+folds a commutator's entries), and once all items of a word are read, so
+that a syntax error among them is met before any join, `mw.joined` joins
+them at their seams; only constants that merge there are tested for the
+identity.
 
 Every item that is not a commutator (an atom token plus its optional
 `^k`, such as `a0`, `t^-1` or `x^2`) is built once per distinct text
 and kept in the `items` memo, which maps the item text to its reduced
-syllables.  The memo is read in two places.  `parse_mixed_word` first
-splits the text at whitespace (`str.split`, which splits where the
+syllables.  `parse_item` reads and writes the memo.  `parse_mixed_word`
+first splits the text at whitespace (`str.split`, which splits where the
 tokenizer does); if every chunk is a key, it joins their syllables
-straight away, without tokenizing.  Otherwise the word loop looks each
-item up itself.  By default each parse has its own memo.  A caller that
-parses many texts over one context, such as `verify_certificates`,
-passes one dict to all of them, so each distinct item is built once; the
-dict must only ever see that one group and binding map.  A commutator
-item is built afresh, from items looked up the same way.  An item that
-fails to parse leaves no entry.
+straight away, without tokenizing.  By default each parse has its own
+memo.  A caller that parses many texts over one context, such as
+`verify_certificates`, passes one dict to all of them, so each distinct
+item is built once; the dict must only ever see that one group and
+binding map.  A commutator item is built afresh, from items looked up
+the same way.  An item that fails to parse leaves no entry.
 
-The parser bounds every syllable list it writes out by `MAX_SYLLABLES`,
-which `mixed_words` defines: a word power or a commutator step that would
-pass it raises FixedLimitExceeded before its list is built, and so does a
-word once its items, counted as written out before reduction, pass it.
-A commutator nested more than `MAX_NESTING` deep raises FixedLimitExceeded
-before its entries are read.
+The word calculus bounds each list it writes out (`mw.bound`): a word is
+refused at the first item that brings its count, as written out before
+reduction, past `mw.MAX_SYLLABLES`.  A commutator nested more than
+`MAX_NESTING` deep raises FixedLimitExceeded before its entries are read.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ import re
 
 from . import mixed_words as mw
 from .errors import FixedLimitExceeded, ParseError
-from .mixed_words import MAX_SYLLABLES
 
 # the deepest commutator nesting the parser reads; each level is three
 # Python frames (parse_word, parse_item, parse_commutator), so a text
@@ -135,70 +133,42 @@ class _Parser:
 
     def take_power(self) -> str:
         """The `^k` token after an atom, consumed, or "" if there is none."""
-        pos = self.pos
-        if pos < len(self.tokens) and self.tokens[pos][0] == "pow":
-            self.pos = pos + 1
-            return self.tokens[pos][1]
-        return ""
+        return self.take()[1] if self.peek()[0] == "pow" else ""
 
     def parse_word(self, stop=()) -> "mw.MixedWord":
-        """The reduced word up to a token in `stop` or the end.  An atom
-        whose text (with its `^k`) is in `items` is resolved here; any other
-        item goes through `parse_item`.  All items are read first, and the
-        word is refused once they, as written out before reduction, pass
-        MAX_SYLLABLES; then each is joined to the word so far at their seam
-        (`mw.extend`)."""
-        items, tokens = self.items, self.tokens
-        end = len(tokens)
-        pos = self.pos
+        """The reduced word up to a token in `stop` or the end.  Its items
+        are read first and then joined by `mw.joined`; the word is refused
+        at the first item that brings their count past the limit, so it
+        never holds more than one item past it."""
         pieces = []
         written = 0
-        while pos < end:
-            kind, val = tokens[pos]
-            if kind in stop:
-                break
-            syllables = None
-            if kind in _ATOMS:
-                after = pos + 1
-                if after < end and tokens[after][0] == "pow":
-                    val += tokens[after][1]
-                    after += 1
-                syllables = items.get(val)
-                if syllables is not None:
-                    pos = after
-            if syllables is None:
-                self.pos = pos
-                syllables = self.parse_item()
-                pos = self.pos
+        while (kind := self.peek()[0]) is not None and kind not in stop:
+            syllables = self.parse_item()
             pieces.append(syllables)
             written += len(syllables)
-            if written > MAX_SYLLABLES:
-                _refuse(written, "the word")
-        self.pos = pos
-        return _join(self.group, pieces)
+            mw.bound(written, "the word")
+        return mw.joined(self.group, pieces)
 
     def parse_item(self) -> tuple:
-        """The reduced syllables of the next item, built afresh.  An item
-        that is not a commutator is stored in `items` under its text;
-        `parse_word` looks it up there before it calls this."""
+        """The reduced syllables of the next item.  An item that is not a
+        commutator is looked up in `items` by its text (with its `^k`), and
+        built and stored there if it is not yet a key."""
         kind, val = self.take()
         if kind == "lbrack":
-            word = self.parse_commutator()
-            return _word_power(word, self.take_power()).syllables
+            return _word_power(self.parse_commutator(), self.take_power()).syllables
         if kind not in _ATOMS:
             raise ParseError(f"unexpected token {val!r} in {self.text!r}")
         power = self.take_power()
-        syllables = self.items[val + power] = self._build_item(kind, val, power)
+        syllables = self.items.get(val + power)
+        if syllables is None:
+            word = _word_power(self.parse_atom(kind, val), power)
+            syllables = self.items[val + power] = word.syllables
         return syllables
 
-    def _build_item(self, kind: str, val: str, power: str) -> tuple:
-        return _word_power(self.parse_atom(kind, val), power).syllables
-
     def parse_commutator(self) -> "mw.MixedWord":
-        """The left-normed commutator after a '['; each step's expansion is
-        checked against MAX_SYLLABLES before it is written out.  A commutator
-        nested more than MAX_NESTING deep is refused before its entries are
-        read."""
+        """The left-normed commutator after a '[' (`mw.left_normed`).  A
+        commutator nested more than MAX_NESTING deep is refused before its
+        entries are read."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise FixedLimitExceeded(
@@ -215,14 +185,8 @@ class _Parser:
             parts.append(self.parse_word(stop=("comma", "rbrack")))
         if len(parts) < 2:
             raise ParseError("commutator needs at least two entries")
-        acc = parts[0]
-        for part in parts[1:]:
-            length = 2 * (len(acc.syllables) + len(part.syllables))
-            if length > MAX_SYLLABLES:
-                _refuse(length, "a commutator")
-            acc = mw.commutator(acc, part)
         self.depth -= 1
-        return acc
+        return mw.left_normed(parts)
 
     def parse_atom(self, kind: str, val: str) -> "mw.MixedWord":
         if kind == "one":
@@ -267,47 +231,10 @@ def named_variables(text: str) -> set[int]:
     }
 
 
-def _refuse(syllables: int, what: str):
-    raise FixedLimitExceeded(
-        f"{what} would write out {syllables} syllables, "
-        f"past the parser's limit of {MAX_SYLLABLES}"
-    )
-
-
-def _join(group, pieces) -> "mw.MixedWord":
-    """The word of the reduced syllable tuples `pieces`, each joined to the
-    word so far at their seam (`mw.extend`)."""
-    stack = []
-    for syllables in pieces:
-        mw.extend(group, stack, syllables)
-    return mw.MixedWord(group, stack)
-
-
 def _word_power(word: "mw.MixedWord", power: str) -> "mw.MixedWord":
     """word^k for the power token `power` = "^k"; the word itself if
-    `power` is "".  A single syllable is raised in place (a variable's
-    exponent is multiplied, a constant goes through `group.power`), and
-    the empty word stays empty, so their cost does not grow with |k|; a
-    longer word is repeated |k| times, if that stays within MAX_SYLLABLES."""
-    if not power:
-        return word
-    k = int(power[1:])
-    group = word.group
-    if k == 0 or not word.syllables:
-        return mw.MixedWord(group, ())
-    if len(word.syllables) == 1:
-        s = word.syllables[0]
-        if s[0] == mw.CONST:
-            return mw.constant(group, group.power(s[1], k))
-        return mw.variable(group, s[1], s[2] * k)
-    n = len(word.syllables)
-    if n * abs(k) > MAX_SYLLABLES:
-        _refuse(n * abs(k), f"the power ^{k} of a {n}-syllable word")
-    base = (word if k > 0 else word.inverse()).syllables
-    stack = []
-    for _ in range(abs(k)):
-        mw.extend(group, stack, base)
-    return mw.MixedWord(group, stack)
+    `power` is ""."""
+    return mw.power(word, int(power[1:])) if power else word
 
 
 def parse_mixed_word(
@@ -323,12 +250,14 @@ def parse_mixed_word(
     """
     if items and isinstance(text, str):
         # a whitespace-separated chunk that is a key is one item to the
-        # tokenizer too, so a text of keys alone is joined without it; past
-        # MAX_SYLLABLES, the parse below refuses it at the same item, and
-        # a text that is no str gets the tokenizer's TypeError
+        # tokenizer too, so a text of keys alone is joined without it; a
+        # text that is no str gets the tokenizer's TypeError
         pieces = list(map(items.get, text.split()))
-        if None not in pieces and sum(map(len, pieces)) <= MAX_SYLLABLES:
-            return _join(group, pieces)
+        if None not in pieces:
+            try:
+                return mw.joined(group, pieces)
+            except FixedLimitExceeded:
+                pass  # the parse below refuses it at the item that passes the limit
     parser = _Parser(text, group, constants, items)
     word = parser.parse_word()
     if parser.pos != len(parser.tokens):

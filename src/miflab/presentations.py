@@ -20,6 +20,7 @@ visited once, and power relators carry no inverse letters.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import CapacityExceeded, ParseError
@@ -33,6 +34,19 @@ DEFAULT_MAX_WINDOW_WIDTH = 6
 DEFAULT_MAX_COSETS = 1_000_000
 # most letters the relators of one presentation may have in all
 MAX_RELATOR_LETTERS = 2**21
+
+
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def integer(text: str) -> int:
+    """The integer `text` spells in ASCII digits, with an optional sign and
+    whitespace around them, as the word grammar reads its integers: `٣`
+    raises ValueError instead of reading as 3.  The one reader of integer
+    flags and of the integers in window and class-bound specs."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer in ASCII digits: {text!r}")
+    return int(text)
 
 
 def is_prime(n: int) -> bool:
@@ -75,14 +89,13 @@ class CSequence:
         t = str(text).strip().lower()
         if t in ("n", "identity"):
             return cls()
-        parts = [p.strip() for p in t.split(",") if p.strip() != ""]
-        if not parts:
+        if not t:
             raise ParseError(f"empty CSequence spec {text!r}")
         try:
-            vals = tuple(int(p) for p in parts)
-        except ValueError:
+            values = tuple(integer(p) for p in t.split(","))
+        except ValueError:  # an entry that is empty or not an integer
             raise ParseError(f"bad CSequence spec {text!r}") from None
-        return cls(vals)
+        return cls(values)
 
     def spec(self) -> str:
         return ",".join(str(v) for v in self.prefix) or "n"
@@ -130,7 +143,7 @@ class Window:
             raise ParseError(f"window spec must look like 'lo..hi', got {text!r}")
         a, b = t.split("..", 1)
         try:
-            return cls(int(a), int(b))
+            return cls(integer(a), integer(b))
         except ValueError:
             raise ParseError(f"bad window spec {text!r}") from None
 

@@ -39,6 +39,33 @@ def test_order_json():
     assert data["order"] == 4 and data["window"] == "0..1"
 
 
+def test_a_window_spec_may_start_with_a_minus():
+    """argparse reads an argument that starts with '-' as a flag unless it is
+    a negative number; a window spec that starts so is read as a value."""
+    assert run_cli("--json", "order", "--window", "-1..1") == run_cli("--json", "order", "--window=-1..1")
+    code, out, _ = run_cli("--json", "order", "--window", "-1..1")
+    assert code == 0 and json.loads(out) == {"c": "n", "order": 16, "p": 2, "window": "-1..1"}
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (("order", "--window", "0..1", "--p", "\u0663"), "--p"),
+        (("order", "--window", "0..1", "--max-cosets", "\uff11\uff10"), "--max-cosets"),
+        (("search", "--word", "x", "--max-beta", "\u0661"), "--max-beta"),
+        (("grig", "verify-identity", "--max-len", "\u0663"), "--max-len"),
+        (("selftest", "--seed", "1_0"), "--seed"),
+    ],
+    ids=["p", "max-cosets", "max-beta", "max-len", "seed-underscore"],
+)
+def test_integer_flags_read_ascii_digits_only(args, flag):
+    """Every integer flag is read by one reader, which takes ASCII digits as
+    the word grammar does: `٣` is no 3."""
+    code, out, err = run_cli(*args)
+    assert code == 4 and out == ""
+    assert f"argument {flag}: invalid integer value" in err
+
+
 def test_check_direct_product():
     code, out, _ = run_cli("--json", "check", "--id", "direct-product", "--A", "C2", "--B", "C2")
     assert code == 0
@@ -156,6 +183,12 @@ BAD_INPUTS = [
     (("search", "--word", "t^\u0663"), 4, "unexpected character '^'"),
     # a0 a7 spans width 7, past the default cap, but the syntax error comes first
     (("search", "--word", "a0 a7 ]"), 4, "unexpected token ']'"),
+    # window and class-bound specs read their integers as the integer flags do
+    (("order", "--window", "\u0660..\u0661"), 4, "bad window spec"),
+    (("order", "--window", "0..1", "--c", "\u0663,\u0664"), 4, "bad CSequence spec"),
+    # an empty entry of a class-bound spec is an error, not skipped
+    (("order", "--window", "0..1", "--c", "1,,2"), 4, "bad CSequence spec '1,,2'"),
+    (("order", "--window", "0..1", "--c", "2,"), 4, "bad CSequence spec '2,'"),
     (("check", "--word", "x", "--group", "C5000"), 2, "C5000 has order 5000, over the 4096-element cap"),
     (("check", "--word", "x", "--group", "D2049"), 2, "D2049 has order 4098"),
     (("check", "--id", "direct-product", "--A", "C5000", "--B", "C1"), 2, "C5000 has order 5000"),
@@ -245,7 +278,7 @@ def test_search_refuses_a_long_word_power():
     assert json.loads(err) == {
         "error": "capacity",
         "detail": "the power ^1000000000 of a 4-syllable word would write out "
-        "4000000000 syllables, past the parser's limit of 100000",
+        "4000000000 syllables, past the limit of 100000",
     }
 
 
@@ -335,7 +368,7 @@ def test_verify_lists_a_row_that_is_not_an_object(tmp_path):
          "FixedLimitExceeded: a commutator nested 101 deep is past the parser's nesting limit of 100"),
         ("[x,a0]^30000", "a0",
          "FixedLimitExceeded: the power ^30000 of a 4-syllable word would write out 120000 "
-         "syllables, past the parser's limit of 100000"),
+         "syllables, past the limit of 100000"),
         ("x^200000", "a0 t",
          "FixedLimitExceeded: the power ^200000 of a0 t would write out 200000 letters, "
          "past the limit of 100000"),

@@ -115,3 +115,22 @@ def test_only_the_table_modules_import_numpy():
         path.stem for path in MODULES if _imports_numpy(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert importers == {"coset_enum", "identity_lab", "limit_group"}
+
+
+def _reads_max_syllables(tree):
+    return any(
+        isinstance(node, ast.Name) and node.id == "MAX_SYLLABLES"
+        or isinstance(node, ast.Attribute) and node.attr == "MAX_SYLLABLES"
+        or isinstance(node, ast.ImportFrom) and any(a.name == "MAX_SYLLABLES" for a in node.names)
+        for node in ast.walk(tree)
+    )
+
+
+def test_only_the_word_calculus_and_the_limit_group_read_max_syllables():
+    """`mixed_words` owns the syllable bound and writes out every syllable
+    list under it; `limit_group` reads it for the letters of a t-power.  No
+    other module, the parser included, may bound words of its own."""
+    readers = {
+        path.stem for path in MODULES if _reads_max_syllables(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert readers == {"mixed_words", "limit_group"}

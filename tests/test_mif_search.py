@@ -67,12 +67,10 @@ def test_seam_enumeration_matches_the_reference(p, c, count):
     # on (3, "1,2") a0 and a0^-1 are distinct letters, so constants merge
     # into new constants at the seam, not only cancel
     group = LimitGroup(p, c)
-    pairs = list(ms.iter_words(group, count))
-    for word, key in pairs:
-        assert key == word.structural_key()
+    words = list(ms.iter_words(group, count))
     reference = _reference_words(group, count)
-    assert [w.render() for w, _ in pairs] == [w.render() for w in reference]
-    assert [k for _, k in pairs] == [w.structural_key() for w in reference]
+    assert [w.render() for w in words] == [w.render() for w in reference]
+    assert [w.structural_key() for w in words] == [w.structural_key() for w in reference]
 
 
 def test_enumeration_canonicalises_only_merged_constants(monkeypatch):
@@ -216,7 +214,7 @@ def test_verify_builds_each_item_text_of_the_words_once(monkeypatch):
     lines = ms.certificates_to_lines(ms.drive(group, 800), group)
     built = Counter()
     in_word = [False]
-    parse, build = ms.parse_mixed_word, _Parser._build_item
+    parse, build = ms.parse_mixed_word, _Parser.parse_atom
 
     def word_parse(*args, **kwargs):
         in_word[0] = True
@@ -225,17 +223,19 @@ def test_verify_builds_each_item_text_of_the_words_once(monkeypatch):
         finally:
             in_word[0] = False
 
-    def counted(self, kind, val, power):
+    def counted(self, kind, val):
         if in_word[0]:
-            built[val + power] += 1
-        return build(self, kind, val, power)
+            built[val] += 1
+        return build(self, kind, val)
 
     monkeypatch.setattr(ms, "parse_mixed_word", word_parse)
-    monkeypatch.setattr(_Parser, "_build_item", counted)
+    monkeypatch.setattr(_Parser, "parse_atom", counted)
     report = ms.verify_certificates(lines)
     assert report.ok and report.witnesses_ok == 800
-    # the 800 words hold 2,780 item tokens
-    assert built and max(built.values()) == 1
+    # the 800 words hold 2,780 item tokens; each item builds its atom once,
+    # so an atom is built once per distinct power of it
+    item_texts = {item for row in lines.splitlines()[:-1] for item in json.loads(row)["word"].split()}
+    assert built and sum(built.values()) == len(item_texts)
     assert len(built) < 40
 
 
@@ -381,14 +381,14 @@ def test_verify_joins_rows_of_known_items_without_tokenizing(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(parser, "tokenize")
-    counted(_Parser, "_build_item")
+    counted(_Parser, "parse_atom")
     counted(LimitGroup, "is_identity")
     counted(CosetTable, "normal_form")
     report = ms.verify_certificates(lines)
     assert report.ok and report.witnesses_ok == 3000
     # 3,004 tokenize calls when every row was tokenized
     assert calls["tokenize"] <= len(item_texts) + len(witnesses)
-    assert (calls["_build_item"], calls["is_identity"], calls["normal_form"]) == (36, 1723, 734)
+    assert (calls["parse_atom"], calls["is_identity"], calls["normal_form"]) == (36, 1723, 734)
 
 
 def test_verify_fails_a_row_whose_instance_is_malformed(default_group):

@@ -412,6 +412,39 @@ def test_substitutions_are_refused_before_they_write_out(default_group, monkeypa
             substitute(parse_mixed_word(word, G), a0)
 
 
+def test_powers_and_joins_are_bounded_before_they_write_out(default_group, monkeypatch):
+    """`power` and every caller of `joined` count the syllables they would
+    write out, before reduction, and refuse past MAX_SYLLABLES first."""
+    G = default_group
+    w = parse_mixed_word("x a0 x^-2", G)
+    assert mw.power(w, 3) == w * w * w
+    assert mw.power(w, -2) == w.inverse() * w.inverse()
+    assert mw.power(w, 1) == w and mw.power(w, 0).is_empty()
+    # the empty word and a single syllable cost nothing per unit of |k|
+    assert mw.power(mw.MixedWord(G, ()), 10**30).is_empty()
+    assert mw.power(mw.variable(G, 2, 3), -(10**20)).syllables == (("v", 2, -3 * 10**20),)
+    assert mw.power(mw.constant(G, G.generator(0)), 10**20).is_empty()  # a0 has order 2
+    with pytest.raises(CapacityExceeded, match=(
+        "^the power \\^-1000000000000 of a 3-syllable word would write out "
+        "3000000000000 syllables, past the limit of 100000$"
+    )):
+        mw.power(w, -(10**12))
+    monkeypatch.setattr(mw, "MAX_SYLLABLES", 8)
+    assert len(mw.power(w, 2).syllables) == 5
+    with pytest.raises(CapacityExceeded, match="^the power \\^3 of a 3-syllable word would write out 9 "):
+        mw.power(w, 3)
+    # pieces count as written out, also where they cancel
+    with pytest.raises(CapacityExceeded, match="^the word would write out 9 syllables, past the limit of 8$"):
+        mw.joined(G, [w.syllables, w.inverse().syllables, w.syllables])
+    with pytest.raises(CapacityExceeded, match="^the word would write out 10 "):
+        mw.power(w, 2).concat(mw.power(w, 2))
+    with pytest.raises(CapacityExceeded, match="^a commutator would write out 12 "):
+        mw.commutator(w, w)
+    # [x, w] writes out 8 syllables and reduces to 5; the next step, 12
+    with pytest.raises(CapacityExceeded, match="^a commutator would write out 12 "):
+        mw.left_normed([mw.variable(G), w, mw.constant(G, G.generator(1))])
+
+
 def test_alternation_invariant(default_group):
     G = default_group
     rng = random.Random(2)

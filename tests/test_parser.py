@@ -1,5 +1,8 @@
 """The shared word grammar."""
 
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -51,12 +54,12 @@ def test_word_power_expansion(default_group):
 def test_word_powers_and_commutators_are_bounded(monkeypatch, default_group):
     G = default_group
     # refused from the lengths, before the 4 * 10^9 syllables are written out
-    with pytest.raises(CapacityExceeded, match="4000000000 syllables, past the parser's limit of 100000"):
+    with pytest.raises(CapacityExceeded, match="4000000000 syllables, past the limit of 100000"):
         parse_mixed_word("[x,a0]^1000000000", G)
     # each step of a left-normed commutator about doubles its length
     with pytest.raises(CapacityExceeded, match="a commutator would write out"):
         parse_mixed_word("[x" + ", t" * 20 + "]", G)
-    monkeypatch.setattr(parser, "MAX_SYLLABLES", 8)
+    monkeypatch.setattr(mw, "MAX_SYLLABLES", 8)
     assert len(parse_mixed_word("[x,a0]^2", G).syllables) == 8
     with pytest.raises(CapacityExceeded, match="the power \\^-3 of a 4-syllable word would write out 12 "):
         parse_mixed_word("[x,a0]^-3", G)
@@ -71,6 +74,24 @@ def test_word_powers_and_commutators_are_bounded(monkeypatch, default_group):
     assert parse_mixed_word("x^1000000000", G).render() == "x^1000000000"
     # the empty word stays empty, however large the power
     assert parse_mixed_word("[x,1]^1000000000000 [a0,a0]^-" + "9" * 30, G).is_empty()
+
+
+def test_a_word_is_refused_at_the_item_that_passes_the_limit(default_group):
+    """The parser reads a word's items for `mw.joined`, but refuses the word
+    at the first item that brings their count past the limit: a text of 200
+    commutators of 100,000 syllables each never holds more than two."""
+    text = "[x,a0]^25000 " * 200
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CapacityExceeded, match="^the word would write out 200000 syllables, past the limit of 100000$"):
+            parse_mixed_word(text, default_group)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding all 200 would take 160 MB of syllable references alone
+    assert elapsed < 2 and peak < 2**25, (elapsed, peak)
 
 
 def test_commutator_nesting_is_bounded(default_group):
@@ -276,7 +297,7 @@ def test_a_text_of_known_items_is_joined_without_tokenizing(monkeypatch):
     for text in ["a0 ^2", "a0a1", "x [x, a0]", "a0 ]", "t^-1 q7", "a0 ^", "x\u3000(12)"]:
         assert fresh_and_shared(text) == 2
     # a word is counted as its items are written out, before reduction
-    monkeypatch.setattr(parser, "MAX_SYLLABLES", 8)
+    monkeypatch.setattr(mw, "MAX_SYLLABLES", 8)
     assert fresh_and_shared("x x^-1 " * 4) == 1
     assert fresh_and_shared("x x^-1 " * 4 + "x") == 2
     with pytest.raises(CapacityExceeded, match="^the word would write out 9 "):

@@ -257,6 +257,13 @@ def test_presentation_text_form():
 # -- the class-bound sequence -------------------------------------------------------
 
 
+def test_window_specs_read_ascii_digits_only():
+    assert Window.from_spec(" -1 .. +2 ") == Window(-1, 2)
+    for bad in ["\u0660..\u0661", "\uff10..\uff13", "0..", "1_0..11", "0..1..2"]:
+        with pytest.raises(ParseError, match="bad window spec"):
+            Window.from_spec(bad)
+
+
 def test_csequence_forms():
     c = CSequence.from_spec("1,2,2")
     assert [c[i] for i in range(1, 6)] == [1, 2, 2, 2, 2]
@@ -278,5 +285,10 @@ def test_csequence_validation():
             CSequence.from_spec(empty)
     with pytest.raises(ParseError):
         CSequence.from_spec("0,1")
+    # an empty entry, or one in other digits than ASCII, is no entry to skip
+    for bad in ["1,,2", "2,", ",2", " , ", "\u0663,\u0664", "1_0"]:
+        with pytest.raises(ParseError, match="bad CSequence spec"):
+            CSequence.from_spec(bad)
+    assert CSequence.from_spec(" 1 , 2 ").spec() == "1,2"
     with pytest.raises(IndexError):
         CSequence.from_spec("1")[0]
