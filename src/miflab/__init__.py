@@ -16,6 +16,7 @@ from .errors import (
 )
 from .presentations import (
     CSequence,
+    IndexSet,
     Presentation,
     Window,
     build_window_presentation,
@@ -72,6 +73,7 @@ __all__ = [
     "FiniteGroup",
     "GElement",
     "INFINITE",
+    "IndexSet",
     "LimitGroup",
     "MiflabError",
     "MixedWord",

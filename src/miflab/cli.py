@@ -313,7 +313,7 @@ def cmd_selftest(args) -> int:
     """Sampled invariants; the only subcommand whose work depends on --seed.
 
     The group laws are checked on canonical forms, so each side goes
-    through a window table: canon(a*h)*k == a*canon(h*k) for a, h, k in one
+    through a table: canon(a*h)*k == a*canon(h*k) for a, h, k in one
     window [lo, lo+2], and canon(g)*g^-1 is trivial.  A random g whose
     abelian image is nonzero must not test trivial (oracle soundness).
     """

@@ -1,20 +1,20 @@
-"""Todd-Coxeter coset enumeration of window-group presentations.
+"""Todd-Coxeter coset enumeration of the presentations of the groups B(T).
 
-A window group B([lo, hi]) retracts onto B([lo, hi-1]): setting the last
-generator to 1 leaves every relator that involves it freely trivial.  So
-the subgroup H generated by the other generators is a copy of the group
-one generator down, and B is enumerated as the [B:H] cosets of H.  H's
-table is the `below` table the caller passes (a limit group builds its
-widths in order, so it holds that table already and no window is
-enumerated twice), or else it is built the same way, recursively.  B acts
-on the pairs (coset Hg, retraction of g) coordinatewise; that action is
-transitive on [B:H] * |H| points, so it is the regular one.  A
-presentation without that retraction (a hand-made one, say) is enumerated
-over the trivial subgroup instead.  For (3, "2") on [0, 3] this is 81
-cosets of a group of order 729 instead of 59,049 elements, and 2,268
-relator scans instead of 1,653,372.  The cap `max_cosets` bounds live
-cosets times |H|, so a window whose index is too large is refused while
-the working table is still small.
+A group B(T) retracts onto B(T'), T' being T without its last index:
+setting the last generator to 1 leaves every relator that involves it
+freely trivial.  So the subgroup H generated by the other generators is
+a copy of the group one generator down, and B is enumerated as the [B:H]
+cosets of H.  H's table is the `below` table the caller passes (a limit
+group builds the prefixes of T in order, so it holds that table already
+and no group is enumerated twice), or else it is built the same way,
+recursively.  B acts on the pairs (coset Hg, retraction of g)
+coordinatewise; that action is transitive on [B:H] * |H| points, so it
+is the regular one.  A presentation without that retraction (a hand-made
+one, say) is enumerated over the trivial subgroup instead.  For (3, "2")
+on [0, 3] this is 81 cosets of a group of order 729 instead of 59,049
+elements, and 2,268 relator scans instead of 1,653,372.  The cap
+`max_cosets` bounds live cosets times |H|, so a group whose index is too
+large is refused while the working table is still small.
 
 HLT-style relator scanning with immediate coincidence handling: dead
 cosets go through a union-find and are processed from a FIFO queue.  Row
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceeded, VerificationError
-from .presentations import DEFAULT_MAX_COSETS, Presentation
+from .presentations import DEFAULT_MAX_COSETS, IndexSet, Presentation
 
 BFS_BLOCK = 2**14  # candidates the renumbering sweep examines per numpy pass
 
@@ -76,7 +76,7 @@ class EnumStats:
 
 
 class CosetTable:
-    """Complete coset action of a window-group presentation.
+    """Complete coset action of the presentation of a group B(T).
 
     `action[x][c]` (one row-major int32 array) is the image of coset c
     under column x; the table keeps that array (a row-major int32 array it
@@ -289,9 +289,11 @@ def _cyclically_reduced(letters) -> tuple[int, ...]:
 
 def _least_rotation(s: str) -> str:
     """The least cyclic rotation of a word written one character per column."""
+    low = min(s)  # the least rotation starts at an occurrence of the least letter
+    if s.count(low) == len(s):  # a power a^p: each of its p rotations is itself
+        return s
     twice = s + s
     n = len(s)
-    low = min(s)  # the least rotation starts at an occurrence of the least letter
     k = s.find(low)
     best = twice[k : k + n]
     k = s.find(low, k + 1)
@@ -395,15 +397,15 @@ def enumerate_presentation(
     if below is not None:
         kept = _retract_relators(ngens, rels)
         if kept is None:
-            raise ValueError(f"the presentation of window {pres.window} has no retraction")
+            raise ValueError(f"the presentation of {pres.index_set.label} has no retraction")
         if (
             below.presentation.generator_count != ngens - 1
             or below.scan_relators != kept
         ):
             q = below.presentation
             raise ValueError(
-                f"the table of window {q.window} (p={q.p}, c={q.c.spec()}) is not the "
-                f"retract of window {pres.window} (p={pres.p}, c={pres.c.spec()})"
+                f"the table of {q.index_set.label} (p={q.p}, c={q.c.spec()}) is not the "
+                f"retract of {pres.index_set.label} (p={pres.p}, c={pres.c.spec()})"
             )
         sub = below.action
     # the working tables are freed before the CosetTable checks its action
@@ -483,6 +485,38 @@ def _renumbered(image: np.ndarray, root: int, count: int) -> np.ndarray:
     return front if count == n else front.copy()
 
 
+def _cyclic_action(n: int) -> np.ndarray:
+    """The canonical action of C_n = <a | a^n> on its elements.
+
+    The sweep in column order (a before a^-1) reaches a^k and a^-k at
+    level k, a^k first: a^j is coset 2j - 1 if 2j <= n, else 2(n - j).
+    """
+    j = np.arange(n, dtype=np.int32)
+    coset = np.where(2 * j <= n, 2 * j - 1, 2 * (n - j)).astype(np.int32)
+    coset[0] = 0
+    action = np.empty((2, n), dtype=np.int32)
+    action[0][coset] = np.roll(coset, -1)  # a^j -> a^(j+1)
+    action[1][coset] = np.roll(coset, 1)  # a^j -> a^(j-1)
+    return action
+
+
+def _refusal(pres: Presentation, ngens: int, sub_order: int, live: int, max_cosets: int) -> str:
+    """Why `live` cosets of <a_0, ..., a_{ngens-2}>, of order `sub_order`
+    (the trivial subgroup if it is 1), in the group on the first `ngens`
+    generators of `pres` pass `max_cosets`."""
+    t = pres.index_set.indices
+
+    def group(k: int) -> str:
+        return f"B({IndexSet.of(t[:k])})"
+
+    h = group(ngens - 1) if sub_order > 1 else "the trivial subgroup"
+    return (
+        f"live coset count would exceed max_cosets={max_cosets} "
+        f"for {pres.index_set.label} (p={pres.p}, c={pres.c.spec()}): {live} cosets of "
+        f"{h} (order {sub_order}) were live in {group(ngens)}"
+    )
+
+
 def _enumerate(
     pres: Presentation, ngens: int, rels, max_cosets: int, sub_order: int = 1
 ) -> tuple[np.ndarray, EnumStats]:
@@ -492,9 +526,22 @@ def _enumerate(
     work counters.
 
     At most `max_cosets // sub_order` cosets are live at once.  A refusal
-    names the window of `pres`, the one the caller asked for."""
+    names the index set of `pres`, the one the caller asked for.
+
+    <a | a^n> is C_n, whose cosets are the powers of a: its canonical
+    action is written down in O(n) (`_cyclic_action`), where scanning the
+    n-letter relator from each of n cosets would take O(n^2)."""
     ncols = 2 * ngens
     limit = max_cosets // sub_order
+    if ngens == 1 and len(rels) == 1 and len(set(rels[0])) == 1:
+        n = len(rels[0])
+        if n > limit:
+            raise CapacityExceeded(_refusal(pres, ngens, sub_order, limit, max_cosets))
+        stats = EnumStats(
+            relators_scanned=1, defined=n - 1, coincidences=0, scans=0, peak_live=n,
+            subgroup_order=sub_order,
+        )
+        return _cyclic_action(n), stats
 
     # working table, one list per column: cols[x][c] is the image of coset c
     # under column x.
@@ -516,13 +563,7 @@ def _enumerate(
         """New coset as the image of a in `col` (`inv` is its inverse column)."""
         nonlocal live, peak
         if live >= limit:
-            w = pres.window
-            h = f"B({w.lo}..{w.lo + ngens - 2})" if sub_order > 1 else "the trivial subgroup"
-            raise CapacityExceeded(
-                f"live coset count would exceed max_cosets={max_cosets} "
-                f"for window {w} (p={pres.p}, c={pres.c.spec()}): {live} cosets of "
-                f"{h} (order {sub_order}) were live in B({w.lo}..{w.lo + ngens - 1})"
-            )
+            raise CapacityExceeded(_refusal(pres, ngens, sub_order, live, max_cosets))
         n = len(uf)
         uf.append(n)
         for c in cols:

@@ -9,14 +9,19 @@ a_i -> a_{i+1}, and every G-element has the normal form a * t^beta.
 Tables take and return column words; `LimitGroup` alone translates
 AWords to and from them.
 
-Window tables are cached per support width (shift equivariance makes
-windows of equal width isomorphic via index translation), built at most
-once each, and immutable afterwards.  With a cache directory, each
-table's int32 action is also kept on disk as `table-<digest>.npy` (the
-suffix versions the format; files of another format are ignored) and
-goes through the same `CosetTable` checks when it is loaded; an entry
-with more cosets than `max_cosets` is refused from its header, before
-its data is read.
+An A-word whose letters use the index set T is decided in B(T): killing
+every a_j with j outside T retracts each window group that holds T onto
+<a_T>, which is B(T), so its normal form and order there are those of
+every such window.  Tables are cached per pattern T - min T (shift
+equivariance makes B(T) and B(T + k) isomorphic via index translation),
+built at most once each, and immutable afterwards; a window is the
+interval case.  `max_window_width` bounds the spread max T - min T.  With
+a cache directory, each window table's int32 action is also kept on disk
+as `table-<digest>.npy` (the suffix versions the format; files of
+another format are ignored) and goes through the same `CosetTable`
+checks when it is loaded; an entry with more cosets than `max_cosets` is
+refused from its header, before its data is read.  Tables of gapped
+index sets stay in memory.
 """
 
 from __future__ import annotations
@@ -36,12 +41,19 @@ from .presentations import (
     DEFAULT_MAX_COSETS,
     DEFAULT_MAX_WINDOW_WIDTH,
     CSequence,
+    IndexSet,
     Window,
     build_window_presentation,
     is_prime,
 )
 
 INFINITE = math.inf
+
+
+def _key(indices: tuple[int, ...]) -> int | tuple[int, ...]:
+    """The cache key of the table of B(T), T = `indices` with min T = 0: the
+    width of a window, else T itself."""
+    return len(indices) - 1 if indices[-1] == len(indices) - 1 else indices
 
 
 def _merge_letters(p: int, items) -> tuple:
@@ -292,8 +304,8 @@ def _npy_header(fh) -> tuple:
 
 
 class LimitGroup:
-    """The limit group G of (p, c): owns the caps, the window-table cache
-    and the memo of each window's words (`window_awords`).
+    """The limit group G of (p, c): owns the caps, the tables of the groups
+    B(T) and the memo of each window's words (`window_awords`).
 
     Construct one directly; two groups never share tables.  A p past
     `max_cosets` raises CapacityExceeded before p is tested for primality;
@@ -322,7 +334,8 @@ class LimitGroup:
         self.max_cosets = max_cosets
         self.max_window_width = max_window_width
         self.cache_dir = cache_dir  # None: no disk cache
-        self._tables: dict[int, CosetTable] = {}
+        # a window's table by its width, a gapped set's by T - min T
+        self._tables: dict[int | tuple[int, ...], CosetTable] = {}
         self._window_awords: dict[int, tuple] = {}
 
     # -- element constructors -------------------------------------------
@@ -393,57 +406,75 @@ class LimitGroup:
     def element_key(self, g: GElement):
         return (g.beta, g.canonical_aword().letters)
 
-    # -- window tables ----------------------------------------------------
+    # -- tables ------------------------------------------------------------
 
     def table_for_width(self, width: int) -> CosetTable:
-        """Coset table of the base window [0, width] (shared by all shifts).
+        """Coset table of the base window [0, width] (shared by all shifts)."""
+        return self._table_for(Window(0, width))
 
-        Within the width bound the missing widths are built narrowest
-        first, each enumeration taking the table one width down as the
-        retract, so a window past the coset cap is refused at the narrowest
-        width that breaks it.  Before any is built, a width w with p^(w+1)
-        > max_cosets is refused: B([0,w]) maps onto C_p^(w+1).
+    def _table_for(self, index_set: Window | IndexSet) -> CosetTable:
+        """Coset table of B(T), T the indices of `index_set` (min T = 0).
+
+        Within the width bound the missing prefixes of T are built shortest
+        first, each enumeration taking the table of the prefix one index
+        shorter as the retract, so a group past the coset cap is refused at
+        the shortest prefix that breaks it.  Before any is built, a T with
+        p^|T| > max_cosets is refused: B(T) maps onto C_p^|T|.  A T whose
+        spread is past the width bound goes straight to the presentation
+        builder, which refuses it before any relator is built.
         """
-        tbl = self._tables.get(width)
-        if tbl is not None:
-            return tbl
-        if not 0 <= width <= self.max_window_width:
-            widths = (width,)  # refused by the presentation builder
+        if index_set.width > self.max_window_width:
+            chain = (index_set,)  # refused by the presentation builder
         else:
             order = 1
-            for _ in range(width + 1):  # p^(width+1), stopped past the cap
+            for _ in range(index_set.size):  # p^|T|, stopped past the cap
                 order *= self.p
                 if order > self.max_cosets:
+                    n = index_set.size
                     raise CapacityExceeded(
-                        f"window {Window(0, width)} (p={self.p}, c={self.c.spec()}) maps onto "
-                        f"C_{self.p}^{width + 1}, so its order is at least "
-                        f"{self.p}^{width + 1}, over max_cosets={self.max_cosets}"
+                        f"{index_set.label} (p={self.p}, c={self.c.spec()}) maps onto "
+                        f"C_{self.p}^{n}, so its order is at least "
+                        f"{self.p}^{n}, over max_cosets={self.max_cosets}"
                     )
-            widths = range(len(self._tables), width + 1)
-        for w in widths:
-            pres = build_window_presentation(self.p, self.c, Window(0, w), self.max_window_width)
-            tbl = self._load_cached(w, pres)
+            indices = index_set.indices
+            tbl = self._tables.get(_key(indices))
+            if tbl is not None:
+                return tbl
+            prefixes = (indices[:k] for k in range(1, len(indices) + 1))
+            chain = [IndexSet.of(t) for t in prefixes if _key(t) not in self._tables]
+        for sub in chain:
+            pres = build_window_presentation(self.p, self.c, sub, self.max_window_width)
+            tbl = self._load_cached(pres)
             if tbl is None:
-                tbl = enumerate_presentation(pres, self.max_cosets, below=self._tables.get(w - 1))
-                self._store_cached(w, tbl)
-            self._tables[w] = tbl
+                below = self._tables.get(_key(sub.indices[:-1])) if sub.width else None
+                tbl = enumerate_presentation(pres, self.max_cosets, below=below)
+                self._store_cached(tbl)
+            self._tables[_key(sub.indices)] = tbl
         return tbl
 
     def cached_tables(self) -> dict[int, CosetTable]:
-        return dict(self._tables)
+        """The window tables built or loaded so far, by width."""
+        return {k: tbl for k, tbl in self._tables.items() if isinstance(k, int)}
+
+    def index_set_tables(self) -> dict[tuple[int, ...], CosetTable]:
+        """The tables of gapped index sets T built so far, keyed by T - min T."""
+        return {k: tbl for k, tbl in self._tables.items() if isinstance(k, tuple)}
 
     def window_order(self, window: Window) -> int:
         return self.table_for_width(window.width).coset_count
 
     def _cache_path(self, width: int) -> str | None:
+        """The cache file of the window table of `width`; None without a
+        cache directory."""
         if not self.cache_dir:
             return None
         key = f"{self.p}|{self.c.key(width)}|{width}"
         digest = hashlib.sha256(key.encode()).hexdigest()[:24]
         return os.path.join(self.cache_dir, f"table-{digest}.npy")
 
-    def _load_cached(self, width: int, pres) -> CosetTable | None:
-        """The cached table of `width`, or None if there is no cache entry.
+    def _load_cached(self, pres) -> CosetTable | None:
+        """The cached table of the window of `pres`, or None if there is no
+        cache entry; index-set tables are not cached on disk.
 
         The `.npy` header is checked in full before the data is read.  An
         entry of more than `max_cosets` cosets raises CapacityExceeded, as
@@ -452,7 +483,10 @@ class LimitGroup:
         readable `.npy` file, or whose action `CosetTable` refuses, raises
         VerificationError naming the file.
         """
-        path = self._cache_path(width)
+        window = pres.index_set
+        if not isinstance(window, Window):
+            return None
+        path = self._cache_path(window.width)
         if not path or not os.path.exists(path):
             return None
         try:
@@ -460,7 +494,7 @@ class LimitGroup:
                 shape, dtype = _npy_header(fh)
                 if len(shape) == 2 and shape[1] > self.max_cosets:
                     raise CapacityExceeded(
-                        f"the cached table of window {pres.window} (p={self.p}, "
+                        f"the cached table of window {window} (p={self.p}, "
                         f"c={self.c.spec()}) has {shape[1]} cosets, over "
                         f"max_cosets={self.max_cosets} (cache file {path})"
                     )
@@ -479,11 +513,12 @@ class LimitGroup:
         except VerificationError as exc:
             raise VerificationError(f"{exc} (cache file {path})") from None
 
-    def _store_cached(self, width: int, table: CosetTable) -> None:
-        """Write the table's action through a private temp file, so
+    def _store_cached(self, table: CosetTable) -> None:
+        """Write a window table's action through a private temp file, so
         concurrent writers never share a partial file.  A cache directory
         that cannot be written raises ParseError."""
-        path = self._cache_path(width)
+        window = table.presentation.index_set
+        path = isinstance(window, Window) and self._cache_path(window.width)
         if not path:
             return
         try:
@@ -503,16 +538,39 @@ class LimitGroup:
 
     # -- word-level engine -------------------------------------------------
 
-    def _columns(self, word: AWord, lo: int) -> list[int]:
-        """Column word of `word` in the table of a window from lo: a_i^e is
-        e copies of column 2(i - lo)."""
-        return [2 * (i - lo) for i, e in word.letters for _ in range(e)]
+    def _columns(self, word: AWord, at: int | tuple[int, ...]) -> list[int]:
+        """Column word of `word` in the table of a window from `at`, an int,
+        or of an index set `at`, a tuple, whose generator n is a_{at[n]}:
+        a_i^e is e copies of the column of a_i."""
+        if isinstance(at, int):
+            return [2 * (i - at) for i, e in word.letters for _ in range(e)]
+        column = {i: 2 * n for n, i in enumerate(at)}
+        return [column[i] for i, e in word.letters for _ in range(e)]
 
-    def _aword(self, columns, lo: int) -> AWord:
-        """AWord of a column word of the table of a window from lo: column x
-        is a_{(x >> 1) + lo}, to the exponent 1 if x is even and p - 1 if odd."""
+    def _aword(self, columns, at: int | tuple[int, ...]) -> AWord:
+        """AWord of a column word of the table `_columns` names by `at`:
+        column x is generator x >> 1, to the exponent 1 if x is even and
+        p - 1 if odd."""
         p = self.p
-        return AWord(p, tuple(((x >> 1) + lo, p - 1 if x & 1 else 1) for x in columns))
+        if isinstance(at, int):
+            return AWord(p, tuple(((x >> 1) + at, p - 1 if x & 1 else 1) for x in columns))
+        return AWord(p, tuple((at[x >> 1], p - 1 if x & 1 else 1) for x in columns))
+
+    def _decider(self, word: AWord) -> tuple[CosetTable, int | tuple[int, ...]]:
+        """The table that decides `word`, of two letters or more, and where
+        it starts, as `_columns` takes it.
+
+        That is the table of the word's own index set T, keyed by T - min T,
+        unless the window table of T's spread is built already: <a_T> is
+        B(T) in every window that holds T, so both give the same normal
+        form, letter for letter, and the same orders.
+        """
+        indices = sorted({i for i, _ in word.letters})
+        lo = indices[0]
+        tbl = self._tables.get(indices[-1] - lo)
+        if tbl is not None:
+            return tbl, lo
+        return self._table_for(IndexSet.of([i - lo for i in indices])), tuple(indices)
 
     def window_awords(self, radius: int) -> tuple[AWord, ...]:
         """Every element of B([-radius, radius]) as its shortlex AWord, in
@@ -528,28 +586,27 @@ class LimitGroup:
         return words
 
     def canonical_aword(self, word: AWord) -> AWord:
-        """Shortlex normal form in the window group of the word's support.
+        """Shortlex normal form in B(T), T the index set of the word's
+        letters (`_decider`).
 
-        The canonical word is window-stable: any window containing the
-        support yields the same letters.  A word of at most one letter
-        (i, e), 0 < e < p, is its own normal form, with no table: its
-        abelian image e at i is nonzero, so it is nontrivial, and the
-        shortest words with that image are powers of a_i, which merge to
-        the same (i, e).
+        The canonical word is window-stable: any window containing T
+        yields the same letters.  A word of at most one letter (i, e),
+        0 < e < p, is its own normal form, with no table: its abelian image
+        e at i is nonzero, so it is nontrivial, and the shortest words with
+        that image are powers of a_i, which merge to the same (i, e).
         """
         if len(word.letters) <= 1:
             return word
-        lo, hi = word.support
-        table = self.table_for_width(hi - lo)
-        return self._aword(table.normal_form(self._columns(word, lo)), lo)
+        table, at = self._decider(word)
+        return self._aword(table.normal_form(self._columns(word, at)), at)
 
     def aword_order(self, word: AWord) -> int:
-        """Order of the word in A.  One letter a_i^e, 0 < e < p, has order
-        p with no table: a_i^p is a relator and a_i^e is nontrivial."""
+        """Order of the word in A, decided in B(T) as `canonical_aword` is.
+        One letter a_i^e, 0 < e < p, has order p with no table: a_i^p is a
+        relator and a_i^e is nontrivial."""
         if word.is_empty():
             return 1
         if len(word.letters) == 1:
             return self.p
-        lo, hi = word.support
-        table = self.table_for_width(hi - lo)
-        return table.element_order(self._columns(word, lo))
+        table, at = self._decider(word)
+        return table.element_order(self._columns(word, at))

@@ -1,18 +1,25 @@
-"""Finite presentations of window groups B(W) = <a_lo, ..., a_hi>.
+"""Finite presentations of the groups B(T) = <a_t : t in T>.
 
-A window group is presented on the generators indexed by an integer
-interval.  Every generator gets a power relator a_i^p, and every index
-tuple inside the window contributes a left-normed commutator relator
-whose weight is governed by the tuple's spread: a tuple of spread d
-(maximum pairwise index distance) of length c_d + 1 yields the relator
-[a_{i_0}, a_{i_1}, ..., a_{i_{c_d}}] = 1.
+B(T) is presented on the generators indexed by a finite set T of
+integers, kept sorted; a window B(W) is the interval case, T = [lo, hi].
+Every generator gets a power relator a_i^p, and every index tuple over T
+contributes a left-normed commutator relator whose weight is governed by
+the tuple's spread: a tuple of spread d (maximum pairwise index distance)
+of length c_d + 1 yields the relator [a_{i_0}, a_{i_1}, ..., a_{i_{c_d}}] = 1.
+
+Killing every a_j with j outside T retracts B(W), for any window W that
+holds T, onto <a_T>: a relator whose tuple lies in T maps to itself, any
+other to a commutator with an entry 1.  So <a_T> in B(W) is B(T), and
+B(T) depends on T only through T - min T (Holt, Eick & O'Brien, Handbook
+of Computational Group Theory, 2005, ch. 5).
 
 Conventions, fixed globally:
     [u, v] = u^-1 v^-1 u v
     [u_1, ..., u_k] = [[u_1, ..., u_{k-1}], u_k]
 
 Relator order is deterministic: power relators by generator index, then
-commutator relators lexicographically by (spread, index tuple).  Tuples
+commutator relators lexicographically by (spread, index tuple), over the
+spreads that occur in T.  Tuples
 with i_0 = i_1 are skipped (freely trivial).  No relator repeats: a
 left-normed commutator's letters determine its index tuple, each tuple is
 visited once, and power relators carry no inverse letters.
@@ -147,8 +154,64 @@ class Window:
         except ValueError:
             raise ParseError(f"bad window spec {text!r}") from None
 
+    @property
+    def size(self) -> int:
+        return self.hi - self.lo + 1
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(range(self.lo, self.hi + 1))
+
+    @property
+    def label(self) -> str:
+        return f"window {self}"
+
+    def width_refusal(self, max_width: int) -> str:
+        return f"window width {self.width} exceeds the configured bound {max_width}"
+
     def __str__(self):
         return f"{self.lo}..{self.hi}"
+
+
+@dataclass(frozen=True)
+class IndexSet:
+    """A finite set of generator indices that is not an interval, as its
+    strictly increasing tuple; `IndexSet.of` gives a `Window` for an
+    interval.  `width` is the spread hi - lo."""
+
+    indices: tuple[int, ...]
+
+    def __post_init__(self):
+        t = self.indices
+        if len(t) < 2 or any(a >= b for a, b in zip(t, t[1:])) or t[-1] - t[0] < len(t):
+            raise ValueError(f"not a gapped increasing index tuple: {t!r}")
+
+    @classmethod
+    def of(cls, indices) -> "Window | IndexSet":
+        """The set of the distinct integers `indices` (at least one): a
+        Window if they form an interval."""
+        t = tuple(sorted(set(indices)))
+        if t[-1] - t[0] == len(t) - 1:
+            return Window(t[0], t[-1])
+        return cls(t)
+
+    @property
+    def width(self) -> int:
+        return self.indices[-1] - self.indices[0]
+
+    @property
+    def size(self) -> int:
+        return len(self.indices)
+
+    @property
+    def label(self) -> str:
+        return f"index set {self}"
+
+    def width_refusal(self, max_width: int) -> str:
+        return f"index set {self} of spread {self.width} exceeds the configured bound {max_width}"
+
+    def __str__(self):
+        return "{" + ",".join(map(str, self.indices)) + "}"
 
 
 @dataclass(frozen=True)
@@ -177,25 +240,40 @@ def left_normed_commutator(positions) -> Relator:
     return w
 
 
-def _commutator_letters(width: int, weight: int, spread: int) -> int:
+def _commutator_letters(indices: tuple[int, ...], weight: int, spread: int) -> int:
     """Letters of the weight-`weight` commutator relators of spread
-    `spread` in a window of the given width, counted without building them.
+    `spread` over the sorted index tuple `indices`, counted without
+    building them.
 
-    Tuples of exact spread d over a run of d + 1 values number
-    g(k) = (d+1)^k - 2 d^k + (d-1)^k; there are width + 1 - d such runs;
-    the tuples with i_0 = i_1 are those of length k - 1, doubled in front.
-    Each relator has 3 * 2^(k-1) - 2 letters.
+    For a pair a < b of `indices` with b - a = spread, and m indices in
+    [a, b], the tuples of length k with min a and max b number
+    g(k) = m^k - 2 (m-1)^k + (m-2)^k; the tuples with i_0 = i_1 are those
+    of length k - 1, doubled in front.  Each relator has 3 * 2^(k-1) - 2
+    letters.
     """
 
-    def g(k: int) -> int:
-        return (spread + 1) ** k - 2 * spread**k + (spread - 1) ** k
+    def g(m: int, k: int) -> int:
+        return m**k - 2 * (m - 1) ** k + (m - 2) ** k
 
-    count = (width + 1 - spread) * (g(weight) - g(weight - 1))
+    place = {v: n for n, v in enumerate(indices)}
+    count = 0
+    for n, a in enumerate(indices):
+        end = place.get(a + spread)
+        if end is not None:
+            m = end - n + 1
+            count += g(m, weight) - g(m, weight - 1)
     return count * (3 * 2 ** (weight - 1) - 2)
 
 
-def _tuples_with_spread(lo: int, hi: int, length: int, spread: int):
-    """All index tuples in [lo, hi]^length with max pairwise distance exactly
+def _spreads(indices: tuple[int, ...]) -> range | list[int]:
+    """The spreads of the tuples over `indices`: their pairwise distances."""
+    if indices[-1] - indices[0] == len(indices) - 1:  # an interval has them all
+        return range(1, len(indices))
+    return sorted({b - a for n, a in enumerate(indices) for b in indices[n + 1:]})
+
+
+def _tuples_with_spread(indices: tuple[int, ...], length: int, spread: int):
+    """All tuples in indices^length with max pairwise distance exactly
     `spread`, in lexicographic order.  Branches that already exceed the spread
     are pruned."""
     tup = [0] * length
@@ -205,7 +283,7 @@ def _tuples_with_spread(lo: int, hi: int, length: int, spread: int):
             if mx - mn == spread:
                 yield tuple(tup)
             return
-        for v in range(lo, hi + 1):
+        for v in indices:
             nmn = v if v < mn else mn
             nmx = v if v > mx else mx
             if nmx - nmn > spread:
@@ -213,16 +291,16 @@ def _tuples_with_spread(lo: int, hi: int, length: int, spread: int):
             tup[pos] = v
             yield from rec(pos + 1, nmn, nmx)
 
-    yield from rec(0, hi, lo)
+    yield from rec(0, indices[-1], indices[0])
 
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators and relators of one window group."""
+    """Generators and relators of one group B(T); generator n is a_{T[n]}."""
 
     p: int
     c: CSequence
-    window: Window
+    index_set: Window | IndexSet
     generator_count: int
     relators: tuple[Relator, ...]
     labels: tuple[RelatorLabel, ...]
@@ -242,67 +320,67 @@ class Presentation:
 def build_window_presentation(
     p: int,
     c,
-    window: Window,
+    window: Window | IndexSet,
     max_width: int = DEFAULT_MAX_WINDOW_WIDTH,
 ) -> Presentation:
-    """Presentation of B(window) for the parameters (p, c).
+    """Presentation of B(T), T the indices of `window` (a Window, or a
+    gapped IndexSet), for the parameters (p, c).
 
-    Relators: a_i^p for every window index, plus one left-normed commutator
-    of weight c_d + 1 for every index tuple of exact spread d (1 <= d <=
-    window width) whose first two entries differ.
+    Relators: a_i^p for every index of T, plus one left-normed commutator
+    of weight c_d + 1 for every tuple over T of exact spread d (each d
+    that occurs in T) whose first two entries differ.
 
     Raises CapacityExceeded, before any relator is built and before p is
-    tested for primality, if the relators would have more than
-    MAX_RELATOR_LETTERS letters in all; the letters are counted from (p,
-    c_d, d, width) alone.  So the trial division of `is_prime` takes at
-    most sqrt(MAX_RELATOR_LETTERS) steps.
+    tested for primality, if the spread of T exceeds `max_width`, or if
+    the relators would have more than MAX_RELATOR_LETTERS letters in all;
+    the letters are counted from (p, c_d, T) alone.  So the trial division
+    of `is_prime` takes at most sqrt(MAX_RELATOR_LETTERS) steps.
     """
     if isinstance(p, bool) or not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be prime, got {p}")
     c = CSequence.from_spec(c)
     if window.width > max_width:
-        raise CapacityExceeded(
-            f"window width {window.width} exceeds the configured bound {max_width}"
-        )
+        raise CapacityExceeded(window.width_refusal(max_width))
     # the power relators a_i^p: one per generator
-    letters = (window.width + 1) * p
+    letters = window.size * p
     if letters > MAX_RELATOR_LETTERS:
         raise CapacityExceeded(
-            f"the power relators of window {window} (p={p}, c={c.spec()}) would "
+            f"the power relators of {window.label} (p={p}, c={c.spec()}) would "
             f"have {letters} letters, more than {MAX_RELATOR_LETTERS}"
         )
-    for d in range(1, window.width + 1):
+    indices = window.indices
+    spreads = _spreads(indices)
+    for d in spreads:
         weight = c[d] + 1
         # one relator of this weight has 3 * 2^(weight-1) - 2 letters: compare
         # exponents first, so a huge weight is refused without forming 2^weight
         if weight - 1 >= MAX_RELATOR_LETTERS.bit_length():
             letters = MAX_RELATOR_LETTERS + 1
         else:
-            letters += _commutator_letters(window.width, weight, d)
+            letters += _commutator_letters(indices, weight, d)
         if letters > MAX_RELATOR_LETTERS:
             raise CapacityExceeded(
-                f"the commutator relators of window {window} (p={p}, c={c.spec()}) would "
+                f"the commutator relators of {window.label} (p={p}, c={c.spec()}) would "
                 f"have more than {MAX_RELATOR_LETTERS} letters, at spread {d} "
                 f"(weight {weight}: 3*2^{weight - 1}-2 letters each)"
             )
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    lo, hi = window.lo, window.hi
-    ngens = window.width + 1
+    place = {v: n for n, v in enumerate(indices)}
 
     relators: list[Relator] = []
     labels: list[RelatorLabel] = []
 
-    for pos in range(ngens):
+    for pos, i in enumerate(indices):
         relators.append(((pos, 1),) * p)
-        labels.append(RelatorLabel("power", index=lo + pos))
+        labels.append(RelatorLabel("power", index=i))
 
-    for d in range(1, window.width + 1):
+    for d in spreads:
         weight = c[d] + 1
-        for tup in _tuples_with_spread(lo, hi, weight, d):
+        for tup in _tuples_with_spread(indices, weight, d):
             if tup[0] == tup[1]:
                 continue
-            relators.append(left_normed_commutator(tuple(i - lo for i in tup)))
+            relators.append(left_normed_commutator(tuple(place[i] for i in tup)))
             labels.append(
                 RelatorLabel("commutator", spread=d, weight=weight, indices=tup)
             )
@@ -310,8 +388,8 @@ def build_window_presentation(
     return Presentation(
         p=p,
         c=c,
-        window=window,
-        generator_count=ngens,
+        index_set=window,
+        generator_count=len(indices),
         relators=tuple(relators),
         labels=tuple(labels),
     )

@@ -412,7 +412,7 @@ def test_drive_writes_the_partial_log_at_the_capacity_wall(tmp_path):
     *rows, summary = certs.read_text().splitlines()
     assert json.loads(summary) == {
         "certificates": 3708,
-        "reason": "window width 4 exceeds the configured bound 3",
+        "reason": "index set {0,4} of spread 4 exceeds the configured bound 3",
         "run_complete": False,
     }
     group = LimitGroup(2, "n", max_window_width=3)
@@ -424,12 +424,12 @@ def test_verify_honours_the_caps(tmp_path):
     certs = tmp_path / "certs.jsonl"
     assert run_cli("drive", "--count", "240", "--out", str(certs))[0] == 0
     assert run_cli("verify", str(certs))[0] == 0
-    # certificate 235 needs a width-2 window: that is a refusal, not a failure
+    # certificate 235 needs B({0,2}), of spread 2: that is a refusal, not a failure
     code, out, err = run_cli("verify", "--max-window-width", "1", str(certs))
     assert code == 2 and out == ""
     assert json.loads(err) == {
         "error": "capacity",
-        "detail": "window width 2 exceeds the configured bound 1",
+        "detail": "index set {0,2} of spread 2 exceeds the configured bound 1",
     }
 
 

@@ -118,6 +118,8 @@ def _assert_documented(argv):
 # this one looped once per unit of the exponent: a commutator that reduces to
 # the empty word, raised to a 13-digit power
 @example(["--json", "search", "--word", "[x,1]^1000000000000", *_SEARCH])
+# an index set of spread 10^30: refused before its table's key is formed
+@example(["--json", "search", "--word", "a0 a0 a0 a" + _BIG, *_SEARCH])
 def test_hostile_word_texts_end_with_a_documented_exit_code(argv):
     _assert_documented(argv)
 
@@ -210,3 +212,10 @@ def test_hostile_flag_values_end_with_a_documented_exit_code(command, flag, valu
         # an integer flag's one reader refuses the value: argparse's usage error
         code, out, err = _run(argv)
         assert (code, out) == (4, "") and f"argument {flag}: invalid integer value" in err
+
+
+def test_a_large_prime_window_is_fast():
+    # B([0,0]) = C_p is written down, not scanned from each of its p cosets
+    # (4.6 s when it was)
+    argv = ["order", "--p", "19997", "--window", "0..0", "--max-cosets", "20000"]
+    assert _run(argv) == (0, "19997\n", "")

@@ -1,7 +1,8 @@
-"""Arithmetic in A and G: normal forms, orders, oracles, the window-table cache."""
+"""Arithmetic in A and G: normal forms, orders, oracles, the table cache."""
 
 import hashlib
 import io
+import itertools
 import math
 import os
 import random
@@ -13,6 +14,7 @@ import pytest
 from miflab import (
     INFINITE,
     CapacityExceeded,
+    IndexSet,
     LimitGroup,
     MiflabError,
     ParseError,
@@ -219,10 +221,10 @@ def test_parse_render_round_trip(default_group, c11_group):
 
 
 def test_wide_support_is_capacity_limited_on_steep_instances(default_group):
-    # deciding triviality of a width-5 word under c_n = n needs a window
-    # group past the coset cap; the engine refuses loudly
-    with pytest.raises(CapacityExceeded):
-        default_group.parse("a-2 a3 t^-4")
+    # deciding triviality of a word on {0,1,2,4} under c_n = n needs a group
+    # past the coset cap; the engine refuses loudly
+    with pytest.raises(CapacityExceeded, match=r"for index set \{0,1,2,4\} "):
+        default_group.parse("a-2 a-1 a0 a2 t^-4")
 
 
 def _record_built_widths(monkeypatch):
@@ -568,3 +570,118 @@ def test_powers_without_an_a_part_are_t_powers(monkeypatch):
     for (g, k), fold in folds.items():
         power = g ** k
         assert (power.beta, power.a.letters) == (fold.beta, fold.a.letters)
+
+
+# -- index-set tables ---------------------------------------------------------------
+
+# the windows of the benchmark's `tables` grid: (p, c, widest width)
+GRID = ((2, "n", 3), (2, "1,2", 4), (3, "1,2", 3), (5, "1,2", 2), (3, "2", 3))
+
+
+def _gapped_sets(width):
+    """Every index set inside [0, width] that is not an interval."""
+    for k in range(2, width + 1):
+        for t in itertools.combinations(range(width + 1), k):
+            if t[-1] - t[0] != k - 1:
+                yield t
+
+
+@pytest.mark.parametrize("p,c,w", GRID)
+def test_index_set_normal_forms_and_orders_match_the_window_table(p, c, w):
+    # <a_T> in B([0,w]) is B(T): a word on T has the normal form and the
+    # order there that its own index-set table gives, letter for letter
+    window = LimitGroup(p, c)
+    table = window.table_for_width(w)
+    rng = random.Random(20261020)
+    checked = 0
+    for t in _gapped_sets(w):
+        G = LimitGroup(p, c)  # holds no window table of T's spread
+        for _ in range(30):
+            order = rng.sample(t, len(t))
+            letters = [(i, rng.randint(1, p - 1)) for i in order]
+            letters += [(rng.choice(t), rng.randint(1, p - 1)) for _ in range(rng.randint(0, 10))]
+            word = G.aword(letters)
+            columns = window._columns(word, 0)
+            assert G.canonical_aword(word) == window._aword(table.normal_form(columns), 0)
+            assert G.aword_order(word) == table.element_order(columns)
+            checked += 1
+        key = tuple(i - t[0] for i in t)
+        assert key in G.index_set_tables()
+        assert t[-1] - t[0] not in G.cached_tables()
+    assert checked == 30 * len(list(_gapped_sets(w)))
+
+
+def test_a_built_window_table_answers_before_an_index_set_table():
+    # the `tables` benchmark builds every width of its grid first; its words
+    # on gapped sets then build no index-set table
+    G = LimitGroup(2, "1,2")
+    G.table_for_width(4)
+    rng = random.Random(5)
+    for _ in range(200):
+        G.element([(rng.randint(0, 4), 1) for _ in range(rng.randint(1, 10))]).order()
+    assert G.index_set_tables() == {}
+    # without the window table of its spread, a0 a3 is decided in B({0,3})
+    H = LimitGroup(2, "1,2")
+    H.table_for_width(2)
+    assert H.element([(0, 1), (3, 1)]).order() == 4
+    assert set(H.index_set_tables()) == {(0, 3)} and set(H.cached_tables()) == {0, 1, 2}
+
+
+def test_index_set_tables_are_keyed_by_their_pattern(tmp_path):
+    G = LimitGroup(2, "n", cache_dir=str(tmp_path))
+    g = G.element([(5, 1), (7, 1), (8, 1)])
+    h = G.element([(-3, 1), (-1, 1), (0, 1)])
+    assert g.order() == h.order() == 8
+    assert list(G.index_set_tables()) == [(0, 2), (0, 2, 3)]
+    table = G.index_set_tables()[0, 2, 3]
+    assert table.presentation.index_set == IndexSet((0, 2, 3))
+    assert table.coset_count == 128 and table.relator_violations() == 0
+    assert table.stats.subgroup_order == G.index_set_tables()[0, 2].coset_count == 8
+    # index-set tables stay in memory: the disk cache holds windows only
+    assert G.cached_tables().keys() == {0}
+    assert os.listdir(tmp_path) == [os.path.basename(G._cache_path(0))]
+
+
+def test_a_wide_index_set_is_refused_before_any_work(monkeypatch):
+    # the spread bound comes first, so a0 a^(10^30) builds no relator, and
+    # no window key of 10^30 indices is formed
+    built = _record_built_widths(monkeypatch)
+    G = LimitGroup(2, "n")
+    for far in (7, 10**30):
+        g = G.element([(0, 1), (0, 1), (0, 1), (far, 1)])
+        with pytest.raises(
+            CapacityExceeded,
+            match=rf"^index set \{{0,{far}\}} of spread {far} exceeds the configured bound 6$",
+        ):
+            g.is_trivial()
+    assert built == [7, 10**30]
+    assert G.cached_tables() == {} and G.index_set_tables() == {}
+    # under a width bound that admits them, the order bound refuses the
+    # window before its 10^30 indices are listed, and the letter cap the set
+    # before its weight-(10^30 + 1) relator is built
+    G = LimitGroup(2, "n", max_window_width=10**31)
+    with pytest.raises(CapacityExceeded, match=r"^window 0\.\.10{30} \(p=2, c=n\) maps onto C_2\^10{29}1, "):
+        G.window_order(Window(0, 10**30))
+    with pytest.raises(CapacityExceeded, match=r"^the commutator relators of index set \{0,10{30}\} "):
+        G.element([(0, 1), (10**30, 1)]).order()
+    assert G.cached_tables().keys() == {0} and G.index_set_tables() == {}
+
+
+def test_index_set_refusals_name_the_set():
+    # B({0,2}) maps onto C_5^2: 25 > 24 is refused before any table
+    G = LimitGroup(5, "n", max_cosets=24)
+    with pytest.raises(
+        CapacityExceeded,
+        match=r"^index set \{0,2\} \(p=5, c=n\) maps onto C_5\^2, so its order is at least "
+        r"5\^2, over max_cosets=24$",
+    ):
+        G.element([(0, 1), (2, 1)]).order()
+    assert G.cached_tables() == {} and G.index_set_tables() == {}
+    # the enumeration names the set and its retract
+    G = LimitGroup(2, "n", max_cosets=7)
+    with pytest.raises(
+        CapacityExceeded,
+        match=r"^live coset count would exceed max_cosets=7 for index set \{0,2\} \(p=2, "
+        r"c=n\): 3 cosets of B\(0\.\.0\) \(order 2\) were live in B\(\{0,2\}\)$",
+    ):
+        G.element([(4, 1), (6, 1)]).is_trivial()

@@ -303,6 +303,19 @@ def test_verify_refuses_bytes_rows(default_group):
         ms.verify_certificates([line.encode() for line in lines])
 
 
+def test_verify_fails_a_forged_normal_form_on_a_gapped_row():
+    # row 235 evaluates to a0 a2 t^2: verify decides it in B({0,2}), as drive did
+    group = LimitGroup(2, "n")
+    rows = ms.certificates_to_lines(ms.drive(group, 240), group).splitlines()
+    assert json.loads(rows[234])["evaluation_normal_form"] == "a0 a2 t^2"
+    assert (0, 2) in group.index_set_tables() and 2 not in group.cached_tables()
+    assert ms.verify_certificates(rows).ok
+    for forged in ("a2 a0 t^2", "a0 a2 a0 a0 t^2", "a0 a1 t^2"):
+        report = ms.verify_certificates(_forged(rows, 234, "evaluation_normal_form", forged))
+        assert report.checked == 240 and report.witnesses_ok == 239
+        assert report.failures == [(235, "evaluation normal form mismatch")]
+
+
 def test_verify_records_a_syntax_error_behind_a_wide_constant(default_group):
     """All items of a word are read before they are joined, so a row whose
     word holds a constant past the width cap and then a syntax error fails
@@ -680,37 +693,41 @@ def _rows(result, group):
 
 
 def test_drive_keeps_the_partial_log_at_the_enumeration_wall():
-    # word 1,121 needs a constant of width 3 to be told apart from earlier words
+    # word 1,121 needs a constant on {0,3}, of spread 3, to be told apart
+    # from earlier words
     narrow = LimitGroup(2, "n", max_window_width=2)
     full = ms.drive(narrow, 1120)
     assert full.complete
     partial = ms.drive(narrow, 1130)
     assert not partial.complete
-    assert partial.reason == "window width 3 exceeds the configured bound 2"
+    assert partial.reason == "index set {0,3} of spread 3 exceeds the configured bound 2"
     assert _rows(partial, narrow) == _rows(full, narrow)
 
 
 def test_drive_keeps_the_partial_log_at_the_width_3_wall():
     # the enumeration reaches 4,452 words, but the certificate of word 3,709
-    # (value a0 a4 t^4) already needs width 4, so both runs stop there
+    # (value a0 a4 t^4) already needs {0,4}, of spread 4, so both runs stop there
     narrow = LimitGroup(2, "n", max_window_width=3)
     shorter = ms.drive(narrow, 4452)
     result = ms.drive(narrow, 4468)
     for run in (shorter, result):
         assert not run.complete
-        assert run.reason == "window width 4 exceeds the configured bound 3"
+        assert run.reason == "index set {0,4} of spread 4 exceeds the configured bound 3"
         assert len(run.certificates) == 3708
     assert _rows(result, narrow) == _rows(shorter, narrow)
 
 
 def test_verify_raises_beyond_the_caps(default_group):
-    # certificate 235 evaluates to a0 a2 t^2, of support width 2
+    # certificate 235 evaluates to a0 a2 t^2, on the index set {0,2} of spread 2
     lines = ms.certificates_to_lines(ms.drive(default_group, 240), default_group)
     assert ms.verify_certificates(lines).ok
-    with pytest.raises(CapacityExceeded, match="window width 2 exceeds the configured bound 1"):
+    with pytest.raises(
+        CapacityExceeded, match=r"^index set \{0,2\} of spread 2 exceeds the configured bound 1$"
+    ):
         ms.verify_certificates(lines, max_window_width=1)
     with pytest.raises(CapacityExceeded, match="max_cosets=1 "):
         ms.verify_certificates(lines, max_cosets=1)
-    # p = 2 is within this cap, so the enumeration refuses: B([0,2]) has 16 elements
-    with pytest.raises(CapacityExceeded, match=r"max_cosets=8 for window 0\.\.2 "):
+    # p = 2 and p^2 are within this cap, so the enumeration refuses: B({0,2})
+    # has 8 elements, and closing it needs a fifth live coset of B(0..0)
+    with pytest.raises(CapacityExceeded, match=r"max_cosets=8 for index set \{0,2\} "):
         ms.verify_certificates(lines, max_cosets=8)

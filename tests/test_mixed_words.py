@@ -632,9 +632,10 @@ def test_large_exponents_stay_cheap_on_a_limit_group(monkeypatch, default_group)
     assert evaluate(word, {1: ab}).is_trivial()
     assert parse_mixed_word("a0^1000000001", G).render() == "a0"
     assert muls[0] <= 3 * 2 * 30
-    # a support past the caps is refused before any letter is built
-    with pytest.raises(CapacityExceeded, match="for window 0..4 "):
-        evaluate(mw.variable(G, 1, 10**9), {1: G.element([(0, 1), (5, 1)])})
+    # an index set past the caps is refused before any letter is built
+    past = G.element([(0, 1), (1, 1), (2, 1), (4, 1)])
+    with pytest.raises(CapacityExceeded, match=r"for index set \{0,1,2,4\} "):
+        evaluate(mw.variable(G, 1, 10**9), {1: past})
 
 
 # -- helpers -----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from miflab import (
     CapacityExceeded,
     CSequence,
+    IndexSet,
     LimitGroup,
     ParseError,
     Window,
@@ -199,13 +200,14 @@ def test_rejects_wide_window():
 @pytest.mark.parametrize("c", ["n", "1", "2", "1,2", "1,3", "5"])
 def test_commutator_letters_are_counted_exactly(c):
     seq = CSequence.from_spec(c)
-    for window in (Window(0, 0), Window(0, 1), Window(-1, 2), Window(0, 4)):
+    gapped = (IndexSet((0, 2)), IndexSet((-1, 0, 3)), IndexSet((0, 1, 3, 4)))
+    for window in (Window(0, 0), Window(0, 1), Window(-1, 2), Window(0, 4)) + gapped:
         pres = build_window_presentation(2, c, window)
         built = sum(
             len(rel) for rel, label in zip(pres.relators, pres.labels) if label.kind == "commutator"
         )
-        w = window.width
-        assert built == sum(_commutator_letters(w, seq[d] + 1, d) for d in range(1, w + 1))
+        t, w = window.indices, window.width
+        assert built == sum(_commutator_letters(t, seq[d] + 1, d) for d in range(1, w + 1))
 
 
 def test_relator_letters_are_capped_before_any_tuple(monkeypatch):
