@@ -354,11 +354,16 @@ class _ArgumentParser(argparse.ArgumentParser):
     """argparse reads an argument that starts with '-' as a flag unless it
     is a negative number.  Here an argument that starts with '-' and a
     digit is a value, so `--window -1..1` reads as `--window=-1..1` does;
-    no flag of miflab starts so.  Subparsers are of this class too."""
+    no flag of miflab starts so.  A usage error raises ParseError, so it
+    ends as every other parse error does, in one JSON line.  Subparsers
+    are of this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-[0-9]")
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,12 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:  # argparse has printed the usage or the help
-        return EXIT_PARSE if exc.code else EXIT_OK
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # argparse has printed the help
+            return EXIT_OK
         return args.func(args)
     except ParseError as exc:
         print(json.dumps({"error": "parse", "detail": str(exc)}), file=sys.stderr)

@@ -23,7 +23,7 @@ a word.  It reads the word letter by letter into the action on tree level
 vertices; the word fixes level 12 iff it fixes level 8 and every section
 fixes level 4.  The `grig` workload of perfbench/run.py, whose `verify_s`
 is nearly all oracle calls (2,401 words, 78,702 letters), measures a
-median `verify_s` of ~0.10 s (2-vCPU VM, Python 3.11).
+median `verify_s` of ~0.083 s (2-vCPU VM, Python 3.11).
 """
 
 from __future__ import annotations
@@ -163,12 +163,29 @@ _PLAIN = str.maketrans("bcd", "aa1")
 _CONJUGATED = str.maketrans("bcd", "cdb")
 
 
+def _join_pieces(coordinate: str) -> str:
+    """Reduced form of a coordinate: reduced pieces separated by "1" marks.
+
+    The pieces meet only at their seams, so they are joined by _mul,
+    pairwise in a balanced tree: each letter is copied O(log k) times for
+    k pieces, where a left fold would copy the growing prefix k times.
+    """
+    pieces = coordinate.split("1")
+    while len(pieces) > 1:
+        odd = pieces[-1:] if len(pieces) % 2 else []
+        pairs = iter(pieces)
+        pieces = [_mul(u, v) for u, v in zip(pairs, pairs)] + odd
+    return pieces[0]
+
+
 def _split_reduced(word: str) -> tuple[str, str]:
     """split() for a reduced word with even a-count.
 
     Consecutive Klein letters of a reduced word are one a apart, so they
     alternate between plain and conjugated, and each coordinate interleaves
-    the two translations of the Klein letters.
+    the two translations of the Klein letters.  A coordinate so alternates
+    a Klein letter with an a or a "1" mark: the runs between the marks are
+    reduced, and _join_pieces merges them only at their seams, pairwise.
     """
     klein = word.replace("a", "")
     plain = klein.translate(_PLAIN)
@@ -179,10 +196,7 @@ def _split_reduced(word: str) -> tuple[str, str]:
     left[1::2] = conjugated[1::2]
     right = list(conjugated)
     right[1::2] = plain[1::2]
-    return (
-        reduce_word("".join(left).replace("1", "")),
-        reduce_word("".join(right).replace("1", "")),
-    )
+    return _join_pieces("".join(left)), _join_pieces("".join(right))
 
 
 def split(word: str) -> tuple[str, str]:
@@ -420,8 +434,10 @@ def verify_grig_identity(max_len: int) -> IdentityReport:
     string, one letter's translate from the key of its parent; the
     generators are involutions).  Equal keys only suggest equal elements:
     w is dropped only when the solver finds w s^-1 trivial for a word s of
-    the bucket.  The neighbours of sphere n - 1 lie in spheres n - 2 to n,
-    so only those keys are kept.
+    the bucket.  The walk's words are reduced, so w s^-1 is joined at its
+    seam by _mul and, like the reduced identity word, goes to the
+    reduced-word solver without a rescan.  The neighbours of sphere n - 1
+    lie in spheres n - 2 to n, so only those keys are kept.
 
     A ball of more than MAX_IDENTITY_WORDS reduced words raises
     BudgetExceeded before the walk.  `violations` holds the shortlex-least
@@ -445,7 +461,7 @@ def verify_grig_identity(max_len: int) -> IdentityReport:
     root = _IDENTITY
     sphere = [("", root)]
     older, last = {}, {root: [""]}
-    violations = [] if is_trivial(grig_identity_word("")) else [""]
+    violations = [] if _is_trivial_reduced(grig_identity_word("")) else [""]
     elements = 1
     for _ in range(max_len):
         grown, current = [], {}
@@ -454,14 +470,14 @@ def verify_grig_identity(max_len: int) -> IdentityReport:
                 w = r + ch
                 k = key.translate(letters[ch])
                 if any(
-                    is_trivial(w + invert(s))
+                    _is_trivial_reduced(_mul(w, invert(s)))
                     for bucket in (older, last, current)
                     for s in bucket.get(k, ())
                 ):
                     continue
                 current.setdefault(k, []).append(w)
                 grown.append((w, k))
-                if not is_trivial(grig_identity_word(w)):
+                if not _is_trivial_reduced(grig_identity_word(w)):
                     violations.append(w)
         elements += len(grown)
         sphere, older, last = grown, last, current

@@ -68,6 +68,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _class_bound(value) -> int:
+    """One entry of a CSequence prefix: an int that is not a bool as it is,
+    a str as an entry of a text spec reads; nothing else is an entry."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return integer(value)
+        except ValueError:
+            pass
+    raise ParseError(f"bad CSequence entry {value!r}")
+
+
 class CSequence:
     """Non-decreasing class-bound sequence c_1 <= c_2 <= ... , total on n >= 1.
 
@@ -78,7 +91,7 @@ class CSequence:
     __slots__ = ("prefix",)
 
     def __init__(self, prefix=()):
-        prefix = tuple(int(v) for v in prefix)
+        prefix = tuple(map(_class_bound, prefix))
         if any(v < 1 for v in prefix):
             raise ParseError("CSequence entries must be positive")
         if any(a > b for a, b in zip(prefix, prefix[1:])):

@@ -621,12 +621,17 @@ def _bad_header_cache(tmp_path):
          "a commutator nested 101 deep is past the parser's nesting limit of 100"),
         (("search", "--word", "[" * 3000), 2, "capacity",
          "a commutator nested 101 deep is past the parser's nesting limit of 100"),
+        # a bad integer flag and a bad spec fail in the same one JSON line
+        (("order", "--window", "0..1", "--p", "\u0663"), 4, "parse",
+         "miflab order: argument --p: invalid integer value: '\u0663'"),
+        (("order", "--window", "\u0660..\u0661"), 4, "parse", "bad window spec '\u0660..\u0661'"),
     ],
     ids=[
         "order-huge-p", "search-huge-p", "drive-huge-p", "verify-huge-p", "order-huge-c",
         "order-deep-c", "order-c12", "order-wide-window", "order-bad-cache-header",
         "grig-max-len-40", "selftest-negative-samples", "check-deep-nesting",
-        "search-deep-nesting", "search-open-brackets",
+        "search-deep-nesting", "search-open-brackets", "order-non-ascii-p",
+        "order-non-ascii-window",
     ],
 )
 def test_unbounded_inputs_are_refused_at_once(tmp_path, args, code, error, detail):
@@ -732,9 +737,11 @@ def test_selftest_laws_reach_the_tables(monkeypatch, capsys):
     ],
 )
 def test_usage_errors_are_parse_errors(args):
+    # one JSON line, as every other parse error, naming the (sub)command
     code, out, err = run_cli(*args)
-    assert code == 4 and out == ""
-    assert "usage: miflab" in err
+    assert code == 4 and out == "" and err.count("\n") == 1
+    error = json.loads(err)
+    assert error["error"] == "parse" and error["detail"].startswith("miflab")
 
 
 def test_help_exits_zero():

@@ -2,12 +2,15 @@
 
 import itertools
 import random
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from miflab import BudgetExceeded, cli, grigorchuk as gg
+
+from test_fuzz import _ALARM, _raise_alarm
 
 
 def random_string(rng, length):
@@ -327,6 +330,38 @@ def test_split_matches_reference(w):
         assert gg.split(w) == ref_split(w)
 
 
+def test_split_of_identity_words_matches_reference():
+    # words of up to 136 letters (median 104) whose coordinates cancel down
+    # to short words: deeper cancellation chains than `words` reaches
+    count = 0
+    for g in gg.reduced_words(8):
+        w = gg.grig_identity_word(g)
+        assert gg.split(w) == ref_split(w)
+        count += 1
+    assert count == 401
+
+
+def test_a_long_word_splits_in_near_linear_time():
+    # 4,000,000 letters whose coordinates stay long: the pieces between the
+    # identity marks are joined pairwise, where a left fold of its ~330,000
+    # pieces per coordinate copies the growing prefix each time
+    rng = random.Random(10)
+    klein = rng.choices("bcd", k=2_000_000)
+    word = "a" + "a".join(klein)
+    assert len(word) == 4_000_000 and gg.reduce_word(word) == word
+    # the i-th Klein letter follows i + 1 a's, so the even ones are conjugated
+    phi = [_REF_PHI["a" + x + "a"] if i % 2 == 0 else _REF_PHI[x] for i, x in enumerate(klein)]
+    expected = tuple(gg.reduce_word("".join(parts)) for parts in zip(*phi))
+    previous = signal.signal(signal.SIGALRM, _raise_alarm)
+    signal.alarm(_ALARM)
+    try:
+        assert gg.split(word) == expected
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert min(map(len, expected)) > 900_000
+
+
 def test_reference_properties_cover_the_empty_word():
     assert gg.reduce_word("") == ref_reduce("") == ""
     assert gg._mul("", "") == ""
@@ -445,7 +480,8 @@ def test_identity_ball_is_capped_before_the_walk(monkeypatch):
     def no_walk(*args):
         raise AssertionError("the walk started")
 
-    monkeypatch.setattr(gg, "is_trivial", no_walk)
+    # the walk decides reduced words only, so it calls the reduced solver
+    monkeypatch.setattr(gg, "_is_trivial_reduced", no_walk)
     # 10^20 is refused from its size alone: the count is never formed
     for max_len in (23, 40, 10**20):
         with pytest.raises(BudgetExceeded, match=f"^the ball of radius {max_len} has more "):

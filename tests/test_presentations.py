@@ -292,5 +292,10 @@ def test_csequence_validation():
         with pytest.raises(ParseError, match="bad CSequence spec"):
             CSequence.from_spec(bad)
     assert CSequence.from_spec(" 1 , 2 ").spec() == "1,2"
+    # a tuple or list entry is an int, or a str read as a text spec's entry
+    assert CSequence.from_spec([1, " 2", "+3"]).spec() == "1,2,3"
+    for bad in (["\u0663"], [2.5], (True,)):
+        with pytest.raises(ParseError, match="bad CSequence entry"):
+            CSequence.from_spec(bad)
     with pytest.raises(IndexError):
         CSequence.from_spec("1")[0]
