@@ -40,6 +40,7 @@ from .mixed_words import MAX_SYLLABLES
 from .presentations import (
     DEFAULT_MAX_COSETS,
     DEFAULT_MAX_WINDOW_WIDTH,
+    MAX_RELATOR_LETTERS,
     CSequence,
     IndexSet,
     Window,
@@ -305,11 +306,11 @@ def _npy_header(fh) -> tuple:
 
 class LimitGroup:
     """The limit group G of (p, c): owns the caps, the tables of the groups
-    B(T) and the memo of each window's words (`window_awords`).
+    B(T) and the memo of the a-parts each search radius reads (`radius_awords`).
 
     Construct one directly; two groups never share tables.  A p past
-    `max_cosets` raises CapacityExceeded before p is tested for primality;
-    a p that is not prime raises ValueError.
+    `max_cosets` or `MAX_RELATOR_LETTERS` raises CapacityExceeded before p
+    is tested for primality; a p that is not prime raises ValueError.
     """
 
     def __init__(
@@ -321,11 +322,15 @@ class LimitGroup:
         max_window_width: int = DEFAULT_MAX_WINDOW_WIDTH,
         cache_dir: str | None = None,
     ):
-        # B([0,0]) has order p, so no table under the cap holds it; this is
+        # B([0,0]) has order p and a_i^p is a relator of every B(T); both are
         # checked first, as the primality test takes sqrt(p) divisions
         if isinstance(p, int) and p > max_cosets:
             raise CapacityExceeded(
                 f"p={p} exceeds max_cosets={max_cosets} for window 0..0, a group of order p"
+            )
+        if isinstance(p, int) and p > MAX_RELATOR_LETTERS:
+            raise CapacityExceeded(
+                f"p={p} exceeds MAX_RELATOR_LETTERS={MAX_RELATOR_LETTERS}, the letters of a_i^p"
             )
         if not is_prime(p):
             raise ValueError(f"p must be prime, got {p}")
@@ -336,7 +341,7 @@ class LimitGroup:
         self.cache_dir = cache_dir  # None: no disk cache
         # a window's table by its width, a gapped set's by T - min T
         self._tables: dict[int | tuple[int, ...], CosetTable] = {}
-        self._window_awords: dict[int, tuple] = {}
+        self._radius_awords: dict[int, tuple] = {}
 
     # -- element constructors -------------------------------------------
 
@@ -415,33 +420,31 @@ class LimitGroup:
     def _table_for(self, index_set: Window | IndexSet) -> CosetTable:
         """Coset table of B(T), T the indices of `index_set` (min T = 0).
 
-        Within the width bound the missing prefixes of T are built shortest
-        first, each enumeration taking the table of the prefix one index
-        shorter as the retract, so a group past the coset cap is refused at
-        the shortest prefix that breaks it.  Before any is built, a T with
-        p^|T| > max_cosets is refused: B(T) maps onto C_p^|T|.  A T whose
-        spread is past the width bound goes straight to the presentation
-        builder, which refuses it before any relator is built.
+        The missing prefixes of T are built shortest first, each enumeration
+        taking the table of the prefix one index shorter as the retract, so a
+        group past the coset cap is refused at the shortest prefix that
+        breaks it.  Before any is built, a T whose spread is past the width
+        bound is refused, and so is a T with p^|T| > max_cosets: B(T) maps
+        onto C_p^|T|.
         """
         if index_set.width > self.max_window_width:
-            chain = (index_set,)  # refused by the presentation builder
-        else:
-            order = 1
-            for _ in range(index_set.size):  # p^|T|, stopped past the cap
-                order *= self.p
-                if order > self.max_cosets:
-                    n = index_set.size
-                    raise CapacityExceeded(
-                        f"{index_set.label} (p={self.p}, c={self.c.spec()}) maps onto "
-                        f"C_{self.p}^{n}, so its order is at least "
-                        f"{self.p}^{n}, over max_cosets={self.max_cosets}"
-                    )
-            indices = index_set.indices
-            tbl = self._tables.get(_key(indices))
-            if tbl is not None:
-                return tbl
-            prefixes = (indices[:k] for k in range(1, len(indices) + 1))
-            chain = [IndexSet.of(t) for t in prefixes if _key(t) not in self._tables]
+            raise CapacityExceeded(index_set.width_refusal(self.max_window_width))
+        order = 1
+        for _ in range(index_set.size):  # p^|T|, stopped past the cap
+            order *= self.p
+            if order > self.max_cosets:
+                n = index_set.size
+                raise CapacityExceeded(
+                    f"{index_set.label} (p={self.p}, c={self.c.spec()}) maps onto "
+                    f"C_{self.p}^{n}, so its order is at least "
+                    f"{self.p}^{n}, over max_cosets={self.max_cosets}"
+                )
+        indices = index_set.indices
+        tbl = self._tables.get(_key(indices))
+        if tbl is not None:
+            return tbl
+        prefixes = (indices[:k] for k in range(1, len(indices) + 1))
+        chain = [IndexSet.of(t) for t in prefixes if _key(t) not in self._tables]
         for sub in chain:
             pres = build_window_presentation(self.p, self.c, sub, self.max_window_width)
             tbl = self._load_cached(pres)
@@ -572,18 +575,30 @@ class LimitGroup:
             return tbl, lo
         return self._table_for(IndexSet.of([i - lo for i in indices])), tuple(indices)
 
-    def window_awords(self, radius: int) -> tuple[AWord, ...]:
-        """Every element of B([-radius, radius]) as its shortlex AWord, in
-        the coset order of the window's table.  The tuple is memoised per
-        radius, like the tables; a radius whose table is refused keeps
-        nothing, so every call for it raises again."""
-        words = self._window_awords.get(radius)
-        if words is None:
+    def radius_awords(self, radius: int) -> tuple[AWord, ...]:
+        """The a-parts a search reads at `radius`, in the coset order of the
+        table of B([-radius, radius]): every element at radius 0, the
+        identity first, else those whose shortlex letters reach index -radius
+        or radius.  A coset's letters are its parent's in the table's
+        breadth-first tree plus its column's letter, merged at the seam (a
+        shortlex word is geodesic, so no exponent merges to 0).  Memoised per
+        radius; a refused radius keeps nothing, so every call raises again."""
+        awords = self._radius_awords.get(radius)
+        if awords is None:
             table = self.table_for_width(2 * radius)
-            words = self._window_awords[radius] = tuple(
-                self._aword(w, -radius) for w in table.words()
+            p, ends = self.p, {-radius, radius}
+            letter = [((x >> 1) - radius, p - 1 if x & 1 else 1) for x in range(len(table.action))]
+            words, reaches = [()], [radius == 0]
+            for parent, x in zip(table.parent.tolist()[1:], table.via.tolist()[1:]):
+                (i, e), head = letter[x], words[parent]
+                if head and head[-1][0] == i:
+                    head, e = head[:-1], (head[-1][1] + e) % p
+                words.append(head + ((i, e),))
+                reaches.append(reaches[parent] or i in ends)
+            awords = self._radius_awords[radius] = tuple(
+                AWord(p, w, _merged=True) for w, kept in zip(words, reaches) if kept
             )
-        return words
+        return awords
 
     def canonical_aword(self, word: AWord) -> AWord:
         """Shortlex normal form in B(T), T the index set of the word's

@@ -9,12 +9,12 @@ scratch and only freshly merged constants are canonicalised.  For each
 word the driver searches for a witness g = a * t^beta in canonical order
 (increasing support radius, then |beta|, then shortlex a-part, positive
 beta before negative) such that w(g) is nontrivial, and records a
-certificate.  The a-parts come from the group's memo of each window's
-words (`LimitGroup.window_awords`), so the searches of one group list
-each window once, and each candidate is built as it is pulled.  Each
-recorded value is canonicalised once, to render it; `verify_certificates`
-re-derives every row from the log's text.  An exhausted search is
-reported honestly as inconclusive, not escalated.
+certificate.  The a-parts of each radius come from the group's memo
+(`LimitGroup.radius_awords`), listed once for every search of the group,
+and each candidate is built as it is pulled.  Each recorded value is
+canonicalised once, to render it; `verify_certificates` re-derives every
+row from the log's text.  An exhausted search is reported honestly as
+inconclusive, not escalated.
 """
 
 from __future__ import annotations
@@ -159,39 +159,21 @@ def enumerate_words(group: LimitGroup, count: int, max_word_length: int = 16):
 # -- candidate enumeration -------------------------------------------------------
 
 
-def _radius_aparts(group: LimitGroup, radius: int):
-    """The a-parts of B([-radius, radius]) that no smaller radius holds, in
-    window order: at radius 0 every a-part, else those whose support
-    reaches -radius or radius, filtered as they are pulled."""
-    awords = group.window_awords(radius)
-    if radius == 0:
-        return awords
-
-    def reaches(a) -> bool:
-        sup = a.support
-        return sup is not None and radius in (-sup[0], sup[1])
-
-    return filter(reaches, awords)
-
-
 def candidate_elements(group: LimitGroup, bounds: SearchBounds):
     """Candidates g = a * t^beta in canonical order.
 
     Order: support radius ascending; within a radius, |beta| ascending;
-    within that, shortlex a-part (`LimitGroup.window_awords` order), with
-    +beta before -beta.  A-parts whose canonical support fits a smaller
-    radius already appeared there and are skipped.
-
-    The a-parts of a radius come from the group's memo, which lists the
-    window once for every search of the group (`_radius_aparts`); each
-    candidate is built as it is pulled.  A radius whose window is refused
-    is not memoised, so every search that reaches it raises again.
+    within that, shortlex a-part, with +beta before -beta.  The a-parts of
+    a radius are the group's memoised `radius_awords`: those whose
+    canonical support reaches it, the others having appeared at a smaller
+    radius.  Each candidate is built as it is pulled.
     """
     for radius in range(bounds.max_support_radius + 1):
-        for a in _radius_aparts(group, radius):
+        aparts = group.radius_awords(radius)
+        for a in aparts:
             yield GElement(group, a, 0)
         for abs_beta in range(1, bounds.max_beta + 1):
-            for a in _radius_aparts(group, radius):
+            for a in aparts:
                 yield GElement(group, a, abs_beta)
                 yield GElement(group, a, -abs_beta)
 

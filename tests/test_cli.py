@@ -598,6 +598,10 @@ def _bad_header_cache(tmp_path):
         (("search", "--word", "[x,a0]", "--p", HUGE_PRIME), 2, "capacity", f"p={HUGE_PRIME} exceeds"),
         (("drive", "--count", "3", "--p", HUGE_PRIME), 2, "capacity", f"p={HUGE_PRIME} exceeds"),
         (("verify", "HUGE_P_LOG"), 2, "capacity", f"p={HUGE_PRIME} exceeds"),
+        # a cap that admits p still leaves a_i^p past the relator letter limit
+        (("order", "--p", "100000000000000003", "--max-cosets", "1000000000000000000",
+          "--window", "0..0"), 2, "capacity",
+         "p=100000000000000003 exceeds MAX_RELATOR_LETTERS=2097152, the letters of a_i^p"),
         (("order", "--c", "99999999999999", "--window", "0..3"), 2, "capacity",
          "the commutator relators of window 0..1 (p=2, c=99999999999999) would have more than "
          "2097152 letters, at spread 1 (weight 100000000000000: 3*2^99999999999999-2 letters each)"),
@@ -627,7 +631,8 @@ def _bad_header_cache(tmp_path):
         (("order", "--window", "\u0660..\u0661"), 4, "parse", "bad window spec '\u0660..\u0661'"),
     ],
     ids=[
-        "order-huge-p", "search-huge-p", "drive-huge-p", "verify-huge-p", "order-huge-c",
+        "order-huge-p", "search-huge-p", "drive-huge-p", "verify-huge-p",
+        "order-huge-p-past-relator-letters", "order-huge-c",
         "order-deep-c", "order-c12", "order-wide-window", "order-bad-cache-header",
         "grig-max-len-40", "selftest-negative-samples", "check-deep-nesting",
         "search-deep-nesting", "search-open-brackets", "order-non-ascii-p",

@@ -152,10 +152,11 @@ _COMMANDS = {
     "check": ["check", "--word=x", "--group=S3"],
     "wreath": ["check", "--id=wreath", "--base=C2", "--top=C2"],
 }
-# a 30-digit prime: no small factor ends its primality test early
+# a 30-digit prime: no small factor ends its primality test early; and a
+# prime whose B([0,0]) = C_p is listed as the search's radius-0 a-parts
 _PRIME = "9" * 28 + "89"
 _INSTANCE = {
-    "--p": [*_NUMBERS, _PRIME],
+    "--p": [*_NUMBERS, _PRIME, "19997"],
     "--c": _SPECS,
     "--max-cosets": _NUMBERS,
     "--max-window-width": _NUMBERS,

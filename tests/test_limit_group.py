@@ -290,7 +290,7 @@ def test_width_over_the_bound_is_refused_at_once(monkeypatch):
     G = LimitGroup(2, "n", max_window_width=2)
     with pytest.raises(CapacityExceeded, match="^window width 4 exceeds the configured bound 2$"):
         G.window_order(Window(0, 4))
-    assert built == [4] and G.cached_tables() == {}
+    assert built == [] and G.cached_tables() == {}
 
 
 def test_instance_mixing_is_an_error(default_group, c12_group):
@@ -512,18 +512,26 @@ def test_huge_power_is_refused_before_any_letter(default_group):
 
 @pytest.mark.parametrize("p,c", [(2, "n"), (3, "1,2")])
 def test_window_awords_list_each_element_once_in_normal_form(p, c):
-    """Odd columns of the p = 3 tables read back as exponent p - 1.
-    B([-2, 2]) of (2, "n") has width 4, past the default coset cap."""
+    """The radius listings of r = 0..R partition B([-R, R]): each element
+    once, in normal form, at the radius its support reaches.  Odd columns of
+    the p = 3 tables read back as exponent p - 1.  B([-2, 2]) of (2, "n")
+    has width 4, past the default coset cap, and is refused every time."""
     G = LimitGroup(p, c)
+    listed = []
     for r in range(3):
         if (p, c, r) == (2, "n", 2):
-            with pytest.raises(CapacityExceeded):
-                G.window_awords(r)
+            for _ in range(2):
+                with pytest.raises(CapacityExceeded):
+                    G.radius_awords(r)
             continue
-        words = G.window_awords(r)
-        assert words[0].is_empty()
-        assert len(set(words)) == len(words) == G.window_order(Window(-r, r))
+        words = G.radius_awords(r)
+        assert G.radius_awords(r) is words
         assert all(G.canonical_aword(u) == u for u in words)
+        if r:
+            assert all(r in (-u.support[0], u.support[1]) for u in words)
+        listed += words
+        assert len(set(listed)) == len(listed) == G.window_order(Window(-r, r))
+    assert listed[0].is_empty()
 
 
 # -- answers the letters decide -----------------------------------------------------
@@ -643,8 +651,8 @@ def test_index_set_tables_are_keyed_by_their_pattern(tmp_path):
 
 
 def test_a_wide_index_set_is_refused_before_any_work(monkeypatch):
-    # the spread bound comes first, so a0 a^(10^30) builds no relator, and
-    # no window key of 10^30 indices is formed
+    # the spread bound comes first, so a0 a^(10^30) reaches no presentation
+    # builder, and no window key of 10^30 indices is formed
     built = _record_built_widths(monkeypatch)
     G = LimitGroup(2, "n")
     for far in (7, 10**30):
@@ -654,7 +662,7 @@ def test_a_wide_index_set_is_refused_before_any_work(monkeypatch):
             match=rf"^index set \{{0,{far}\}} of spread {far} exceeds the configured bound 6$",
         ):
             g.is_trivial()
-    assert built == [7, 10**30]
+    assert built == []
     assert G.cached_tables() == {} and G.index_set_tables() == {}
     # under a width bound that admits them, the order bound refuses the
     # window before its 10^30 indices are listed, and the letter cap the set

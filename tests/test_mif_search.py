@@ -599,7 +599,8 @@ def test_one_letter_values_are_not_traced(monkeypatch):
     lines = ms.certificates_to_lines(result, group)
     assert hashlib.sha256(lines.encode()).hexdigest() == DRIVE_3000_SHA256
     assert sum(c.candidates_tried for c in result.certificates) == 3312
-    assert calls == {"normal_form": 770, "is_identity": 1800, "words": 1}
+    # the candidates' a-parts are read off the table's tree, not its words
+    assert [calls[k] for k in ("normal_form", "is_identity", "words")] == [770, 1800, 0]
     calls.clear()
     assert ms.verify_certificates(lines).ok
     assert calls["normal_form"] <= 800
@@ -622,29 +623,33 @@ def test_drive_work_is_linear_in_the_word_count(monkeypatch):
 
 
 def test_drive_builds_the_candidates_once_per_run(monkeypatch):
-    """The group memoises each window's words, so two runs on one group walk
-    each table once between them, and each candidate is evaluated once."""
-    walks = Counter()
+    """The group memoises each radius's listing, so two runs on one group
+    build it once per radius between them (each build reads its window
+    table through `table_for_width`, which nothing else in a run calls),
+    and each candidate is evaluated once."""
+    builds = Counter()
     evaluations = [0]
-    words, evaluate = CosetTable.words, mw.evaluate
+    table_for_width, evaluate = LimitGroup.table_for_width, mw.evaluate
 
-    def counted_words(self):
-        walks[id(self)] += 1
-        return words(self)
+    def counted_table_for_width(self, width):
+        builds[id(self), width] += 1
+        return table_for_width(self, width)
 
     def counted_evaluate(word, assignment):
         evaluations[0] += 1
         return evaluate(word, assignment)
 
-    monkeypatch.setattr(CosetTable, "words", counted_words)
+    monkeypatch.setattr(LimitGroup, "table_for_width", counted_table_for_width)
     monkeypatch.setattr(mw, "evaluate", counted_evaluate)
     group = LimitGroup(2, "n")
+    # with no t-part, the witnesses of words like [x,a0] need radius 1
+    bounds = ms.SearchBounds(max_support_radius=1, max_beta=0)
     tried = 0
     for _ in range(2):
-        result = ms.drive(group, 800)
+        result = ms.drive(group, 800, bounds)
         assert result.complete and len(result.certificates) == 800
         tried += sum(c.candidates_tried for c in result.certificates)
-    assert walks and max(walks.values()) == 1
+    assert builds == {(id(group), 0): 1, (id(group), 2): 1}
     assert evaluations[0] == tried
 
 
