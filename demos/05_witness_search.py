@@ -25,7 +25,8 @@ for text in ["x", "x^2", "[x, t]", "[x, a0]", "x a0 x a0"]:
 
 print("\n=== the certificate-producing driver ===")
 run = ms.drive(G, 15)
-print(f"complete: {run.complete}; witness set size: {len(run.witness_set)}")
+witnessed = sum(cert.status == ms.WITNESS_FOUND for cert in run.certificates)
+print(f"complete: {run.complete}; witness set size: {witnessed}")
 for cert in run.certificates[:8]:
     print(f"  word {cert.word:10s} witness {cert.witness}")
 

@@ -20,7 +20,6 @@ from .presentations import (
     Presentation,
     Window,
     build_window_presentation,
-    relator_count,
 )
 from .coset_enum import CosetTable, enumerate_presentation
 from .limit_group import (
@@ -100,7 +99,6 @@ __all__ = [
     "parse_element",
     "parse_mixed_word",
     "reduce",
-    "relator_count",
     "shift",
     "small_group",
     "sub_commutator",

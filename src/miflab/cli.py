@@ -21,7 +21,7 @@ import sys
 
 from . import grigorchuk, identity_lab, mif_search
 from . import mixed_words as mw
-from .errors import BudgetExceeded, CapacityExceeded, MiflabError, ParseError, VerificationError
+from .errors import BudgetExceeded, CapacityExceeded, ParseError, VerificationError
 from .limit_group import LimitGroup
 from .mif_search import SearchBounds
 from .parser import named_variables, parse_mixed_word, split_labels
@@ -81,11 +81,16 @@ def _add_instance_flags(sub):
                      help="table cache directory (default: $MIFLAB_CACHE)")
 
 
+def _add_bound_flag(sub, name):
+    """The flag of the `SearchBounds` field `name`, with the field's default."""
+    sub.add_argument("--" + name.replace("_", "-"), type=integer, dest=name,
+                     default=getattr(SearchBounds, name))
+
+
 def _add_search_flags(sub):
     _add_instance_flags(sub)
-    sub.add_argument("--max-support-radius", type=integer, default=3, dest="max_support_radius")
-    sub.add_argument("--max-beta", type=integer, default=3, dest="max_beta")
-    sub.add_argument("--max-candidates", type=integer, default=100_000, dest="max_candidates")
+    for name in ("max_support_radius", "max_beta", "max_candidates"):
+        _add_bound_flag(sub, name)
 
 
 def _emit(args, payload: dict, text: str | None = None):
@@ -410,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("drive", help="run the certificate-producing driver")
     _add_search_flags(sp)
     sp.add_argument("--count", type=integer, default=50)
-    sp.add_argument("--max-word-length", type=integer, default=16, dest="max_word_length")
+    _add_bound_flag(sp, "max_word_length")
     sp.add_argument("--out", help="certificate JSONL file (default: stdout)")
     sp.set_defaults(func=cmd_drive)
 
@@ -444,9 +449,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(json.dumps({"error": "verification", "detail": str(exc)}), file=sys.stderr)
         return EXIT_VERIFICATION
-    except MiflabError as exc:
-        print(json.dumps({"error": "miflab", "detail": str(exc)}), file=sys.stderr)
-        return EXIT_CAPACITY
 
 
 if __name__ == "__main__":

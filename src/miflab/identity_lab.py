@@ -433,7 +433,6 @@ class WreathData:
     """A wreath product base^k ⋊ C_k plus its canonical base decomposition."""
 
     group: FiniteGroup
-    top_order: int
     base_group: FiniteGroup
     base: tuple[int, ...]  # element ids of base^k
     first_factor: tuple[int, ...]  # coordinate 0 copy of the base group
@@ -481,7 +480,6 @@ def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
     rest_identity = base.identity * sum(nb**j for j in range(k - 1))
     return WreathData(
         group=FiniteGroup._by_construction(table, labels, name=name),
-        top_order=k,
         base_group=base,
         base=tuple(range(0, total, k)),  # shift 0
         first_factor=tuple((b * place + rest_identity) * k for b in range(nb)),

@@ -147,21 +147,25 @@ def render_aword(u: AWord) -> str:
 
 @dataclass(frozen=True)
 class AbelianImage:
-    """Abelianization data for a G-element.
+    """Abelianization data for a G-element; `kind` is read off `beta`.
 
     kind "index_vector": beta == 0, so the element lies in A, and `vector`
     holds its index-wise exponent sums mod p.  Every relator of A is a
     p-th power or a commutator, so A^ab is the direct sum of the C_p on
     the a_i and the vector is that map: a nonzero vector proves the
     element nontrivial, whatever word built it.
-    kind "collapsed": beta != 0, and only the pair (total exponent sum
-    mod p, beta) is reported, since conjugation by t shifts indices.
+    kind "collapsed": beta != 0, the vector is empty, and only the pair
+    (total exponent sum mod p, beta) is reported, since conjugation by t
+    shifts indices.
     """
 
-    kind: str
     vector: dict
     total: int
     beta: int
+
+    @property
+    def kind(self) -> str:
+        return "index_vector" if self.beta == 0 else "collapsed"
 
     @property
     def nonzero_on_a_part(self) -> bool:
@@ -256,11 +260,8 @@ class GElement:
         return self.group.aword_order(canon)
 
     def abelianize(self) -> AbelianImage:
-        if self.beta == 0:
-            return AbelianImage(
-                "index_vector", self.a.index_vector(), self.a.total_exponent(), self.beta
-            )
-        return AbelianImage("collapsed", {}, self.a.total_exponent(), self.beta)
+        vector = self.a.index_vector() if self.beta == 0 else {}
+        return AbelianImage(vector, self.a.total_exponent(), self.beta)
 
     def __eq__(self, other):
         if not isinstance(other, GElement) or other.group is not self.group:

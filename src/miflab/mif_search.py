@@ -12,16 +12,16 @@ beta before negative) such that w(g) is nontrivial, and records a
 certificate.  The a-parts of each radius come from the group's memo
 (`LimitGroup.radius_awords`), listed once for every search of the group,
 and each candidate is built as it is pulled.  Each recorded value is
-canonicalised once, to render it; `verify_certificates` re-derives every
-row from the log's text.  An exhausted search is reported honestly as
-inconclusive, not escalated.
+canonicalised once, to render it, and only the rendered text is kept;
+`verify_certificates` re-derives every row from the log's text.  An
+exhausted search is reported honestly as inconclusive, not escalated.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 from . import mixed_words as mw
@@ -47,14 +47,6 @@ class SearchBounds:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "max_support_radius": self.max_support_radius,
-            "max_beta": self.max_beta,
-            "max_word_length": self.max_word_length,
-            "max_candidates": self.max_candidates,
-        }
-
 
 @dataclass
 class Certificate:
@@ -69,10 +61,12 @@ class Certificate:
 @dataclass
 class DriveResult:
     certificates: list
-    complete: bool
-    reason: str | None
-    witness_set: list  # the recorded w_i(g_i) values
+    reason: str | None  # why the run stopped short, or None
     bounds: SearchBounds  # the one bounds of every search of the run
+
+    @property
+    def complete(self) -> bool:
+        return self.reason is None
 
 
 @dataclass
@@ -220,14 +214,13 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
     flagged incomplete.  The run stops at the first CapacityExceeded, so
     no search meets a refused radius twice.
 
-    The witness set F collects every recorded w_i(g_i).  Each member was
-    tested nontrivial by its search and canonicalised once, to render its
-    row's `evaluation_normal_form`; `verify_certificates` is the
+    Each recorded value w_i(g_i) was tested nontrivial by its search and
+    is canonicalised once, to render its row's `evaluation_normal_form`;
+    only the rendered text is kept.  `verify_certificates` is the
     independent re-check.
     """
     bounds = bounds or SearchBounds()
     certificates = []
-    witness_set = []
     reason = None
     try:
         words = iter_words(group, count, bounds.max_word_length)
@@ -237,13 +230,12 @@ def drive(group: LimitGroup, count: int, bounds: SearchBounds | None = None) -> 
             if result.status == WITNESS_FOUND:
                 witness = result.witness.render()
                 normal_form = result.value.render_canonical()
-                witness_set.append(result.value)
             certificates.append(Certificate(
                 i, word.render(), result.status, witness, normal_form, result.candidates_tried
             ))
     except CapacityExceeded as exc:
         reason = str(exc)
-    return DriveResult(certificates, reason is None, reason, witness_set, bounds)
+    return DriveResult(certificates, reason, bounds)
 
 
 _COMPACT = (",", ":")
@@ -266,7 +258,7 @@ def write_certificates(result: DriveResult, group: LimitGroup, fh) -> None:
     """
     dumps = json.dumps  # looked up once, not on each of the four calls per row
     instance = dumps({"p": group.p, "c": group.c.spec()}, sort_keys=True, separators=_COMPACT)
-    bounds = dumps(result.bounds.to_json_dict(), sort_keys=True, separators=_COMPACT)
+    bounds = dumps(asdict(result.bounds), sort_keys=True, separators=_COMPACT)
     for cert in result.certificates:
         fh.write(
             _ROW % (

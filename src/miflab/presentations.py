@@ -19,10 +19,12 @@ Conventions, fixed globally:
 
 Relator order is deterministic: power relators by generator index, then
 commutator relators lexicographically by (spread, index tuple), over the
-spreads that occur in T.  Tuples
-with i_0 = i_1 are skipped (freely trivial).  No relator repeats: a
-left-normed commutator's letters determine its index tuple, each tuple is
-visited once, and power relators carry no inverse letters.
+spreads that occur in T.  Tuples with i_0 = i_1 are skipped (freely
+trivial).  No relator repeats: a left-normed commutator's letters
+determine its index tuple, each tuple is visited once, and power relators
+carry no inverse letters.  Each relator is recorded once, beside its
+index tuple ((i,) for a_i^p), from which its kind, spread and weight
+follow.
 """
 
 from __future__ import annotations
@@ -227,17 +229,6 @@ class IndexSet:
         return "{" + ",".join(map(str, self.indices)) + "}"
 
 
-@dataclass(frozen=True)
-class RelatorLabel:
-    """Provenance of one relator: a power a_i^p or a (spread, weight) commutator."""
-
-    kind: str  # "power" | "commutator"
-    index: int | None = None  # generator index for powers
-    spread: int | None = None
-    weight: int | None = None
-    indices: tuple[int, ...] | None = None  # commutator entry indices
-
-
 def invert_word(word: Relator) -> Relator:
     return tuple((pos, -s) for pos, s in reversed(word))
 
@@ -309,20 +300,28 @@ def _tuples_with_spread(indices: tuple[int, ...], length: int, spread: int):
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators and relators of one group B(T); generator n is a_{T[n]}."""
+    """Generators and relators of one group B(T); generator n is a_{T[n]}.
+
+    `labels[k]` names relator k by its generator indices: `(i,)` for the
+    power a_i^p, the entries (i_0, ..., i_{c_d}) for a commutator, which
+    has at least two.  The count of generators is read off `index_set`.
+    """
 
     p: int
     c: CSequence
     index_set: Window | IndexSet
-    generator_count: int
     relators: tuple[Relator, ...]
-    labels: tuple[RelatorLabel, ...]
+    labels: tuple[tuple[int, ...], ...]
+
+    @property
+    def generator_count(self) -> int:
+        return self.index_set.size
 
     def relator_text(self, i: int) -> str:
         label = self.labels[i]
-        if label.kind == "power":
-            return " ".join([f"a{label.index}"] * self.p)
-        return "[" + ",".join(f"a{j}" for j in label.indices) + "]"
+        if len(label) == 1:
+            return " ".join([f"a{label[0]}"] * self.p)
+        return "[" + ",".join(f"a{j}" for j in label) + "]"
 
     def to_text(self) -> str:
         lines = [f"gens {self.generator_count}"]
@@ -381,32 +380,19 @@ def build_window_presentation(
         raise ValueError(f"p must be prime, got {p}")
     place = {v: n for n, v in enumerate(indices)}
 
-    relators: list[Relator] = []
-    labels: list[RelatorLabel] = []
-
-    for pos, i in enumerate(indices):
-        relators.append(((pos, 1),) * p)
-        labels.append(RelatorLabel("power", index=i))
-
+    relators = [((pos, 1),) * p for pos in range(len(indices))]
+    labels = [(i,) for i in indices]
     for d in spreads:
-        weight = c[d] + 1
-        for tup in _tuples_with_spread(indices, weight, d):
+        for tup in _tuples_with_spread(indices, c[d] + 1, d):
             if tup[0] == tup[1]:
                 continue
             relators.append(left_normed_commutator(tuple(place[i] for i in tup)))
-            labels.append(
-                RelatorLabel("commutator", spread=d, weight=weight, indices=tup)
-            )
+            labels.append(tup)
 
     return Presentation(
         p=p,
         c=c,
         index_set=window,
-        generator_count=len(indices),
         relators=tuple(relators),
         labels=tuple(labels),
     )
-
-
-def relator_count(p: int, c, window: Window, max_width: int = DEFAULT_MAX_WINDOW_WIDTH) -> int:
-    return len(build_window_presentation(p, c, window, max_width).relators)

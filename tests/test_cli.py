@@ -9,7 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from miflab import LimitGroup, Window
+from miflab import LimitGroup, Window, cli
+from miflab.errors import (
+    BudgetExceeded,
+    CapacityExceeded,
+    FixedLimitExceeded,
+    MiflabError,
+    ParseError,
+    VerificationError,
+)
 from miflab.limit_group import AWord
 from miflab.cli import main
 
@@ -703,6 +711,39 @@ def test_a_failing_stdout_is_a_parse_error(monkeypatch, capsys):
     ]:
         assert main(argv) == 4
         assert json.loads(capsys.readouterr().err) == {"error": "parse", "detail": detail}
+
+
+ERROR_EXITS = {
+    ParseError: (4, "parse"),
+    CapacityExceeded: (2, "capacity"),
+    FixedLimitExceeded: (2, "capacity"),
+    BudgetExceeded: (2, "capacity"),
+    VerificationError: (3, "verification"),
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_has_an_exit_code():
+    # a new subclass must be given its exit code in `cli.main` and here
+    assert set(_subclasses(MiflabError)) == set(ERROR_EXITS)
+
+
+@pytest.mark.parametrize("error", list(ERROR_EXITS), ids=lambda e: e.__name__)
+def test_each_error_ends_as_one_json_line(monkeypatch, capsys, error):
+    def fail(args):
+        raise error("refused")
+
+    monkeypatch.setattr(cli, "cmd_order", fail)
+    code, kind = ERROR_EXITS[error]
+    assert main(["order", "--window", "0..1"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": kind, "detail": "refused"}
 
 
 def test_selftest_seeded():

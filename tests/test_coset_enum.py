@@ -19,7 +19,7 @@ from miflab import (
 )
 from miflab import coset_enum
 from miflab.coset_enum import CosetTable, EnumStats, _enumerate, scan_relators
-from miflab.presentations import RelatorLabel, invert_word
+from miflab.presentations import invert_word
 
 
 def _cols(letters):
@@ -159,7 +159,7 @@ def test_relator_violations_counts_an_unsatisfied_relator():
     extra = dataclasses.replace(
         pres,
         relators=pres.relators + (((0, 1), (1, 1)),),
-        labels=pres.labels + (RelatorLabel("commutator", indices=(0, 1)),),
+        labels=pres.labels + ((0, 1),),
     )
     # a0 a1 is not the identity, so it moves each of the four cosets
     assert CosetTable(extra, table.action).relator_violations() == 4
@@ -277,15 +277,14 @@ def test_capacity_exceeded():
 
 
 def _handmade(ngens, relators):
-    from miflab.presentations import CSequence, Presentation, RelatorLabel
+    from miflab.presentations import CSequence, Presentation
 
     return Presentation(
         p=2,
         c=CSequence.from_spec("1"),
         index_set=Window(0, ngens - 1),
-        generator_count=ngens,
         relators=tuple(relators),
-        labels=tuple(RelatorLabel("power", index=0) for _ in relators),
+        labels=((0,),) * len(relators),
     )
 
 

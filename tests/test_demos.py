@@ -33,5 +33,6 @@ def test_demo_runs(path):
 def test_witness_search_demo_verifies_and_catches_the_forgery():
     (path,) = [p for p in DEMOS if p.stem == "05_witness_search"]
     out = run_demo(path).stdout
+    assert "complete: True; witness set size: 15\n" in out
     assert "re-checked 15 certificates, failures: 0\n" in out
     assert "after forging one witness: failures = [(1, 'witness evaluation is trivial')]\n" in out

@@ -72,7 +72,7 @@ def test_the_refusal_names_the_index_set_and_its_retract(frontier):
 
 def test_the_frontier_run_keeps_the_pinned_rows(frontier):
     group, result = frontier(2, "n")
-    head = ms.DriveResult(result.certificates[:3000], True, None, [], result.bounds)
+    head = ms.DriveResult(result.certificates[:3000], None, result.bounds)
     lines = ms.certificates_to_lines(head, group)
     assert hashlib.sha256(lines.encode()).hexdigest() == DRIVE_3000_SHA256
 

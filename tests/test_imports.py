@@ -134,3 +134,25 @@ def test_only_the_word_calculus_and_the_limit_group_read_max_syllables():
         path.stem for path in MODULES if _reads_max_syllables(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert readers == {"mixed_words", "limit_group"}
+
+
+def _init_imports():
+    tree = ast.parse((MODULES[0].parent / "__init__.py").read_text(encoding="utf-8"))
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def test_the_package_exports_each_name_once():
+    """`miflab.__all__` lists each name once, each resolves, and each is
+    imported by the package's `__init__.py`: a deleted function cannot
+    linger in it."""
+    import miflab
+
+    exported = miflab.__all__
+    assert len(set(exported)) == len(exported), sorted(n for n in exported if exported.count(n) > 1)
+    assert all(hasattr(miflab, name) for name in exported)
+    assert set(exported) <= _init_imports(), sorted(set(exported) - _init_imports())

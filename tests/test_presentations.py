@@ -12,7 +12,6 @@ from miflab import (
     ParseError,
     Window,
     build_window_presentation,
-    relator_count,
 )
 from miflab import presentations
 from miflab.presentations import (
@@ -74,11 +73,8 @@ def test_weight_two_window():
 
 def test_weight_three_relators_p3():
     pres = build_window_presentation(3, "2", Window(0, 1))
-    commutators = [l.indices for l in pres.labels if l.kind == "commutator"]
-    assert commutators == [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)]
-    assert all(l.weight == 3 for l in pres.labels if l.kind == "commutator")
-    powers = [l.index for l in pres.labels if l.kind == "power"]
-    assert powers == [0, 1]
+    # a power is labelled by its one index, a commutator by its entries
+    assert pres.labels == ((0,), (1,), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
 
 
 def test_single_generator_window():
@@ -88,8 +84,8 @@ def test_single_generator_window():
 
 
 def test_relator_count_small():
-    assert relator_count(2, "1", Window(0, 1)) == 4
-    assert relator_count(2, "1", Window(0, 0)) == 1
+    assert len(build_window_presentation(2, "1", Window(0, 1)).relators) == 4
+    assert len(build_window_presentation(2, "1", Window(0, 0)).relators) == 1
 
 
 def test_relator_count_against_oracle():
@@ -102,10 +98,10 @@ def test_relator_count_against_oracle():
     ]
     for p, c, w in cases:
         expected = len(oracle_relators(p, c, w.lo, w.hi))
-        assert relator_count(p, c, w) == expected
+        assert len(build_window_presentation(p, c, w).relators) == expected
     # frozen value computed by the oracle: 3 powers + 4 weight-2 + 10 weight-3
     assert len(oracle_relators(2, "1,2", 0, 2)) == 17
-    assert relator_count(2, "1,2", Window(0, 2)) == 17
+    assert len(build_window_presentation(2, "1,2", Window(0, 2)).relators) == 17
 
 
 def test_relators_match_oracle_exactly():
@@ -146,25 +142,24 @@ def test_shift_equivariance():
     moved = build_window_presentation(2, "1,2", Window(7, 9))
     # positions are window-relative, so the letter sequences agree verbatim
     assert base.relators == moved.relators
-    base_idx = [l.indices for l in base.labels if l.kind == "commutator"]
-    moved_idx = [l.indices for l in moved.labels if l.kind == "commutator"]
-    assert moved_idx == [tuple(i + 7 for i in t) for t in base_idx]
+    assert moved.labels == tuple(tuple(i + 7 for i in t) for t in base.labels)
 
 
 def test_power_relator_shape():
     pres = build_window_presentation(3, "1", Window(0, 2))
+    assert len(pres.relators) == len(pres.labels)
     for rel, label in zip(pres.relators, pres.labels):
-        if label.kind == "power":
-            assert rel == ((label.index, 1),) * 3
+        if len(label) == 1:
+            assert rel == ((label[0], 1),) * 3
 
 
 def test_commutator_weights_follow_spread():
     pres = build_window_presentation(2, "1,2,3", Window(0, 3))
-    for label in pres.labels:
-        if label.kind == "commutator":
-            assert label.weight == CSequence.from_spec("1,2,3")[label.spread] + 1
-            assert max(label.indices) - min(label.indices) == label.spread
-            assert len(label.indices) == label.weight
+    c = CSequence.from_spec("1,2,3")
+    commutators = [label for label in pres.labels if len(label) > 1]
+    assert commutators
+    for label in commutators:
+        assert len(label) == c[max(label) - min(label)] + 1
 
 
 def test_left_normed_expansion():
@@ -204,7 +199,7 @@ def test_commutator_letters_are_counted_exactly(c):
     for window in (Window(0, 0), Window(0, 1), Window(-1, 2), Window(0, 4)) + gapped:
         pres = build_window_presentation(2, c, window)
         built = sum(
-            len(rel) for rel, label in zip(pres.relators, pres.labels) if label.kind == "commutator"
+            len(rel) for rel, label in zip(pres.relators, pres.labels) if len(label) > 1
         )
         t, w = window.indices, window.width
         assert built == sum(_commutator_letters(t, seq[d] + 1, d) for d in range(1, w + 1))
@@ -246,6 +241,29 @@ def test_power_relator_letters_are_capped_before_the_primality_test(monkeypatch)
     assert sum(map(len, build_window_presentation(2, "n", Window(0, 5)).relators)) < MAX_RELATOR_LETTERS
     with pytest.raises(ValueError, match="p must be prime, got 1048577"):
         build_window_presentation(2**20 + 1, "n", Window(0, 0))
+
+
+def test_presentation_text_is_pinned():
+    # one line per relator, powers by index, then commutators by (spread, tuple)
+    assert build_window_presentation(3, "2", Window(0, 1)).to_text() == (
+        "gens 2\n"
+        "a0 a0 a0\n"
+        "a1 a1 a1\n"
+        "[a0,a1,a0]\n"
+        "[a0,a1,a1]\n"
+        "[a1,a0,a0]\n"
+        "[a1,a0,a1]\n"
+    )
+    # a gapped set names its own indices; spread 2 has weight c_2 + 1 = 3
+    assert build_window_presentation(2, "1,2", IndexSet.of((0, 2))).to_text() == (
+        "gens 2\n"
+        "a0 a0\n"
+        "a2 a2\n"
+        "[a0,a2,a0]\n"
+        "[a0,a2,a2]\n"
+        "[a2,a0,a0]\n"
+        "[a2,a0,a2]\n"
+    )
 
 
 def test_presentation_text_form():
