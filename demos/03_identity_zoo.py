@@ -41,10 +41,11 @@ for k, base in [(2, il.cyclic(2)), (2, il.symmetric(3)), (3, il.cyclic(2))]:
     print(f"{base.name} wr C{k} (order {G.size}):", il.is_mixed_identity(w, G).holds)
 
 print("\nover a nonabelian base the single commutator is not enough:")
-data = il.wreath_product(2, il.symmetric(3))
+S3 = il.symmetric(3)
+data = il.wreath_product(2, S3)
 G = data.group
-a = data.first_factor[data.base_group.element_by_label("(23)")]
-b = data.rest_factor[data.base_group.element_by_label("(23)")]
+a = data.first_factor[S3.element_by_label("(23)")]
+b = data.rest_factor[S3.element_by_label("(23)")]
 w = mw.left_normed([mw.variable(G), mw.constant(G, a), mw.constant(G, b)])
 v = il.is_mixed_identity(w, G)
 print(f"[[x,a],b] on S3 wr C2: holds={v.holds}, "

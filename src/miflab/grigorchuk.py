@@ -18,18 +18,20 @@ over {b, c, d, aba, aca, ada} and maps into G x G through
 and a word is trivial iff both coordinates are, recursively.
 
 The independent cross-check is a depth-12 action oracle that never reduces
-a word.  It reads the word letter by letter into the action on tree level
-8, a 256-byte bytes.translate table, and into the sections at the level-8
-vertices; the word fixes level 12 iff it fixes level 8 and every section
-fixes level 4.  The `grig` workload of perfbench/run.py, whose `verify_s`
-is nearly all oracle calls (2,401 words, 78,702 letters), measures a
-median `verify_s` of ~0.083 s (2-vCPU VM, Python 3.11).
+a word.  It reads the reversed word in chunks of CHUNK = 4 letters, each a
+cached step, into the action on tree level 8, a 256-byte bytes.translate
+table, and into the level-4 action of the section at each level-8 vertex,
+padded to the same 256 bytes; the word fixes level 12 iff it fixes level 8
+and every section fixes level 4.  A section's action fits one table, so
+the oracle's depth is at most 16.  The `grig` workload of perfbench/run.py,
+whose `verify_s` is nearly all oracle calls (2,401 words, 78,702 letters),
+measures a median `verify_s` of ~0.060 s, down from ~0.085 s with a
+letter-by-letter walk (2-vCPU VM, Python 3.11).
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
@@ -251,6 +253,9 @@ def level_permutations(depth: int) -> dict[str, tuple[int, ...]]:
 
 _IDENTITY = bytes(range(1 << KEY_DEPTH))
 _TOP = (1 << KEY_DEPTH) - 1  # the vertex 1^KEY_DEPTH; _TOP - 1 is 1^(KEY_DEPTH-1) 0
+MAX_ORACLE_DEPTH = 2 * KEY_DEPTH  # a section's action fits one 256-byte table
+CHUNK = 4  # letters per step of the oracle's walk
+_CHUNKS = re.compile(f".{{1,{CHUNK}}}")
 
 
 @lru_cache(maxsize=None)
@@ -281,33 +286,56 @@ def _klein_sections() -> dict[str, tuple[str, str]]:
 _KLEIN_SECTIONS = _klein_sections()
 
 
-def _walk(word: str, depth: int) -> tuple[bytes, dict[int, list[str]]]:
+class _Steps(dict):
+    """The walk's steps at one depth, keyed by a chunk of the reversed word:
+    the chunk's level-KEY_DEPTH table and, for each vertex u its Klein
+    letters touch, the level-(depth - KEY_DEPTH) action of their sections
+    at u.  A step is built on first use from the chunk one letter shorter,
+    whose table sends the new letter's sections to table[_TOP] and
+    table[_TOP - 1]."""
+
+    def __init__(self, depth: int):
+        super().__init__({"": (_IDENTITY, ())})
+        self.letters = _level_letters(min(depth, KEY_DEPTH))
+        self.below = _level_letters(depth - KEY_DEPTH) if depth > KEY_DEPTH else None
+
+    def __missing__(self, chunk: str) -> tuple[bytes, tuple[tuple[int, bytes], ...]]:
+        table, touched = self[chunk[:-1]]
+        ch = chunk[-1]
+        if self.below and ch != "a":
+            touched = dict(touched)
+            for u, section in zip((table[_TOP], table[_TOP - 1]), _KLEIN_SECTIONS[ch]):
+                if section:
+                    touched[u] = touched.get(u, _IDENTITY).translate(self.below[section])
+            touched = tuple(touched.items())
+        step = self[chunk] = (self.letters[ch].translate(table), touched)
+        return step
+
+
+_steps = lru_cache(maxsize=None)(_Steps)  # one _Steps per depth
+
+
+def _walk(word: str, depth: int) -> tuple[bytes, dict[int, bytes]]:
     """The word's action down to `depth`: the action of its inverse on
     level min(depth, KEY_DEPTH) (string x goes to inv[x]) and, when depth >
-    KEY_DEPTH, its sections at the level-KEY_DEPTH vertices, each as the
-    letters of the section's inverse.
+    KEY_DEPTH, the level-(depth - KEY_DEPTH) action of its section's
+    inverse at each level-KEY_DEPTH vertex that a Klein letter touches;
+    every action is padded to 256 bytes.
 
-    Deep walks read the word right to left and apply each letter's table
-    before inv, so inv is the action of the suffix after the letter: the
-    letter's sections land on the vertices that the suffix maps to
-    1^KEY_DEPTH and 1^(KEY_DEPTH-1) 0, i.e. on inv of those.  The word is
-    not reduced: the oracle shares no code with the solver it cross-checks.
+    The walk reads the word right to left, CHUNK letters per step, and
+    applies each step's table before inv, so inv is the action of the suffix
+    after the chunk: a vertex u of the chunk's sections is the walk's vertex
+    inv[u].  The word is not reduced: the oracle shares no code with the
+    solver it cross-checks.
     """
-    level = min(depth, KEY_DEPTH)
-    letters = _level_letters(level)
-    inv = _IDENTITY[: 1 << level]
-    if depth <= KEY_DEPTH:
-        for ch in word:
-            inv = inv.translate(letters[ch])
-        return inv, {}
-    sections: dict[int, list[str]] = defaultdict(list)
-    for ch in reversed(word):
-        if ch != "a":
-            high, low = _KLEIN_SECTIONS[ch]
-            sections[inv[_TOP]].append(high)
-            if low:
-                sections[inv[_TOP - 1]].append(low)
-        inv = letters[ch].translate(inv)
+    steps = _steps(depth)
+    inv, sections = _IDENTITY, {}
+    for chunk in _CHUNKS.findall(word[::-1]):
+        table, touched = steps[chunk]
+        for u, section in touched:
+            v = inv[u]
+            sections[v] = sections.get(v, _IDENTITY).translate(section)
+        inv = table.translate(inv)
     return inv, sections
 
 
@@ -315,22 +343,26 @@ def _fixes(word: str, depth: int) -> bool:
     # a word fixes level depth iff it fixes level KEY_DEPTH and every section
     # fixes level depth - KEY_DEPTH; a word and its inverse fix the same strings
     inv, sections = _walk(word, depth)
-    return inv == _IDENTITY[: len(inv)] and all(
-        _fixes("".join(s), depth - KEY_DEPTH) for s in sections.values()
-    )
+    return inv == _IDENTITY and all(s == _IDENTITY for s in sections.values())
+
+
+def _moved(perm: bytes, level: int) -> str | None:
+    # x and perm[x] first differ at the level of their highest differing bit
+    moved = [(level + 1 - (x ^ y).bit_length(), x) for x, y in enumerate(perm) if x != y]
+    if not moved:
+        return None
+    d, x = min(moved)
+    return format(x >> (level - d), f"0{d}b")
 
 
 def _first_moved(word: str, depth: int) -> str | None:
     inv, sections = _walk(word, depth)
-    level = len(inv).bit_length() - 1
-    # x and inv[x] first differ at the level of their highest differing bit
-    moved = [(level + 1 - (x ^ y).bit_length(), x) for x, y in enumerate(inv) if x != y]
-    if moved:
-        d, x = min(moved)
-        return format(x >> (level - d), f"0{d}b")
+    s = _moved(inv, min(depth, KEY_DEPTH))
+    if s is not None:
+        return s
     below = []
     for vertex, section in sections.items():
-        s = _first_moved("".join(section), depth - KEY_DEPTH)
+        s = _moved(section, depth - KEY_DEPTH)
         if s is not None:
             below.append((len(s), vertex, s))
     if not below:
@@ -344,6 +376,8 @@ def _check_oracle_input(word: str, depth: int, name: str) -> None:
         raise ValueError(f"{word!r} is not a word over a, b, c, d")
     if depth < 0:
         raise ValueError(f"{name} must be non-negative, got {depth}")
+    if depth > MAX_ORACLE_DEPTH:
+        raise ValueError(f"{name} must be at most {MAX_ORACLE_DEPTH}, got {depth}")
 
 
 def acts_trivially_to_depth(word: str, depth: int = ORACLE_DEPTH) -> bool:

@@ -430,11 +430,11 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 @dataclass
 class WreathData:
-    """A wreath product base^k ⋊ C_k plus its canonical base decomposition."""
+    """A wreath product base^k ⋊ C_k plus its canonical base decomposition:
+    base^k is the elements of shift 0 (ids 0, k, 2k, ...), the product of
+    the two factors below."""
 
     group: FiniteGroup
-    base_group: FiniteGroup
-    base: tuple[int, ...]  # element ids of base^k
     first_factor: tuple[int, ...]  # coordinate 0 copy of the base group
     rest_factor: tuple[int, ...]  # coordinates 1..k-1
 
@@ -480,8 +480,6 @@ def wreath_product(top_order: int, base: FiniteGroup) -> WreathData:
     rest_identity = base.identity * sum(nb**j for j in range(k - 1))
     return WreathData(
         group=FiniteGroup._by_construction(table, labels, name=name),
-        base_group=base,
-        base=tuple(range(0, total, k)),  # shift 0
         first_factor=tuple((b * place + rest_identity) * k for b in range(nb)),
         rest_factor=tuple((base.identity * place + r) * k for r in range(place)),
     )

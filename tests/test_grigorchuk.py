@@ -1,5 +1,6 @@
 """Grigorchuk engine: action table, splitting, the word problem, the identity."""
 
+import functools
 import itertools
 import random
 import signal
@@ -500,8 +501,13 @@ def test_level_permutations_are_the_action():
                 assert perms[ch][x] == int(gg.act(ch, s) or "0", 2)
 
 
+@functools.lru_cache(maxsize=None)
+def _ref_perms(depth):
+    return {ch: np.asarray(perm) for ch, perm in gg.level_permutations(depth).items()}
+
+
 def ref_word_permutation(word, depth):
-    perms = {ch: np.asarray(perm) for ch, perm in gg.level_permutations(depth).items()}
+    perms = _ref_perms(depth)
     acc = np.arange(1 << depth, dtype=np.int64)
     for ch in word:
         acc = acc[perms[ch]]
@@ -531,12 +537,21 @@ def _oracle_words(rng, count):
         yield w
 
 
+def _seam_words(rng):
+    # three words of every length 0-13: the walk reads the reversed word in
+    # chunks of CHUNK letters, so its last chunk takes every length from 1 to
+    # CHUNK, after zero to three seams
+    for n in range(14):
+        for _ in range(3):
+            yield "".join(rng.choice("abcd") for _ in range(n))
+
+
 def test_word_permutation_matches_reference():
     # the oracle fixes level d iff the reference permutation of level d is
-    # the identity, at every depth up to ORACLE_DEPTH
+    # the identity, at every depth up to the oracle's bound of 16
     rng = random.Random(8)
-    for w in _oracle_words(rng, 300):
-        for depth in range(gg.ORACLE_DEPTH + 1):
+    for w in itertools.chain(_oracle_words(rng, 300), _seam_words(rng)):
+        for depth in range(2 * gg.KEY_DEPTH + 1):
             fixed = np.array_equal(ref_word_permutation(w, depth), np.arange(1 << depth))
             assert gg.acts_trivially_to_depth(w, depth) == fixed
 
@@ -549,6 +564,9 @@ def test_find_moved_string_matches_level_by_level_reference():
         s = gg.find_moved_string(w, depth)
         assert s == ref_find_moved_string(w, depth)
         found.add(None if s is None else len(s))
+    for w in _seam_words(rng):
+        for depth in (0, 3, 8, 9, 12, 16):
+            assert gg.find_moved_string(w, depth) == ref_find_moved_string(w, depth)
     # the words reach shallow and deep moved strings, and fixed ones
     assert None in found and max(d for d in found if d is not None) >= 6
 
@@ -596,6 +614,11 @@ def test_oracle_rejects_negative_depth():
         gg.acts_trivially_to_depth("ab", -1)
     with pytest.raises(ValueError, match="^max_depth must be non-negative, got -2$"):
         gg.find_moved_string("ab", -2)
+    # a section below level 8 is one 256-byte action, so depth is at most 16
+    with pytest.raises(ValueError, match="^depth must be at most 16, got 17$"):
+        gg.acts_trivially_to_depth("ab", 17)
+    with pytest.raises(ValueError, match="^max_depth must be at most 16, got 17$"):
+        gg.find_moved_string("ab", 17)
     assert gg.acts_trivially_to_depth("ab", 0) and gg.find_moved_string("ab", 0) is None
 
 
@@ -607,8 +630,11 @@ def test_oracle_does_not_use_the_solver(monkeypatch):
     def refuse(*args):
         raise AssertionError("the oracle called the solver")
 
-    for name in ("reduce_word", "_split_reduced", "_is_trivial_reduced"):
+    for name in ("reduce_word", "_mul", "_join_pieces", "_split_reduced", "_is_trivial_reduced"):
         monkeypatch.setattr(gg, name, refuse)
+    # the walk's chunk steps are built afresh, from the level tables and the
+    # Klein letters' sections alone
+    gg._steps.cache_clear()
     for w in trivial:
         assert gg.acts_trivially_to_depth(w)
         assert gg.find_moved_string(w) is None

@@ -281,11 +281,12 @@ def relabelled_c3():
     return il.FiniteGroup(table, labels=["b", "e", "a"], name="C3r")
 
 
-def wreath_digest(data):
-    """SHA-256 over the table, inverses, base, factor tuples and labels."""
+def wreath_digest(data, k):
+    """SHA-256 over the table, inverses, base, factor tuples and labels; the
+    base subgroup is the elements of shift 0, ids 0, k, 2k, ..."""
     G = data.group
     h = hashlib.sha256()
-    for part in (G.table, G.inverse_table, data.base, data.first_factor, data.rest_factor):
+    for part in (G.table, G.inverse_table, np.arange(0, G.size, k), data.first_factor, data.rest_factor):
         h.update(np.asarray(part, dtype=np.int64).tobytes())
         h.update(b"|")
     h.update("\n".join(G.labels).encode())
@@ -307,15 +308,16 @@ def wreath_digest(data):
 def test_wreath_products_are_pinned(k, base, digest):
     # C3r has its identity at id 1, so the factor tuples cannot assume id 0
     B = small_group(base) if base else relabelled_c3()
-    assert wreath_digest(il.wreath_product(k, B)) == digest
+    assert wreath_digest(il.wreath_product(k, B), k) == digest
 
 
 def test_wreath_base_decomposition():
     data = il.wreath_product(2, il.cyclic(2))
     G = data.group
-    assert len(data.base) == 4  # base subgroup C2 x C2
-    assert G.is_subgroup(data.base)
-    assert G.is_normal(data.base)
+    base = tuple(range(0, G.size, 2))  # shift 0: the base subgroup C2 x C2
+    assert len(base) == 4
+    assert G.is_subgroup(base)
+    assert G.is_normal(base)
     assert len(data.first_factor) == 2
     assert len(data.rest_factor) == 2
     # the two factors intersect trivially and commute
@@ -353,10 +355,11 @@ def test_wreath_identity():
 def test_wreath_doubled_commutator_is_needed():
     # over a nonabelian base the plain [[x, a], b] can fail; the doubled
     # [[[x, a], a], b] always holds
-    data = il.wreath_product(2, il.symmetric(3))
+    S3 = il.symmetric(3)
+    data = il.wreath_product(2, S3)
     G = data.group
-    a = data.first_factor[data.base_group.element_by_label("(23)")]
-    b = data.rest_factor[data.base_group.element_by_label("(23)")]
+    a = data.first_factor[S3.element_by_label("(23)")]
+    b = data.rest_factor[S3.element_by_label("(23)")]
     plain = comm_word(G, a, b)
     verdict = il.is_mixed_identity(plain, G)
     assert not verdict.holds

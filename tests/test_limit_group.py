@@ -511,7 +511,7 @@ def test_huge_power_is_refused_before_any_letter(default_group):
 
 
 @pytest.mark.parametrize("p,c", [(2, "n"), (3, "1,2")])
-def test_window_awords_list_each_element_once_in_normal_form(p, c):
+def test_radius_awords_list_each_element_once_in_normal_form(p, c):
     """The radius listings of r = 0..R partition B([-R, R]): each element
     once, in normal form, at the radius its support reaches.  Odd columns of
     the p = 3 tables read back as exponent p - 1.  B([-2, 2]) of (2, "n")
